@@ -35,7 +35,7 @@ from .trees import (
     spanning_tree,
 )
 
-EXACT_BASE_LIMIT = 18  # largest mindeg-3 core handed to the exact solver
+EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
 
 
 # -- partition and structure checks ----------------------------------------

@@ -1,19 +1,33 @@
 """Exact maximum-leaf spanning tree computation at desk scale.
 
-The solver is a branch-and-bound over edges: each edge is either forced into
-the growing forest or excluded, the forest must stay acyclic, and the graph
-minus the excluded edges must stay connected.  The admissible upper bound is
-the number of vertices not yet forced internal; a vertex with two forest
-edges can never become a leaf.  Everything is deterministic: edges are
-processed in (low, high) order and the include branch is explored first.
+For n >= 3 the internal vertices of a spanning tree form a connected
+dominating set, and such a set D extends to a tree with at least n - |D|
+leaves, so u = n - gamma_c.  The solver branches on vertices over states
+(I, T, F): I is a connected set chosen internal, T = N[I], and F is fixed as
+leaves.  The open vertex of T - I - F with most neighbours outside T, lowest
+id first, is made internal, then a leaf.  Sets are Python-int bitsets over
+the sorted vertices; an explicit stack replaces recursion.  Proved facts cut:
+
+- roots: a tree has an internal vertex in N[v], so the roots are N[v] for a
+  minimum-degree v, earlier roots fixed as leaves; a cutpoint is internal in
+  every tree, so it is the only root when one exists, and never a leaf;
+- forced leaf: an open vertex with no neighbour outside T is never needed;
+- feasibility: each vertex outside T needs a neighbour in I's part of G - F;
+- bound: a new internal x dominates at most gain(x) = |N(x) - T| new
+  vertices, and at most deg x - 1 outside T, where its parent dominates it.
+  With k the fewest gains covering V - T, and at least the cutpoints outside
+  I, no completion beats n - |I| - k leaves.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
+from .blocks import decompose_blocks
 from .errors import CapExceededError, InvalidParamsError, NotConnectedError
 from .graph import Graph, norm_edge
 from .trees import SpanningTree, spanning_tree
@@ -34,34 +48,45 @@ class ExactResult:
     optimal: bool
 
 
-class _Abort(Exception):
-    pass
-
-
 def greedy_leafy(g: Graph) -> SpanningTree:
     """Leafy spanning tree heuristic; valid but not optimal in general.
 
     Starts from a maximum-degree vertex and repeatedly expands the tree
     vertex with the most neighbors outside the tree, claiming all of them at
-    once.  Ties break toward the lowest id.
+    once.  Ties break toward the lowest id.  A lazy heap keyed (-outside
+    count, id) picks the vertex: counts only fall, so a current key is best.
     """
     if not g.is_connected:
         raise NotConnectedError("greedy_leafy requires a connected graph")
     if g.v == 1:
         return spanning_tree(g, ())
-    start = max(g.sorted_vertices, key=lambda x: (g.degree(x), -x))
-    in_tree = {start}
-    edges = []
+    adj = g.adjacency
+    start = max(g.sorted_vertices, key=lambda x: (len(adj[x]), -x))
+    outside = {x: len(nbs) for x, nbs in adj.items()}
+    in_tree, edges = {start}, []
+    for nb in adj[start]:
+        outside[nb] -= 1
+    heap = [(-outside[start], start)]
     while len(in_tree) < g.v:
-        best_x, best_new = None, ()
-        for x in sorted(in_tree):
-            new = tuple(nb for nb in g.neighbors(x) if nb not in in_tree)
-            if len(new) > len(best_new):
-                best_x, best_new = x, new
-        for nb in best_new:
-            edges.append(norm_edge(best_x, nb))
+        key, x = heapq.heappop(heap)
+        if -key != outside[x]:
+            heapq.heappush(heap, (-outside[x], x))
+            continue
+        for nb in adj[x] - in_tree:
+            edges.append((x, nb))
             in_tree.add(nb)
+            for w in adj[nb]:
+                outside[w] -= 1
+            heapq.heappush(heap, (-outside[nb], nb))
     return spanning_tree(g, edges)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def exact_mlst(
@@ -78,110 +103,85 @@ def exact_mlst(
     if g.v < 2:
         raise InvalidParamsError("exact_mlst requires at least two vertices")
     start_time = time.perf_counter()
+    seed = greedy_leafy(g)
+    if g.v == 2:
+        return ExactResult(2, seed, 0, time.perf_counter() - start_time, True)
 
     verts = g.sorted_vertices
     index = {x: i for i, x in enumerate(verts)}
     n = len(verts)
-    edges = [(index[u], index[v]) for u, v in g.sorted_edges]
-    m = len(edges)
-    incident = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-
-    seed = greedy_leafy(g)
-    best_val = seed.leaf_count
-    best_edges = seed.tree_edges
-    nodes = 0
-    aborted = False
-
-    chosen: list = []
-    deg = [0] * n
-    parent = list(range(n))
-
-    def find(p, x):
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    excluded = [False] * m
-
-    def still_connected(from_i):
-        """Connectivity of chosen edges plus the undecided tail edges[from_i:]."""
-        adj = [[] for _ in range(n)]
-        for u, v in chosen:
-            adj[u].append(v)
-            adj[v].append(u)
-        for j in range(from_i, m):
-            if not excluded[j]:
-                u, v = edges[j]
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    count += 1
-                    stack.append(nb)
-        return count == n
-
-    def rec(i, p):
-        nonlocal nodes, best_val, best_edges, aborted
+    full = (1 << n) - 1
+    adj = [0] * n
+    for u, v in g.sorted_edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    deg = [a.bit_count() for a in adj]
+    cut = sum(1 << index[x] for x in decompose_blocks(g).cutpoints)
+    if cut:
+        roots = [max(_bits(cut), key=lambda i: (deg[i], -i))]
+    else:
+        low = min(range(n), key=lambda i: (deg[i], i))
+        roots = sorted(_bits(adj[low] | 1 << low), key=lambda i: (-deg[i], i))
+    stack = [
+        (1 << r, adj[r] | 1 << r, sum(1 << q for q in roots[:j]))
+        for j, r in reversed(list(enumerate(roots)))
+    ]
+    best, best_set, nodes = seed.leaf_count, None, 0
+    while stack:
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            aborted = True
-            raise _Abort
-        if len(chosen) == n - 1:
-            val = sum(1 for d in deg if d == 1)
-            if val > best_val:
-                best_val = val
-                best_edges = frozenset(
-                    norm_edge(verts[u], verts[v]) for u, v in chosen
-                )
-            return
-        if i == m:
-            return
-        if len(chosen) + (m - i) < n - 1:
-            return
-        if prune:
-            ub = sum(1 for d in deg if d <= 1)
-            if ub <= best_val:
-                return
-        u, v = edges[i]
-        ru, rv = find(p, u), find(p, v)
-        if ru != rv:
-            p2 = list(p)
-            p2[ru] = rv
-            chosen.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            rec(i + 1, p2)
-            deg[u] -= 1
-            deg[v] -= 1
-            chosen.pop()
-        excluded[i] = True
-        if still_connected(i + 1):
-            rec(i + 1, p)
-        excluded[i] = False
+            break
+        inner, dom, leaf = stack.pop()
+        size = inner.bit_count()
+        out = full & ~dom
+        if not out:
+            if n - size > best:
+                best, best_set = n - size, inner
+            continue
+        gains = []
+        pick, pick_gain = -1, 0
+        for x in _bits(full & ~inner & ~leaf):
+            gain = (adj[x] & out).bit_count()
+            if dom >> x & 1:
+                if not gain:
+                    leaf |= 1 << x
+                    continue
+                if gain > pick_gain:
+                    pick, pick_gain = x, gain
+            else:
+                gain = min(gain, deg[x] - 1)
+            gains.append(gain)
+        reach, near = 0, inner
+        while frontier := near & ~leaf & ~reach:
+            reach |= frontier
+            for x in _bits(frontier):
+                near |= adj[x]
+        if out & ~near:
+            continue
+        need = out.bit_count()
+        covered = accumulate(sorted(gains, reverse=True))
+        k = next((j for j, c in enumerate(covered, 1) if c >= need), None)
+        if k is None or prune and n - size - max(k, (cut & ~inner).bit_count()) <= best:
+            continue
+        bit = 1 << pick
+        if not cut & bit:
+            stack.append((inner, dom, leaf | bit))
+        stack.append((inner | bit, dom | adj[pick], leaf))
 
-    try:
-        rec(0, parent)
-    except _Abort:
-        pass
-
-    witness = spanning_tree(g, best_edges)
-    return ExactResult(
-        u_value=best_val,
-        witness=witness,
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - start_time,
-        optimal=not aborted,
-    )
+    witness = seed
+    if best_set is not None:
+        # BFS that expands only I: a tree inside G[I], the rest hung off I
+        root = next(_bits(best_set))
+        seen, queue, edges = 1 << root, [root], []
+        for x in queue:
+            for y in _bits(adj[x] & ~seen):
+                seen |= 1 << y
+                edges.append((verts[x], verts[y]))
+                if best_set >> y & 1:
+                    queue.append(y)
+        witness = spanning_tree(g, edges)
+    elapsed = time.perf_counter() - start_time
+    return ExactResult(witness.leaf_count, witness, nodes, elapsed, not stack)
 
 
 def enumerate_spanning_trees(
@@ -189,9 +189,9 @@ def enumerate_spanning_trees(
 ) -> Iterator[SpanningTree]:
     """Yield every spanning tree exactly once, in deterministic order.
 
-    Same include/exclude recursion as the solver but without bounds; each
-    tree corresponds to a unique decision sequence over the sorted edge
-    list.  Raises CapExceeded as soon as more than cap trees appear.
+    Include/exclude recursion over the sorted edge list, sharing no code with
+    the solver; each tree is a unique decision sequence.  Raises CapExceeded
+    as soon as more than cap trees appear.
     """
     if not g.is_connected:
         raise NotConnectedError("enumeration requires a connected graph")

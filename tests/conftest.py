@@ -122,3 +122,42 @@ def random_connected(rng: random.Random, v: int, extra_max=None) -> Graph:
             have.add(e)
             extra -= 1
     return Graph.build(have)
+
+
+def greedy_leafy_reference(g: Graph):
+    """Tree edges of the original quadratic greedy_leafy, kept as a reference.
+
+    Start at a maximum-degree vertex, then expand the tree vertex with the
+    most outside neighbors (lowest id on ties), claiming all of them.
+    """
+    if g.v == 1:
+        return frozenset()
+    start = max(g.sorted_vertices, key=lambda x: (g.degree(x), -x))
+    in_tree = {start}
+    edges = []
+    while len(in_tree) < g.v:
+        best_x, best_new = None, ()
+        for x in sorted(in_tree):
+            new = tuple(nb for nb in g.neighbors(x) if nb not in in_tree)
+            if len(new) > len(best_new):
+                best_x, best_new = x, new
+        for nb in best_new:
+            edges.append((min(best_x, nb), max(best_x, nb)))
+            in_tree.add(nb)
+    return frozenset(edges)
+
+
+def random_cubic(rng: random.Random, n: int) -> Graph:
+    """Connected simple 3-regular graph on 0..n-1 by the pairing model.
+
+    Matchings with a loop, a repeated edge or more than one component are
+    rejected whole, so the draw is uniform over connected cubic graphs.
+    """
+    points = [x for x in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            g = Graph.build(pairs)
+            if g.v == n and g.is_connected:
+                return g

@@ -36,6 +36,12 @@ def test_exact_budget(monkeypatch, capsys):
     assert "optimal=0" in capsys.readouterr().out
 
 
+def test_exact_long_path(monkeypatch, capsys):
+    feed(monkeypatch, serialize_graph(Graph.path(2000)))
+    assert main(["exact"]) == 0
+    assert capsys.readouterr().out.startswith("u=2 optimal=1 ")
+
+
 def test_budget_validation(monkeypatch, capsys):
     feed(monkeypatch, TRIANGLE)
     monkeypatch.setenv("LEAFSPAN_BUDGET", "soon")

@@ -27,7 +27,7 @@ from leafspan import (
 )
 from leafspan.constructive import _chain_condition_holds
 from leafspan.trees import validate
-from conftest import connected_graphs, random_connected
+from conftest import connected_graphs, random_connected, random_cubic
 
 
 def _t2_params(g):
@@ -62,6 +62,16 @@ def test_petersen_certificate():
     # mindeg-3 base goes straight to the exact core at this size
     assert tr.base_kinds == ("base-core-exact",)
     assert t.leaf_count >= bound_kw(10).value
+
+
+def test_large_cubic_core_is_solved_exactly():
+    rng = random.Random(2022)
+    for v in (20, 22, 24):
+        g = random_cubic(rng, v)
+        t, tr = construct_theorem1(g)
+        assert tr.base_kinds == ("base-core-exact",)
+        assert replay_trace(g, tr, theorem=1).tree_edges == t.tree_edges
+        assert t.leaf_count == exact_mlst(g).u_value >= bound_kw(v).value
 
 
 def test_exhaustive_small_theorem1():

@@ -9,12 +9,20 @@ from leafspan import (
     Graph,
     InvalidParamsError,
     NotConnectedError,
+    bound_kw,
     enumerate_spanning_trees,
     exact_mlst,
     greedy_leafy,
 )
 from leafspan.trees import validate
-from conftest import brute_tree_count, brute_u, connected_graphs, random_connected
+from conftest import (
+    brute_tree_count,
+    brute_u,
+    connected_graphs,
+    greedy_leafy_reference,
+    random_connected,
+    random_cubic,
+)
 
 
 def test_known_values():
@@ -70,8 +78,39 @@ def test_pruning_changes_nothing():
         assert a.nodes_explored <= b.nodes_explored
 
 
+def test_random_cubic_against_brute_force():
+    rng = random.Random(6)
+    for v in (8, 8, 8, 10, 10, 10):
+        g = random_cubic(rng, v)
+        r = exact_mlst(g)
+        assert r.optimal and r.u_value == brute_u(g), g.sorted_edges
+        assert validate(r.witness) is None
+
+
+def test_large_sparse_inputs_are_solved_without_recursion():
+    r = exact_mlst(Graph.path(5000))
+    assert r.optimal and r.u_value == 2
+    assert validate(r.witness) is None
+    rng = random.Random(5000)
+    tree = Graph.build([(rng.randrange(i), i) for i in range(1, 5000)])
+    r = exact_mlst(tree)
+    assert r.optimal and r.witness.tree_edges == tree.edges
+    assert r.u_value == sum(1 for x in tree.vertices if tree.degree(x) == 1)
+    r = exact_mlst(Graph.cycle(2000))
+    assert r.optimal and r.u_value == 2
+    assert validate(r.witness) is None
+
+
+def test_budget_on_cubic_keeps_a_certified_witness():
+    g = random_cubic(random.Random(24), 24)
+    r = exact_mlst(g, node_budget=10)
+    assert not r.optimal
+    assert validate(r.witness) is None
+    assert r.u_value == r.witness.leaf_count >= bound_kw(24).value
+
+
 def test_budget_gives_honest_flag():
-    r = exact_mlst(Graph.petersen(), node_budget=5)
+    r = exact_mlst(Graph.petersen(), node_budget=1)
     assert not r.optimal
     assert validate(r.witness) is None
     assert 2 <= r.u_value <= 6
@@ -143,6 +182,14 @@ def test_greedy_is_a_valid_lower_bound():
 def test_greedy_deterministic():
     g = Graph.petersen()
     assert greedy_leafy(g).tree_edges == greedy_leafy(g).tree_edges
+
+
+def test_greedy_matches_quadratic_reference():
+    rng = random.Random(4040)
+    graphs = [Graph.petersen()]
+    graphs += [random_connected(rng, rng.randint(2, 40)) for _ in range(300)]
+    for g in graphs:
+        assert greedy_leafy(g).tree_edges == greedy_leafy_reference(g), g.sorted_edges
 
 
 @settings(max_examples=40, deadline=None)
