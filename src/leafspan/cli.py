@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
-from .constructive import construct_theorem1, construct_theorem2
+from .constructive import construct_theorem1, construct_theorem2, theorem2_girth
 from .corpus import random_constrained_graph, verify_corpus
 from .errors import InfeasibleError, InvalidParamsError, LeafspanError, ParseError
 from .exact import exact_mlst
@@ -102,8 +102,7 @@ def _cmd_construct(args) -> int:
         if k is None:
             k = max(chain_metric(g), 1)
         tree, trace = construct_theorem2(g, k, girth_floor=args.g)
-        gv = girth(g)
-        rep = bound_theorem2(g.v, 3 if gv is None else (args.g or gv), k)
+        rep = bound_theorem2(g.v, theorem2_girth(g, k, args.g), k)
     ok = tree.leaf_count >= rep.value
     out = [
         f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} "

@@ -1,9 +1,10 @@
 """Constructive spanning-tree builders that certify the lower bounds.
 
-Two recursive descents live here.  The first produces a tree whose leaf
-count is certified against the degree-structure bound (the s-count form);
-the second certifies the girth/chain bound.  Both record every reduction
-step in a ConstructionTrace that can be replayed and audited.
+One iterative descent engine runs two case tables.  The first produces a
+tree whose leaf count is certified against the degree-structure bound (the
+s-count form); the second certifies the girth/chain bound.  Both record
+every reduction step in a ConstructionTrace that can be replayed and
+audited, and neither uses the Python call stack for the descent itself.
 
 Every recombination step asserts its exact leaf arithmetic, and every node
 asserts the bound it is responsible for.  A BoundNotMet escaping from here
@@ -13,7 +14,8 @@ means the implementation (not the input) is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .blocks import decompose_blocks, essential_cutpoints, find_spines, is_spine_component
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
@@ -21,7 +23,6 @@ from .errors import (
     BoundNotMetError,
     ChainTooLongError,
     InvalidParamsError,
-    PreconditionViolatedError,
     SearchExhaustedError,
 )
 from .exact import exact_mlst, greedy_leafy
@@ -142,43 +143,124 @@ class ConstructionTrace:
         return tuple(n.case for n in self.preorder() if n.op == "base")
 
 
-class _Guide:
-    """Cursor over a recorded trace; replay checks each step against it."""
+# -- the descent engine -----------------------------------------------------
 
-    def __init__(self, node: Optional[TraceNode]):
-        self.node = node
 
-    def check(self, case: str, op: str, args: tuple) -> None:
-        if self.node is None:
-            return
-        if (self.node.case, self.node.op, self.node.args) != (case, op, args):
+class _Step(NamedTuple):
+    """One reduction step: build maps the trees of the children, in trace
+    order, to a tree of the step's graph.  A base step has no children."""
+
+    case: str
+    op: str
+    args: tuple
+    children: tuple
+    build: Callable
+
+
+class _Theorem(NamedTuple):
+    """Case functions, tried in order until one returns a _Step rather than
+    None, and need(g, case): the leaves a node's tree must reach."""
+
+    cases: tuple
+    need: Callable
+
+
+class _Frame(NamedTuple):
+    g: Graph
+    step: _Step
+    record: Optional[TraceNode]
+    depth: int
+    done: list  # (tree, trace node) of each finished child
+
+
+def _base(case: str, t: SpanningTree) -> _Step:
+    return _Step(case, "base", (), (), lambda: t)
+
+
+def _keep_edges(g: Graph):
+    """Build of a deletion step: the child's tree edges span g as well."""
+    return lambda t_sub: spanning_tree(g, t_sub.tree_edges)
+
+
+def _rejoin(g: Graph, a: int, tip1: int, tip2: int, fold: frozenset):
+    """Build of a split at a.
+
+    The halves' trees are glued at their probe tips, then every vertex of
+    fold is contracted back onto a, the lowest id adjacent to a first.
+    """
+
+    def build(t1: SpanningTree, t2: SpanningTree) -> SpanningTree:
+        glued = glue(t1.host, tip1, t2.host, tip2)
+        t = glue_trees(t1, t2, glued)
+        cur = glued.graph
+        left = set(fold)
+        while left:
+            nb = next(p for p in sorted(left) if cur.has_edge(a, p))
+            res = contract_edge(cur, a, nb)
+            assert res.merged == a
+            t = contract_tree_edge(t, res)
+            cur = res.graph
+            left.discard(nb)
+        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2, "leaf count drifted"
+        assert t.host == g, "recombination did not restore the split graph"
+        return t
+
+    return build
+
+
+def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None, collect=None):
+    """Run a descent from root on an explicit stack; return (tree, trace root).
+
+    With a record, every derived step must match the recorded one.  collect,
+    when a list, receives (depth, graph) pairs in preorder, one per node.
+    """
+
+    def enter(g: Graph, rec: Optional[TraceNode], depth: int) -> _Frame:
+        if collect is not None:
+            collect.append((depth, g))
+        for case in theorem.cases:
+            step = case(g)
+            if step is not None:
+                break
+        derived = (step.case, step.op, step.args)
+        if rec is not None and (rec.case, rec.op, rec.args) != derived:
             raise InvalidParamsError(
-                f"trace mismatch: recorded {self.node.line()}, "
-                f"replay derived case={case} op={op} args={args}"
+                f"trace mismatch: recorded {rec.line()}, "
+                f"replay derived case={step.case} op={step.op} args={step.args}"
             )
+        return _Frame(g, step, rec, depth, [])
 
-    def child(self, i: int) -> "_Guide":
-        if self.node is None:
-            return _Guide(None)
-        if i >= len(self.node.children):
-            raise InvalidParamsError("trace mismatch: missing child step")
-        return _Guide(self.node.children[i])
+    stack = [enter(root, record, 0)]
+    while True:
+        top = stack[-1]
+        i = len(top.done)
+        if i < len(top.step.children):
+            rec = None
+            if top.record is not None:
+                if i >= len(top.record.children):
+                    raise InvalidParamsError("trace mismatch: missing child step")
+                rec = top.record.children[i]
+            stack.append(enter(top.step.children[i], rec, top.depth + 1))
+            continue
+        stack.pop()
+        g, step = top.g, top.step
+        t = step.build(*(tree for tree, _ in top.done))
+        need = theorem.need(g, step.case)
+        if t.leaf_count < need:
+            raise BoundNotMetError(f"case {step.case}: {t.leaf_count} leaves < {need} at v={g.v}")
+        node = TraceNode(step.case, step.op, step.args, g.v, g.e, tuple(n for _, n in top.done))
+        if not stack:
+            return t, node
+        stack[-1].done.append((t, node))
 
 
-def _require(ok: bool, msg: str) -> None:
-    if not ok:
-        raise BoundNotMetError(msg)
+def _require_input(g: Graph, what: str) -> None:
+    require_connected(g, what)
+    if g.v < 2:
+        raise InvalidParamsError("need at least two vertices")
 
 
 # -- degree-structure descent ----------------------------------------------
-
-
-def _bound1_check(t: SpanningTree, g: Graph, case: str) -> None:
-    need = bound_theorem1(s_count(g)).value
-    _require(
-        t.leaf_count >= need,
-        f"case {case}: {t.leaf_count} leaves < required {need} at v={g.v}",
-    )
 
 
 def _split_theorem1(g: Graph, a: int):
@@ -187,7 +269,8 @@ def _split_theorem1(g: Graph, a: int):
     Single-vertex components of g-a are pendants of g and travel with the
     second half; the first half is the lowest component that carries core
     vertices.  Fresh ids sit above every real id so that contractions later
-    merge back onto the real vertex a.
+    merge back onto the real vertex a.  The probes glue into x1, which
+    folds onto a before the relabeled cut copy a2 does.
     """
     comps = g.without_vertex(a).components
     core = [c for c in comps if len(c) >= 2]
@@ -198,100 +281,65 @@ def _split_theorem1(g: Graph, a: int):
     a2, x1, x2 = m0 + 1, m0 + 2, m0 + 3
     g1 = g.induced(side1 | {a}).with_edge(a, x1)
     g2 = g.induced(side2 | {a}).relabel({a: a2}).with_edge(a2, x2)
-    return g1, g2, a2, x1, x2
+    return g1, g2, x1, x2, frozenset({x1, a2})
 
 
-def _recombine_theorem1(g, t1, t2, a, a2, x1, x2) -> SpanningTree:
-    glued = glue(t1.host, x1, t2.host, x2)
-    t = glue_trees(t1, t2, glued)
-    before = t.leaf_count
-    c1 = contract_edge(glued.graph, a, x1)
-    assert c1.merged == a
-    t = contract_tree_edge(t, c1)
-    c2 = contract_edge(c1.graph, a, a2)
-    assert c2.merged == a
-    t = contract_tree_edge(t, c2)
-    assert t.leaf_count == before, "contraction changed the leaf count"
-    assert t.host == g, "recombination did not restore the split graph"
-    return t
-
-
-def _descend1(g: Graph, guide: _Guide, collect, depth: int):
-    if collect is not None:
-        collect.append((depth, g))
-
-    def leaf_node(case, op, args, tree):
-        guide.check(case, op, args)
-        return tree, TraceNode(case, op, args, g.v, g.e, ())
-
-    def inner_node(case, op, args, tree, children):
-        guide.check(case, op, args)
-        return tree, TraceNode(case, op, args, g.v, g.e, tuple(children))
-
+def _t1_base_edge(g: Graph):
     if g.v == 2:
-        t = spanning_tree(g, g.edges)
-        _bound1_check(t, g, "base-edge")
-        return leaf_node("base-edge", "base", (), t)
+        return _base("base-edge", spanning_tree(g, g.edges))
 
-    deg2 = [x for x in g.sorted_vertices if g.degree(x) == 2]
-    if deg2:
-        a = deg2[0]
-        b = min(g.neighbors(a))
-        if a in decompose_blocks(g).cutpoints:
-            guide.check("1", "contract", (a, b))
-            res = contract_edge(g, a, b)
-            t_sub, node = _descend1(res.graph, guide.child(0), collect, depth + 1)
+
+def _t1_degree2(g: Graph):
+    a = next((x for x in g.sorted_vertices if g.degree(x) == 2), None)
+    if a is None:
+        return None
+    b = min(g.neighbors(a))
+    if a in decompose_blocks(g).cutpoints:
+        res = contract_edge(g, a, b)
+
+        def build(t_sub: SpanningTree) -> SpanningTree:
             t = lift_tree_through_contraction(t_sub, res, g)
             assert t.leaf_count >= t_sub.leaf_count
-            _bound1_check(t, g, "1-contract")
-            return inner_node("1", "contract", (a, b), t, [node])
-        guide.check("1", "delete", (a, b))
-        sub = g.without_edge(a, b)
-        require_connected(sub, "degree-2 reduction")
-        t_sub, node = _descend1(sub, guide.child(0), collect, depth + 1)
-        t = spanning_tree(g, t_sub.tree_edges)
-        _bound1_check(t, g, "1-delete")
-        return inner_node("1", "delete", (a, b), t, [node])
+            return t
 
-    part = partition_uwxy(g)
-    if not part.U:
-        # mindeg 3 core: solve directly and certify the v/4 + 2 bound
-        if g.v <= EXACT_BASE_LIMIT:
-            t = exact_mlst(g).witness
-            case = "base-core-exact"
-        else:
-            t = greedy_leafy(g)
-            case = "base-core-greedy"
-        need = bound_kw(g.v).value
-        _require(
-            t.leaf_count >= need,
-            f"{case}: {t.leaf_count} leaves < {need} at v={g.v}",
-        )
-        _bound1_check(t, g, case)
-        return leaf_node(case, "base", (), t)
+        return _Step("1", "contract", (a, b), (res.graph,), build)
+    sub = g.without_edge(a, b)
+    require_connected(sub, "degree-2 reduction")
+    return _Step("1", "delete", (a, b), (sub,), _keep_edges(g))
 
-    h = g.induced(g.vertices - part.U)
+
+def _t1_base_core(g: Graph):
+    # with no degree-2 vertex left, no pendant means a mindeg-3 core: solve
+    # it directly and certify the v/4 + 2 bound
+    if g.min_degree < 3:
+        return None
+    if g.v <= EXACT_BASE_LIMIT:
+        t, case = exact_mlst(g).witness, "base-core-exact"
+    else:
+        t, case = greedy_leafy(g), "base-core-greedy"
+    need = bound_kw(g.v).value
+    if t.leaf_count < need:
+        raise BoundNotMetError(f"{case}: {t.leaf_count} leaves < {need} at v={g.v}")
+    return _base(case, t)
+
+
+def _t1_core_cut(g: Graph):
+    # h is g without its pendants
+    h = g.induced(x for x in g.vertices if g.degree(x) > 1)
     if h.v <= 2:
         # star or double star: the graph is its own spanning tree
         assert g.is_tree
-        t = spanning_tree(g, g.edges)
-        _bound1_check(t, g, "base-small-core")
-        return leaf_node("base-small-core", "base", (), t)
-
+        return _base("base-small-core", spanning_tree(g, g.edges))
     h_cuts = decompose_blocks(h).cutpoints
-    if h_cuts:
-        a = min(h_cuts)
-        guide.check("2", "split", (a,))
-        g1, g2, a2, x1, x2 = _split_theorem1(g, a)
-        t1, n1 = _descend1(g1, guide.child(0), collect, depth + 1)
-        t2, n2 = _descend1(g2, guide.child(1), collect, depth + 1)
-        t = _recombine_theorem1(g, t1, t2, a, a2, x1, x2)
-        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2
-        _bound1_check(t, g, "2")
-        return inner_node("2", "split", (a,), t, [n1, n2])
+    if not h_cuts:
+        return None
+    a = min(h_cuts)
+    g1, g2, tip1, tip2, fold = _split_theorem1(g, a)
+    return _Step("2", "split", (a,), (g1, g2), _rejoin(g, a, tip1, tip2, fold))
 
-    # h is biconnected from here on
-    found = None
+
+def _t1_extend(g: Graph):
+    # the core is biconnected from here on
     for a in g.sorted_vertices:
         if g.degree(a) > 3:
             continue
@@ -302,64 +350,54 @@ def _descend1(g: Graph, guide: _Guide, collect, depth: int):
             if comp not in cut_by_comp:
                 cut_by_comp[comp] = decompose_blocks(removed.induced(comp)).cutpoints
             if b in cut_by_comp[comp]:
-                found = (a, b, comp)
-                break
-        if found:
-            break
-    if found:
-        a, b, comp = found
-        guide.check("3", "extend", (a, b))
-        sub = g.induced(comp)
-        t_sub, node = _descend1(sub, guide.child(0), collect, depth + 1)
-        t = extend_tree_lemma3(t_sub, a, b, g)
-        assert t.leaf_count >= t_sub.leaf_count + 1
-        _bound1_check(t, g, "3")
-        return inner_node("3", "extend", (a, b), t, [node])
+                build = partial(extend_tree_lemma3, a=a, b=b, g=g)
+                return _Step("3", "extend", (a, b), (g.induced(comp),), build)
 
-    heavy = next(
-        (
-            (x, y)
-            for x, y in g.sorted_edges
-            if g.degree(x) >= 4 and g.degree(y) >= 4
-        ),
-        None,
-    )
-    if heavy:
-        x, y = heavy
-        guide.check("4", "delete", (x, y))
-        sub = g.without_edge(x, y)
-        require_connected(sub, "heavy edge removal")
-        assert s_count(sub) == s_count(g)
-        t_sub, node = _descend1(sub, guide.child(0), collect, depth + 1)
-        t = spanning_tree(g, t_sub.tree_edges)
-        _bound1_check(t, g, "4")
-        return inner_node("4", "delete", (x, y), t, [node])
 
+def _t1_heavy_edge(g: Graph):
+    for x, y in g.sorted_edges:
+        if g.degree(x) >= 4 and g.degree(y) >= 4:
+            sub = g.without_edge(x, y)
+            require_connected(sub, "heavy edge removal")
+            assert s_count(sub) == s_count(g)
+            return _Step("4", "delete", (x, y), (sub,), _keep_edges(g))
+
+
+def _t1_lemma5(g: Graph):
+    part = partition_uwxy(g)
     violation = check_lemma5_structure(g, part)
     assert violation is None, f"descent exhausted cases yet {violation}"
     w = min(part.W)
-    xs = sorted(nb for nb in g.neighbors(w) if nb in part.X)
-    x, x_other = xs[0], xs[1]
+    x, x_other = sorted(nb for nb in g.neighbors(w) if nb in part.X)
     a = min(nb for nb in g.neighbors(x) if nb != w)
     assert g.degree(a) == 3
-    guide.check("5", "extend", (w, x, x_other, a))
     g_star = g.without_edge(w, x_other)
     comp = next(c for c in g_star.without_vertex(a).components if w in c)
-    sub = g_star.induced(comp)
-    t_sub, node = _descend1(sub, guide.child(0), collect, depth + 1)
-    t_star = extend_tree_lemma3(t_sub, a, x, g_star)
-    assert t_star.leaf_count >= t_sub.leaf_count + 1
-    t = spanning_tree(g, t_star.tree_edges)
-    _bound1_check(t, g, "5")
-    return inner_node("5", "extend", (w, x, x_other, a), t, [node])
+
+    def build(t_sub: SpanningTree) -> SpanningTree:
+        return spanning_tree(g, extend_tree_lemma3(t_sub, a, x, g_star).tree_edges)
+
+    return _Step("5", "extend", (w, x, x_other, a), (g_star.induced(comp),), build)
+
+
+_THEOREM1 = _Theorem(
+    cases=(
+        _t1_base_edge,
+        _t1_degree2,
+        _t1_base_core,
+        _t1_core_cut,
+        _t1_extend,
+        _t1_heavy_edge,
+        _t1_lemma5,
+    ),
+    need=lambda g, case: bound_theorem1(s_count(g)).value,
+)
 
 
 def construct_theorem1(g: Graph):
     """Spanning tree certified against the s-count bound, with its trace."""
-    require_connected(g, "construct_theorem1")
-    if g.v < 2:
-        raise InvalidParamsError("need at least two vertices")
-    t, root = _descend1(g, _Guide(None), None, 0)
+    _require_input(g, "construct_theorem1")
+    t, root = _descend(g, _THEOREM1)
     return t, ConstructionTrace(root=root, tree=t)
 
 
@@ -453,28 +491,13 @@ def remove_large_blocks(g: Graph) -> frozenset:
 # -- girth/chain descent ----------------------------------------------------
 
 
-def _tree_bound_check(t: SpanningTree, g: Graph, k: int, case: str) -> None:
-    # trees meet the triangle-girth rate; larger declared girths need not
-    # hold on bare trees, so every tree is certified at g=3
-    need = bound_theorem2(g.v, 3, k).value
-    _require(
-        t.leaf_count >= need,
-        f"{case}: tree with {t.leaf_count} leaves < required {need}",
-    )
-
-
-def _bound2_check(t: SpanningTree, g: Graph, gg: int, k: int, case: str) -> None:
-    need = bound_theorem2(g.v, gg, k).value
-    _require(
-        t.leaf_count >= need,
-        f"case {case}: {t.leaf_count} leaves < required {need} "
-        f"at v={g.v}, g={gg}, k={k}",
-    )
-
-
 def _split_theorem2(g: Graph, a: int, k: int):
     """Split at an essential cutpoint; pad each half that keeps degree >= 2
-    at the cut with a fresh probe path of k+1 vertices."""
+    at the cut with a fresh probe path of k+1 vertices.
+
+    The probe paths and the relabeled cut copy a2 fold back onto a; the
+    second tip vanishes into the first when the halves are glued.
+    """
     comps = g.without_vertex(a).components
     spines = [c for c in comps if is_spine_component(g, a, c)]
     others = [c for c in comps if not is_spine_component(g, a, c)]
@@ -491,47 +514,50 @@ def _split_theorem2(g: Graph, a: int, k: int):
     def pad(base_graph: Graph, at: int, start: int):
         if base_graph.degree(at) < 2:
             return base_graph, at, (), start
-        ids = list(range(start, start + k + 1))
+        ids = tuple(range(start, start + k + 1))
         out = base_graph
-        prev = at
-        edges = []
-        for p in ids:
+        for prev, p in zip((at,) + ids, ids):
             out = out.with_edge(prev, p)
-            edges.append(norm_edge(prev, p))
-            prev = p
-        return out, ids[-1], tuple(edges), start + k + 1
+        return out, ids[-1], ids, start + k + 1
 
     g1 = g.induced(side1 | {a})
     g2 = g.induced(side2 | {a}).relabel({a: a2})
-    g1p, tip1, spine1, nxt = pad(g1, a, m0 + 2)
-    g2p, tip2, spine2, _ = pad(g2, a2, nxt)
-    assert spine1 or spine2, "cut degree below 3"
-    return g1p, g2p, a2, tip1, tip2, spine1 + spine2
+    g1p, tip1, probe1, nxt = pad(g1, a, m0 + 2)
+    g2p, tip2, probe2, _ = pad(g2, a2, nxt)
+    assert probe1 or probe2, "cut degree below 3"
+    return g1p, g2p, tip1, tip2, frozenset(probe1 + probe2 + (a2,)) - {tip2}
 
 
-def _recombine_theorem2(g, t1, t2, a, a2, tip1, tip2, spine_edges) -> SpanningTree:
-    glued = glue(t1.host, tip1, t2.host, tip2)
-    t = glue_trees(t1, t2, glued)
-    before = t.leaf_count
-    cur = glued.graph
-    # fold the probe paths and the relabeled cut copy back onto a; the
-    # second glue point vanished into the first when the halves were joined
-    fold = {x for e in spine_edges for x in e}
-    fold.add(a2)
-    fold -= {a, tip2}
-    while fold:
-        nb = next(p for p in sorted(fold) if cur.has_edge(a, p))
-        res = contract_edge(cur, a, nb)
-        assert res.merged == a
-        t = contract_tree_edge(t, res)
-        cur = res.graph
-        fold.discard(nb)
-    assert t.leaf_count == before, "contraction changed the leaf count"
-    assert t.host == g, "recombination did not restore the split graph"
-    return t
+def _t2_base_tree(g: Graph):
+    if g.is_tree:
+        return _base("base-tree", spanning_tree(g, g.edges))
 
 
-def _spine_base_tree(g: Graph) -> SpanningTree:
+def _t2_base_short(g: Graph, k: int):
+    if g.v - k - 2 <= 0:
+        return _base("base-short", spanning_tree(g, g.bfs_tree(min(g.vertices))))
+
+
+def _t2_split(g: Graph, k: int):
+    ess = essential_cutpoints(g)
+    cuts = [x for x in sorted(ess) if g.degree(x) >= 3]
+    if not cuts:
+        assert not ess, "only degree-2 essential cutpoints found"
+        return None
+    a = cuts[0]
+    g1, g2, tip1, tip2, fold = _split_theorem2(g, a, k)
+    return _Step("1.1", "split", (a,), (g1, g2), _rejoin(g, a, tip1, tip2, fold))
+
+
+def _t2_remove(g: Graph):
+    if not _large_blocks(g):
+        return None
+    f = remove_large_blocks(g)
+    args = tuple(x for e in sorted(f) for x in e)
+    return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
+
+
+def _t2_base_spines(g: Graph) -> _Step:
     """Base of the girth/chain descent: pendant paths around one block.
 
     Every cutpoint detaches a single pendant path; what remains is a
@@ -561,72 +587,35 @@ def _spine_base_tree(g: Graph) -> SpanningTree:
         edges = set(core.bfs_tree(min(core.vertices)))
     t = spanning_tree(g, edges | spine_edges)
     assert t.leaf_count >= len(sp) + (1 if interior else 0)
-    return t
+    return _base("base-spines", t)
 
 
-def _descend2(g: Graph, gg: int, k: int, guide: _Guide, collect, depth: int):
-    if collect is not None:
-        collect.append((depth, g))
+def _theorem2(gg: int, k: int) -> _Theorem:
+    def need(g: Graph, case: str):
+        assert chain_metric(g) <= k, "descent produced an overlong chain"
+        # trees meet the triangle-girth rate; larger declared girths need not
+        # hold on bare trees, so every tree is certified at g=3
+        return bound_theorem2(g.v, 3 if case == "base-tree" else gg, k).value
 
-    def leaf_node(case, op, args, tree):
-        guide.check(case, op, args)
-        return tree, TraceNode(case, op, args, g.v, g.e, ())
-
-    def inner_node(case, op, args, tree, children):
-        guide.check(case, op, args)
-        return tree, TraceNode(case, op, args, g.v, g.e, tuple(children))
-
-    assert chain_metric(g) <= k, "descent produced an overlong chain"
-
-    if g.is_tree:
-        t = spanning_tree(g, g.edges)
-        _tree_bound_check(t, g, k, "base-tree")
-        return leaf_node("base-tree", "base", (), t)
-
-    if g.v - k - 2 <= 0:
-        t = spanning_tree(g, g.bfs_tree(min(g.vertices)))
-        _bound2_check(t, g, gg, k, "base-short")
-        return leaf_node("base-short", "base", (), t)
-
-    ess = [x for x in sorted(essential_cutpoints(g)) if g.degree(x) >= 3]
-    if ess:
-        a = ess[0]
-        guide.check("1.1", "split", (a,))
-        g1p, g2p, a2, tip1, tip2, spine_edges = _split_theorem2(g, a, k)
-        t1, n1 = _descend2(g1p, gg, k, guide.child(0), collect, depth + 1)
-        t2, n2 = _descend2(g2p, gg, k, guide.child(1), collect, depth + 1)
-        t = _recombine_theorem2(g, t1, t2, a, a2, tip1, tip2, spine_edges)
-        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2
-        _bound2_check(t, g, gg, k, "1.1")
-        return inner_node("1.1", "split", (a,), t, [n1, n2])
-    assert not essential_cutpoints(g), "only degree-2 essential cutpoints found"
-
-    if _large_blocks(g):
-        f = remove_large_blocks(g)
-        args = tuple(x for e in sorted(f) for x in e)
-        guide.check("1.2", "delete", args)
-        sub = g.without_edges(f)
-        t_sub, node = _descend2(sub, gg, k, guide.child(0), collect, depth + 1)
-        t = spanning_tree(g, t_sub.tree_edges)
-        _bound2_check(t, g, gg, k, "1.2")
-        return inner_node("1.2", "delete", args, t, [node])
-
-    t = _spine_base_tree(g)
-    _bound2_check(t, g, gg, k, "base-spines")
-    return leaf_node("base-spines", "base", (), t)
+    cases = (
+        _t2_base_tree,
+        partial(_t2_base_short, k=k),
+        partial(_t2_split, k=k),
+        _t2_remove,
+        _t2_base_spines,
+    )
+    return _Theorem(cases, need)
 
 
-def construct_theorem2(g: Graph, k: int, girth_floor: Optional[int] = None):
-    """Spanning tree certified against the girth/chain bound, with trace.
+def theorem2_girth(g: Graph, k: int, girth_floor: Optional[int] = None) -> int:
+    """Check the inputs of a girth/chain descent and return its girth parameter.
 
     k caps the chains of degree-2 vertices and must be at least 1.  The
-    bound's girth parameter defaults to the measured girth; a smaller
-    girth_floor may be declared instead.  Tree inputs certify against the
-    girth-3 rate, the only one that holds for all trees.
+    girth parameter is the measured girth unless a girth_floor between 3 and
+    the measured girth is declared.  Acyclic graphs use 3, the only rate
+    that holds for all trees.
     """
-    require_connected(g, "construct_theorem2")
-    if g.v < 2:
-        raise InvalidParamsError("need at least two vertices")
+    _require_input(g, "the girth/chain descent")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidParamsError(f"k must be an integer >= 1, got {k!r}")
     ell = chain_metric(g)
@@ -634,16 +623,21 @@ def construct_theorem2(g: Graph, k: int, girth_floor: Optional[int] = None):
         raise ChainTooLongError(f"chain of {ell} degree-2 vertices exceeds k={k}")
     measured = girth(g)
     if measured is None:
-        gg = 3
-    elif girth_floor is None:
-        gg = measured
-    else:
-        if girth_floor < 3 or girth_floor > measured:
-            raise InvalidParamsError(
-                f"girth_floor {girth_floor} not in [3, measured {measured}]"
-            )
-        gg = girth_floor
-    t, root = _descend2(g, gg, k, _Guide(None), None, 0)
+        return 3
+    if girth_floor is None:
+        return measured
+    if girth_floor < 3 or girth_floor > measured:
+        raise InvalidParamsError(f"girth_floor {girth_floor} not in [3, measured {measured}]")
+    return girth_floor
+
+
+def construct_theorem2(g: Graph, k: int, girth_floor: Optional[int] = None):
+    """Spanning tree certified against the girth/chain bound, with trace.
+
+    k and girth_floor are checked and resolved by theorem2_girth.  Tree
+    inputs certify against the girth-3 rate.
+    """
+    t, root = _descend(g, _theorem2(theorem2_girth(g, k, girth_floor), k))
     return t, ConstructionTrace(root=root, tree=t)
 
 
@@ -660,23 +654,21 @@ def replay_trace(
 ) -> SpanningTree:
     """Re-run a recorded descent, checking every step against the record.
 
-    Returns the reproduced tree; raises InvalidParams on the first step
-    that disagrees with the trace.  collect, when a list, receives
-    (depth, graph) pairs in preorder, one per descent node.
+    The inputs are checked exactly as construction checks them.  Returns
+    the reproduced tree; raises InvalidParams on the first step that
+    disagrees with the trace.  collect, when a list, receives (depth, graph)
+    pairs in preorder, one per descent node.
     """
     if theorem == 1:
-        t, _ = _descend1(g, _Guide(trace.root), collect, 0)
+        _require_input(g, "replay_trace")
+        spec = _THEOREM1
     elif theorem == 2:
         if k is None:
             raise InvalidParamsError("replay of the girth/chain descent needs k")
-        measured = girth(g)
-        if measured is None:
-            gg = 3
-        else:
-            gg = measured if girth_floor is None else girth_floor
-        t, _ = _descend2(g, gg, k, _Guide(trace.root), collect, 0)
+        spec = _theorem2(theorem2_girth(g, k, girth_floor), k)
     else:
         raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
+    t, _ = _descend(g, spec, trace.root, collect)
     if t != trace.tree:
         raise InvalidParamsError("replay produced a different tree")
     return t

@@ -1,5 +1,7 @@
+import inspect
 import random
 import re
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from leafspan import (
     decompose_blocks,
     exact_mlst,
     gen_cycle_spine,
+    gen_triangle_tree,
     girth,
     partition_uwxy,
     remove_large_blocks,
@@ -207,6 +210,43 @@ def test_replay_needs_k_for_theorem2():
     t, tr = construct_theorem2(g, 5)
     with pytest.raises(InvalidParamsError):
         replay_trace(g, tr, theorem=2)
+
+
+def test_replay_checks_theorem2_params_like_construct():
+    g = Graph.cycle(6)
+    _, tr = construct_theorem2(g, 6)
+    # a girth floor above the measured girth is rejected, as construct does
+    with pytest.raises(InvalidParamsError):
+        construct_theorem2(g, 6, girth_floor=1000)
+    with pytest.raises(InvalidParamsError):
+        replay_trace(g, tr, theorem=2, k=6, girth_floor=1000)
+    with pytest.raises(ChainTooLongError):
+        replay_trace(g, tr, theorem=2, k=2)
+    with pytest.raises(NotConnectedError):
+        replay_trace(Graph.build([(0, 1), (2, 3)]), tr, theorem=2, k=1)
+    with pytest.raises(NotConnectedError):
+        replay_trace(Graph.build([(0, 1), (2, 3)]), tr, theorem=1)
+
+
+def test_descent_depth_does_not_use_the_call_stack():
+    # trace depth is v-2 on the path and cycle and triangles-1 on the
+    # triangle tree, all beyond the recursion headroom allowed here
+    headroom = 60
+    cases = [(Graph.path(300), 1), (Graph.cycle(300), 1), (gen_triangle_tree(80), 2)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        for g, theorem in cases:
+            k = max(chain_metric(g), 1) if theorem == 2 else None
+            if theorem == 1:
+                t, tr = construct_theorem1(g)
+            else:
+                t, tr = construct_theorem2(g, k)
+            seen = []
+            assert replay_trace(g, tr, theorem=theorem, k=k, collect=seen) == t
+            assert max(depth for depth, _ in seen) > headroom + 10
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # -- large-block elimination -------------------------------------------------
