@@ -5,12 +5,14 @@ Run with: python3 demos/01_metrics_and_surgery.py
 
 from leafspan import (
     Graph,
+    chain_metric,
     contract_edge,
     decompose_blocks,
     find_spines,
+    girth,
     glue,
-    metrics,
     partition_uwxy,
+    s_count,
 )
 
 # a triangle with a tail hanging off vertex 0
@@ -18,8 +20,7 @@ g = Graph.build([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
 print("graph:", g.sorted_edges)
 print("v =", g.v, " e =", g.e, " connected =", g.is_connected)
 
-m = metrics(g)
-print("girth =", m.girth, " chain metric =", m.chain_metric, " s count =", m.s_count)
+print("girth =", girth(g), " chain metric =", chain_metric(g), " s count =", s_count(g))
 
 dec = decompose_blocks(g)
 print("cutpoints:", sorted(dec.cutpoints))

@@ -12,15 +12,14 @@ from leafspan import (
     bound_theorem1,
     bound_theorem2,
     exact_mlst,
-    metrics,
+    s_count,
 )
 
 g = Graph.petersen()
-m = metrics(g)
 u = exact_mlst(g).u_value
 
 # rate in the count of vertices whose degree is not 2
-r1 = bound_theorem1(m.s_count).check(u)
+r1 = bound_theorem1(s_count(g)).check(u)
 print("s-count bound:", r1.value, " u =", u, " holds =", r1.holds)
 
 # the v/4 + 2 rate for minimum degree 3

@@ -9,12 +9,13 @@ from leafspan import (
     TRIANGLE_TREE,
     bound_theorem1,
     bound_theorem2,
+    chain_metric,
     exact_mlst,
     from_spec,
     gen_cycle_spine,
     gen_triangle_tree,
+    girth,
     glue_extremal_chain,
-    metrics,
     s_count,
 )
 
@@ -27,14 +28,12 @@ for n in (1, 2, 3):
 
 # the cycle-with-spines family, dense regime (chains at least girth - 2)
 g = gen_cycle_spine(4, 2)
-m = metrics(g)
-print(f"dense g=4 k=2: v={g.v} girth={m.girth} ell={m.chain_metric} "
+print(f"dense g=4 k=2: v={g.v} girth={girth(g)} ell={chain_metric(g)} "
       f"u={exact_mlst(g).u_value} bound={bound_theorem2(g.v, 4, 2).value}")
 
 # sparse regime: short chains on a longer even cycle
 g = gen_cycle_spine(6, 2)
-m = metrics(g)
-print(f"sparse g=6 k=2: v={g.v} girth={m.girth} ell={m.chain_metric} "
+print(f"sparse g=6 k=2: v={g.v} girth={girth(g)} ell={chain_metric(g)} "
       f"u={exact_mlst(g).u_value} bound={bound_theorem2(g.v, 6, 2).value}")
 
 # gluing copies pendant-to-pendant scales tight instances arbitrarily

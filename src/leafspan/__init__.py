@@ -45,7 +45,6 @@ from .corpus import (
 )
 from .errors import (
     BoundNotMetError,
-    CapExceededError,
     ChainTooLongError,
     DuplicateEdgeError,
     EdgeNotFoundError,
@@ -62,7 +61,6 @@ from .errors import (
 )
 from .exact import (
     ExactResult,
-    enumerate_spanning_trees,
     exact_mlst,
     greedy_leafy,
 )
@@ -80,12 +78,10 @@ from .graph import (
     ContractResult,
     GlueResult,
     Graph,
-    GraphMetrics,
     chain_metric,
     contract_edge,
     girth,
     glue,
-    metrics,
     s_count,
 )
 from .graph_io import (
@@ -114,7 +110,6 @@ __all__ = [
     "BoundReport",
     "CYCLE_SPINE_DENSE",
     "CYCLE_SPINE_SPARSE",
-    "CapExceededError",
     "ChainTooLongError",
     "ConstructionTrace",
     "ContractResult",
@@ -125,7 +120,6 @@ __all__ = [
     "FamilySpec",
     "GlueResult",
     "Graph",
-    "GraphMetrics",
     "InfeasibleError",
     "InstanceRecord",
     "InvalidGraphError",
@@ -154,7 +148,6 @@ __all__ = [
     "contract_edge",
     "contract_tree_edge",
     "decompose_blocks",
-    "enumerate_spanning_trees",
     "essential_cutpoints",
     "exact_mlst",
     "export_dot",
@@ -171,7 +164,6 @@ __all__ = [
     "graph_hash",
     "greedy_leafy",
     "lift_tree_through_contraction",
-    "metrics",
     "parse_graph",
     "partition_uwxy",
     "random_constrained_graph",

@@ -211,8 +211,9 @@ def _rejoin(g: Graph, a: int, tip1: int, tip2: int, fold: frozenset):
 def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None, collect=None):
     """Run a descent from root on an explicit stack; return (tree, trace root).
 
-    With a record, every derived step must match the recorded one.  collect,
-    when a list, receives (depth, graph) pairs in preorder, one per node.
+    With a record, every derived step and its child count must match the
+    recorded one.  collect, when a list, receives (depth, graph) pairs in
+    preorder, one per node.
     """
 
     def enter(g: Graph, rec: Optional[TraceNode], depth: int) -> _Frame:
@@ -244,6 +245,8 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None,
             continue
         stack.pop()
         g, step = top.g, top.step
+        if top.record is not None and len(top.record.children) != i:
+            raise InvalidParamsError("trace mismatch: extra child step")
         t = step.build(*(tree for tree, _ in top.done))
         need = theorem.need(g, step.case)
         if t.leaf_count < need:

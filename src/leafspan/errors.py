@@ -33,10 +33,6 @@ class ChainTooLongError(LeafspanError, ValueError):
     """The graph's longest degree-2 chain exceeds the declared limit."""
 
 
-class CapExceededError(LeafspanError, RuntimeError):
-    """An enumeration produced more items than the caller allowed."""
-
-
 class SearchExhaustedError(LeafspanError, RuntimeError):
     """A complete search found no witness; treated as a bug flag."""
 

@@ -17,6 +17,9 @@ the sorted vertices; an explicit stack replaces recursion.  Proved facts cut:
   vertices, and at most deg x - 1 outside T, where its parent dominates it.
   With k the fewest gains covering V - T, and at least the cutpoints outside
   I, no completion beats n - |I| - k leaves.
+
+This is the package's only exact search; the tests check it against the
+brute-force oracles in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .blocks import decompose_blocks
-from .errors import CapExceededError, InvalidParamsError, NotConnectedError
-from .graph import Graph, norm_edge
+from .errors import InvalidParamsError, NotConnectedError
+from .graph import Graph
 from .trees import SpanningTree, spanning_tree
 
 
@@ -89,14 +92,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def exact_mlst(
-    g: Graph, node_budget: Optional[int] = None, prune: bool = True
-) -> ExactResult:
+def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     """Maximum leaf count over all spanning trees, with a witness tree.
 
     node_budget caps the number of search nodes; on exhaustion the best tree
-    found so far is returned flagged non-optimal.  prune=False disables the
-    upper-bound cut and is only useful for cross-checking the bound.
+    found so far is returned flagged non-optimal.
     """
     if not g.is_connected:
         raise NotConnectedError("exact_mlst requires a connected graph")
@@ -161,7 +161,7 @@ def exact_mlst(
         need = out.bit_count()
         covered = accumulate(sorted(gains, reverse=True))
         k = next((j for j, c in enumerate(covered, 1) if c >= need), None)
-        if k is None or prune and n - size - max(k, (cut & ~inner).bit_count()) <= best:
+        if k is None or n - size - max(k, (cut & ~inner).bit_count()) <= best:
             continue
         bit = 1 << pick
         if not cut & bit:
@@ -183,82 +183,3 @@ def exact_mlst(
     elapsed = time.perf_counter() - start_time
     return ExactResult(witness.leaf_count, witness, nodes, elapsed, not stack)
 
-
-def enumerate_spanning_trees(
-    g: Graph, cap: Optional[int] = None
-) -> Iterator[SpanningTree]:
-    """Yield every spanning tree exactly once, in deterministic order.
-
-    Include/exclude recursion over the sorted edge list, sharing no code with
-    the solver; each tree is a unique decision sequence.  Raises CapExceeded
-    as soon as more than cap trees appear.
-    """
-    if not g.is_connected:
-        raise NotConnectedError("enumeration requires a connected graph")
-    if g.v == 1:
-        yield spanning_tree(g, ())
-        return
-
-    verts = g.sorted_vertices
-    index = {x: i for i, x in enumerate(verts)}
-    n = len(verts)
-    edges = [(index[u], index[v]) for u, v in g.sorted_edges]
-    m = len(edges)
-    chosen: list = []
-    excluded = [False] * m
-    produced = 0
-
-    def still_connected(from_i):
-        adj = [[] for _ in range(n)]
-        for u, v in chosen:
-            adj[u].append(v)
-            adj[v].append(u)
-        for j in range(from_i, m):
-            if not excluded[j]:
-                u, v = edges[j]
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    count += 1
-                    stack.append(nb)
-        return count == n
-
-    def find(p, x):
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def rec(i, p):
-        nonlocal produced
-        if len(chosen) == n - 1:
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceededError(f"more than {cap} spanning trees")
-            yield spanning_tree(
-                g, frozenset(norm_edge(verts[u], verts[v]) for u, v in chosen)
-            )
-            return
-        if i == m or len(chosen) + (m - i) < n - 1:
-            return
-        u, v = edges[i]
-        ru, rv = find(p, u), find(p, v)
-        if ru != rv:
-            p2 = list(p)
-            p2[ru] = rv
-            chosen.append((u, v))
-            yield from rec(i + 1, p2)
-            chosen.pop()
-        excluded[i] = True
-        if still_connected(i + 1):
-            yield from rec(i + 1, p)
-        excluded[i] = False
-
-    yield from rec(0, list(range(n)))

@@ -250,16 +250,6 @@ class Graph:
 # -- metrics ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Bundle of the structural quantities the bounds are phrased in."""
-
-    girth: Optional[int]
-    chain_metric: int
-    s_count: int
-    min_degree: int
-
-
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None when the graph is acyclic.
 
@@ -320,15 +310,6 @@ def chain_metric(g: Graph) -> int:
 def s_count(g: Graph) -> int:
     """Number of vertices whose degree differs from 2."""
     return sum(1 for x in g.vertices if g.degree(x) != 2)
-
-
-def metrics(g: Graph) -> GraphMetrics:
-    return GraphMetrics(
-        girth=girth(g),
-        chain_metric=chain_metric(g),
-        s_count=s_count(g),
-        min_degree=g.min_degree,
-    )
 
 
 # -- surgery operators -----------------------------------------------------

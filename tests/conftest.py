@@ -48,34 +48,6 @@ def brute_u(g: Graph):
     return best
 
 
-def brute_tree_count(g: Graph):
-    vs = sorted(g.vertices)
-    n = len(vs)
-    if n == 1:
-        return 1
-    idx = {x: i for i, x in enumerate(vs)}
-    count = 0
-    for combo in combinations(sorted(g.edges), n - 1):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
-        for u, v in combo:
-            ru, rv = find(idx[u]), find(idx[v])
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            count += 1
-    return count
-
-
 def brute_cutpoints(g: Graph):
     if g.v <= 2:
         return set()
@@ -107,12 +79,12 @@ def connected_graphs(n, max_count=None):
             return
 
 
-def random_connected(rng: random.Random, v: int, extra_max=None) -> Graph:
+def random_connected(rng: random.Random, v: int) -> Graph:
     """Random connected graph: recursive tree plus random chords."""
     edges = [(rng.randrange(i), i) for i in range(1, v)]
     have = {tuple(sorted(e)) for e in edges}
     hi = v * (v - 1) // 2 - (v - 1)
-    extra = rng.randint(0, min(extra_max if extra_max is not None else v, hi))
+    extra = rng.randint(0, min(v, hi))
     tries = 0
     while extra > 0 and tries < 10 * v:
         tries += 1

@@ -205,6 +205,19 @@ def test_replay_rejects_corrupt_trace():
         replay_trace(g, bad, theorem=1)
 
 
+def test_replay_rejects_extra_child_steps():
+    import dataclasses
+
+    g = Graph.petersen()
+    _, tr = construct_theorem1(g)
+    assert tr.lines() == ["case=base-core-exact op=base args="]
+    padded = dataclasses.replace(tr.root, children=(tr.root, tr.root))
+    bad = dataclasses.replace(tr, root=padded)
+    assert len(bad.lines()) == 3
+    with pytest.raises(InvalidParamsError, match="extra child step"):
+        replay_trace(g, bad, theorem=1)
+
+
 def test_replay_needs_k_for_theorem2():
     g = Graph.cycle(5)
     t, tr = construct_theorem2(g, 5)

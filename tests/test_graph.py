@@ -12,7 +12,6 @@ from leafspan import (
     contract_edge,
     girth,
     glue,
-    metrics,
     s_count,
 )
 from conftest import random_connected
@@ -154,8 +153,8 @@ def test_s_count():
 
 
 def test_metrics_bundle():
-    m = metrics(Graph.petersen())
-    assert (m.girth, m.chain_metric, m.s_count, m.min_degree) == (5, 0, 10, 3)
+    g = Graph.petersen()
+    assert (girth(g), chain_metric(g), s_count(g), g.min_degree) == (5, 0, 10, 3)
 
 
 def test_glue_disjoint_keeps_ids():
