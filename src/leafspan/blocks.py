@@ -3,6 +3,7 @@ bridges, pendant spines, and the essential/inessential cutpoint split."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
@@ -166,30 +167,25 @@ def find_spines(g: Graph) -> tuple:
     return tuple(spines)
 
 
-def is_spine_component(g: Graph, a: int, comp: frozenset) -> bool:
-    """Whether a component of g - a is a spine with base a.
-
-    True exactly when every component vertex keeps degree at most 2 in g and
-    a sends a single edge into the component; two attachment edges would
-    close a cycle rather than adjoin a path.
-    """
-    if any(g.degree(x) > 2 for x in comp):
-        return False
-    return sum(1 for x in comp if g.has_edge(a, x)) == 1
-
-
 def essential_cutpoints(g: Graph) -> frozenset:
     """Cutpoints except those that merely detach one spine.
 
     A cutpoint is inessential when removing it leaves exactly two components
-    and one of them is a spine based at the cutpoint; every interior vertex
-    of a path is inessential this way, so a path has no essential cutpoints.
+    and one of them is a spine based at the cutpoint.  g - a has one
+    component per block at a, so that holds exactly for the vertices on a
+    spine path and for spine bases lying in two blocks.  Every interior
+    vertex of a path is inessential this way, so a path has no essential
+    cutpoints.
     """
-    out = set()
-    for a in decompose_blocks(g).cutpoints:
-        rest = g.without_vertex(a)
-        comps = rest.components
-        if len(comps) == 2 and any(is_spine_component(g, a, c) for c in comps):
-            continue
-        out.add(a)
-    return frozenset(out)
+    dec = decompose_blocks(g)
+    spines = find_spines(g)
+    if not spines and g.min_degree == 1:
+        return frozenset()  # a pendant that starts no spine: g is a path
+    on_spine = {x for s in spines for x in s.path}
+    bases = {s.base for s in spines}
+    blocks_at = Counter(x for b in dec.blocks for x in b.boundary)
+    return frozenset(
+        a
+        for a in dec.cutpoints
+        if a not in on_spine and not (a in bases and blocks_at[a] == 2)
+    )

@@ -2,8 +2,9 @@
 
 Subcommands: exact, bound, construct, gen, random, verify, export-dot.
 Graphs come from --input or stdin as edge lists and leave on --output or
-stdout.  Exit status: 0 success, 1 a claimed bound failed to hold, 2 bad
-input or parameters.  LEAFSPAN_BUDGET caps the exact solver's node count.
+stdout.  Exit status: 0 success, 1 a claimed bound failed to hold or a
+search that cannot fail came up empty, 2 bad input or parameters.
+LEAFSPAN_BUDGET caps the exact solver's node count.
 """
 
 from __future__ import annotations
@@ -16,10 +17,16 @@ from typing import Optional
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
 from .constructive import construct_theorem1, construct_theorem2, theorem2_girth
 from .corpus import random_constrained_graph, verify_corpus
-from .errors import InfeasibleError, InvalidParamsError, LeafspanError, ParseError
+from .errors import (
+    BoundNotMetError,
+    InvalidParamsError,
+    LeafspanError,
+    ParseError,
+    SearchExhaustedError,
+)
 from .exact import exact_mlst
 from .extremal import FamilySpec, TRIANGLE_TREE, CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, from_spec
-from .graph import Graph, chain_metric, girth, s_count
+from .graph import Graph, chain_metric, s_count
 from .graph_io import export_dot, parse_graph, serialize_graph, serialize_tree
 
 
@@ -82,12 +89,7 @@ def _cmd_bound(args) -> int:
     else:
         if args.k is None:
             raise InvalidParamsError("bound --theorem 2 needs --k")
-        gv = args.g
-        if gv is None:
-            gv = girth(g)
-            if gv is None:
-                gv = 3
-        rep = bound_theorem2(g.v, gv, args.k)
+        rep = bound_theorem2(g.v, theorem2_girth(g, args.k, args.g), args.k)
     _emit(args, _report_line(rep) + "\n")
     return 0
 
@@ -124,7 +126,7 @@ def _cmd_gen(args) -> int:
         if args.g is None or args.k is None:
             raise InvalidParamsError("gen --family cycle-spine needs --g and --k")
         kind = CYCLE_SPINE_DENSE if args.k >= args.g - 2 else CYCLE_SPINE_SPARSE
-        spec = FamilySpec(kind=kind, g=args.g, k=args.k, chain_count=args.copies)
+        spec = FamilySpec(kind=kind, n=args.n, g=args.g, k=args.k, chain_count=args.copies)
     _emit(args, serialize_graph(from_spec(spec)))
     return 0
 
@@ -228,12 +230,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParamsError, InfeasibleError, OSError) as exc:
+    except (LeafspanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LeafspanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (BoundNotMetError, SearchExhaustedError)) else 2
 
 
 if __name__ == "__main__":

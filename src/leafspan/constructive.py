@@ -15,26 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import decompose_blocks, essential_cutpoints, find_spines, is_spine_component
+from .blocks import decompose_blocks, essential_cutpoints, find_spines
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
     InvalidParamsError,
+    NotALeafError,
     SearchExhaustedError,
 )
 from .exact import exact_mlst, greedy_leafy
-from .graph import Graph, chain_metric, contract_edge, girth, glue, norm_edge, require_connected, s_count
-from .trees import (
-    SpanningTree,
-    contract_tree_edge,
-    extend_tree_lemma3,
-    glue_trees,
-    lift_tree_through_contraction,
-    spanning_tree,
-)
+from .graph import Graph, chain_metric, contract_edge, girth, norm_edge, require_connected, s_count
+from .trees import SpanningTree, extend_tree_lemma3, lift_tree_through_contraction, spanning_tree
 
 EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
 
@@ -182,32 +177,6 @@ def _keep_edges(g: Graph):
     return lambda t_sub: spanning_tree(g, t_sub.tree_edges)
 
 
-def _rejoin(g: Graph, a: int, tip1: int, tip2: int, fold: frozenset):
-    """Build of a split at a.
-
-    The halves' trees are glued at their probe tips, then every vertex of
-    fold is contracted back onto a, the lowest id adjacent to a first.
-    """
-
-    def build(t1: SpanningTree, t2: SpanningTree) -> SpanningTree:
-        glued = glue(t1.host, tip1, t2.host, tip2)
-        t = glue_trees(t1, t2, glued)
-        cur = glued.graph
-        left = set(fold)
-        while left:
-            nb = next(p for p in sorted(left) if cur.has_edge(a, p))
-            res = contract_edge(cur, a, nb)
-            assert res.merged == a
-            t = contract_tree_edge(t, res)
-            cur = res.graph
-            left.discard(nb)
-        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2, "leaf count drifted"
-        assert t.host == g, "recombination did not restore the split graph"
-        return t
-
-    return build
-
-
 def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None, collect=None):
     """Run a descent from root on an explicit stack; return (tree, trace root).
 
@@ -257,6 +226,75 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None,
         stack[-1].done.append((t, node))
 
 
+def _side(g: Graph, a: int, start: int) -> frozenset:
+    """The component of g - a that contains start."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nb in g.adjacency[todo.pop()]:
+            if nb != a and nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return frozenset(seen)
+
+
+def _split(g: Graph, a: int, side1: frozenset, probe: Callable) -> tuple:
+    """Split g at the cutpoint a into side1 and the rest; return (g1, g2, build).
+
+    The second half carries a relabeled cut copy a2.  Each half gets a fresh
+    probe path of probe(d) vertices at its cut vertex, where d is the cut
+    vertex's degree in the half; the last probe vertex is the half's tip, or
+    the cut vertex itself when the probe is empty.  Fresh ids sit above every
+    real id, in the order a2, probe 1, probe 2, and all of them fold back
+    onto a when the halves' trees are rejoined.
+    """
+    m0 = max(g.vertices)
+    a2 = m0 + 1
+    fresh = count(m0 + 2)
+    halves = []
+    for side, cut in ((side1, a), (g.vertices - side1 - {a}, a2)):
+        arms = [norm_edge(cut, x) for x in g.adjacency[a] if x in side]
+        path = (cut,) + tuple(next(fresh) for _ in range(probe(len(arms))))
+        inner = [e for e in g.edges if e[0] in side and e[1] in side]
+        edges = frozenset(inner + arms + list(zip(path, path[1:])))
+        halves.append((Graph(side | frozenset(path), edges), path[-1]))
+    (g1, tip1), (g2, tip2) = halves
+    assert tip1 != a or tip2 != a2, "cut degree below 3"
+    return g1, g2, _rejoin(g, a, tip1, tip2)
+
+
+def _rejoin(g: Graph, a: int, tip1: int, tip2: int) -> Callable:
+    """Build of a split at a.
+
+    The halves' trees meet at their probe tips, which must be leaves; every
+    id outside g (the probes and the cut copy) maps onto a, and the probe
+    edges, all of them tree edges, collapse.
+    """
+
+    def onto(x: int) -> int:
+        return x if x in g.vertices else a
+
+    def build(t1: SpanningTree, t2: SpanningTree) -> SpanningTree:
+        host, edges = set(), set()
+        for t, tip in ((t1, tip1), (t2, tip2)):
+            if sum(tip in e for e in t.tree_edges) != 1:
+                raise NotALeafError(f"probe tip {tip} is not a leaf of its half's tree")
+            for e in t.host.edges:
+                u, v = onto(e[0]), onto(e[1])
+                if u == v:
+                    assert e in t.tree_edges, f"probe edge {e} is not a tree edge"
+                    continue
+                host.add(norm_edge(u, v))
+                if e in t.tree_edges:
+                    edges.add(norm_edge(u, v))
+        assert host == g.edges, "recombination did not restore the split graph"
+        t = spanning_tree(g, edges)
+        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2, "leaf count drifted"
+        return t
+
+    return build
+
+
 def _require_input(g: Graph, what: str) -> None:
     require_connected(g, what)
     if g.v < 2:
@@ -264,27 +302,6 @@ def _require_input(g: Graph, what: str) -> None:
 
 
 # -- degree-structure descent ----------------------------------------------
-
-
-def _split_theorem1(g: Graph, a: int):
-    """Case-2 pieces: split g at a into two halves, each with a probe pendant.
-
-    Single-vertex components of g-a are pendants of g and travel with the
-    second half; the first half is the lowest component that carries core
-    vertices.  Fresh ids sit above every real id so that contractions later
-    merge back onto the real vertex a.  The probes glue into x1, which
-    folds onto a before the relabeled cut copy a2 does.
-    """
-    comps = g.without_vertex(a).components
-    core = [c for c in comps if len(c) >= 2]
-    assert len(core) >= 2, "split vertex is not a core cutpoint"
-    side1 = core[0]
-    side2 = frozenset().union(*(c for c in comps if c != side1))
-    m0 = max(g.vertices)
-    a2, x1, x2 = m0 + 1, m0 + 2, m0 + 3
-    g1 = g.induced(side1 | {a}).with_edge(a, x1)
-    g2 = g.induced(side2 | {a}).relabel({a: a2}).with_edge(a2, x2)
-    return g1, g2, x1, x2, frozenset({x1, a2})
 
 
 def _t1_base_edge(g: Graph):
@@ -336,9 +353,14 @@ def _t1_core_cut(g: Graph):
     h_cuts = decompose_blocks(h).cutpoints
     if not h_cuts:
         return None
+    # the first half is the lowest component of g - a with core vertices;
+    # the pendants at a travel with the second half
     a = min(h_cuts)
-    g1, g2, tip1, tip2, fold = _split_theorem1(g, a)
-    return _Step("2", "split", (a,), (g1, g2), _rejoin(g, a, tip1, tip2, fold))
+    pendants = {x for x in g.adjacency[a] if g.degree(x) == 1}
+    side1 = _side(g, a, min(g.vertices - pendants - {a}))
+    assert not h.vertices <= side1 | {a}, "split vertex is not a core cutpoint"
+    g1, g2, build = _split(g, a, side1, lambda d: 1)
+    return _Step("2", "split", (a,), (g1, g2), build)
 
 
 def _t1_extend(g: Graph):
@@ -494,43 +516,6 @@ def remove_large_blocks(g: Graph) -> frozenset:
 # -- girth/chain descent ----------------------------------------------------
 
 
-def _split_theorem2(g: Graph, a: int, k: int):
-    """Split at an essential cutpoint; pad each half that keeps degree >= 2
-    at the cut with a fresh probe path of k+1 vertices.
-
-    The probe paths and the relabeled cut copy a2 fold back onto a; the
-    second tip vanishes into the first when the halves are glued.
-    """
-    comps = g.without_vertex(a).components
-    spines = [c for c in comps if is_spine_component(g, a, c)]
-    others = [c for c in comps if not is_spine_component(g, a, c)]
-    if len(others) >= 2:
-        side1 = others[0]
-        side2 = frozenset().union(*(c for c in comps if c != side1))
-    else:
-        assert len(others) == 1 and len(spines) >= 2
-        side1 = frozenset().union(*spines)
-        side2 = others[0]
-    m0 = max(g.vertices)
-    a2 = m0 + 1
-
-    def pad(base_graph: Graph, at: int, start: int):
-        if base_graph.degree(at) < 2:
-            return base_graph, at, (), start
-        ids = tuple(range(start, start + k + 1))
-        out = base_graph
-        for prev, p in zip((at,) + ids, ids):
-            out = out.with_edge(prev, p)
-        return out, ids[-1], ids, start + k + 1
-
-    g1 = g.induced(side1 | {a})
-    g2 = g.induced(side2 | {a}).relabel({a: a2})
-    g1p, tip1, probe1, nxt = pad(g1, a, m0 + 2)
-    g2p, tip2, probe2, _ = pad(g2, a2, nxt)
-    assert probe1 or probe2, "cut degree below 3"
-    return g1p, g2p, tip1, tip2, frozenset(probe1 + probe2 + (a2,)) - {tip2}
-
-
 def _t2_base_tree(g: Graph):
     if g.is_tree:
         return _base("base-tree", spanning_tree(g, g.edges))
@@ -547,15 +532,24 @@ def _t2_split(g: Graph, k: int):
     if not cuts:
         assert not ess, "only degree-2 essential cutpoints found"
         return None
+    # split off the lowest component of g - a that is not a spine based at
+    # a; when it is the only one, split off the spines instead.  A half
+    # that keeps degree >= 2 at the cut gets a probe of k+1 vertices.
     a = cuts[0]
-    g1, g2, tip1, tip2, fold = _split_theorem2(g, a, k)
-    return _Step("1.1", "split", (a,), (g1, g2), _rejoin(g, a, tip1, tip2, fold))
+    spines = [s.path for s in find_spines(g) if s.base == a]
+    on_spine = frozenset(x for path in spines for x in path)
+    side1 = _side(g, a, min(g.vertices - on_spine - {a}))
+    if side1 | on_spine | {a} == g.vertices:
+        assert len(spines) >= 2, "one other side needs two spines"
+        side1 = on_spine
+    g1, g2, build = _split(g, a, side1, lambda d: k + 1 if d >= 2 else 0)
+    return _Step("1.1", "split", (a,), (g1, g2), build)
 
 
 def _t2_remove(g: Graph):
-    if not _large_blocks(g):
-        return None
     f = remove_large_blocks(g)
+    if not f:
+        return None
     args = tuple(x for e in sorted(f) for x in e)
     return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
 

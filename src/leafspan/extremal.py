@@ -49,6 +49,8 @@ class FamilySpec:
                 raise InvalidParamsError(
                     f"sparse cycle spine at g={self.g} forces n={want_n}"
                 )
+            if self.kind == CYCLE_SPINE_DENSE and self.n is not None:
+                raise InvalidParamsError("dense cycle spine takes no n; g and k fix its size")
         else:
             raise InvalidParamsError(f"unknown family kind {self.kind!r}")
 

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from leafspan import (
+    CYCLE_SPINE_DENSE,
+    CYCLE_SPINE_SPARSE,
+    FamilySpec,
     Graph,
     NotConnectedError,
     decompose_blocks,
     essential_cutpoints,
     find_spines,
+    gen_triangle_tree,
+    glue_extremal_chain,
 )
-from leafspan.blocks import is_spine_component
 from conftest import brute_bridges, brute_cutpoints, connected_graphs, random_connected
 
 
@@ -115,15 +119,6 @@ def test_spines_disjoint_random():
                 assert g.degree(inner) == 2
 
 
-def test_is_spine_component():
-    g = Graph.build([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    rest = g.without_vertex(0)
-    comps = {frozenset(c) for c in rest.components}
-    assert frozenset({3, 4}) in comps
-    assert is_spine_component(g, 0, frozenset({3, 4}))
-    assert not is_spine_component(g, 0, frozenset({1, 2}))  # two attachment edges
-
-
 def _brute_essential(g):
     out = set()
     for a in brute_cutpoints(g):
@@ -150,8 +145,45 @@ def test_essential_cutpoints_examples():
     assert essential_cutpoints(barbell) == frozenset({2, 3, 4})
 
 
-def test_essential_cutpoints_against_brute_force():
+def _spider(legs):
+    edges, nxt = [], 1
+    for n in legs:
+        prev = 0
+        for _ in range(n):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph.build(edges)
+
+
+def _essential_cases():
+    yield from connected_graphs(5)
+    for n in range(1, 9):
+        yield Graph.path(n)
+    for legs in [(1, 1, 1), (1, 2), (2, 3), (1, 1, 4), (3, 3, 3), (2, 2, 2, 2)]:
+        yield _spider(legs)
+    # two cycles joined through a degree-2 cutpoint, and straight at a vertex
+    yield Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
+    yield Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    # spine bases in two blocks and in three or more
+    tri_tail = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
+    yield Graph.build(tri_tail)
+    yield Graph.build(tri_tail + [(0, 5)])
+    yield Graph.build(tri_tail + [(0, 5), (5, 6), (6, 0)])
+    yield Graph.build(tri_tail + [(1, 7), (7, 8), (8, 1), (1, 9)])
+    for n in range(1, 7):
+        yield gen_triangle_tree(n)
+    for spec in (
+        FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1),
+        FamilySpec(kind=CYCLE_SPINE_DENSE, g=5, k=3),
+        FamilySpec(kind=CYCLE_SPINE_SPARSE, g=7, k=2),
+    ):
+        for copies in (1, 2, 3):
+            yield glue_extremal_chain(spec, copies)
     rng = random.Random(99)
-    for _ in range(150):
-        g = random_connected(rng, rng.randint(2, 9))
+    for _ in range(300):
+        yield random_connected(rng, rng.randint(2, 30))
+
+
+def test_essential_cutpoints_against_brute_force():
+    for g in _essential_cases():
         assert essential_cutpoints(g) == _brute_essential(g), g.sorted_edges

@@ -82,6 +82,24 @@ def test_bound_theorem2_needs_k(monkeypatch, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_bound_theorem2_checks_params_like_construct(monkeypatch, capsys):
+    feed(monkeypatch, serialize_graph(Graph.cycle(5)))  # u(C5) = 2, below 22/9
+    assert main(["bound", "--theorem", "2", "--k", "1"]) == 2
+    assert "exceeds k=1" in capsys.readouterr().err
+    feed(monkeypatch, TRIANGLE)
+    assert main(["bound", "--theorem", "2", "--k", "3", "--g", "50"]) == 2
+    assert "girth_floor" in capsys.readouterr().err
+
+
+def test_bad_input_exits_2(monkeypatch, capsys):
+    feed(monkeypatch, "0 1\n2 3\n")
+    assert main(["exact"]) == 2
+    assert "connected" in capsys.readouterr().err
+    feed(monkeypatch, serialize_graph(Graph.cycle(5)))
+    assert main(["construct", "--theorem", "2", "--k", "1"]) == 2
+    assert "exceeds k=1" in capsys.readouterr().err
+
+
 def test_construct_with_trace(monkeypatch, capsys):
     feed(monkeypatch, serialize_graph(Graph.petersen()))
     assert main(["construct", "--theorem", "1", "--trace"]) == 0
@@ -119,6 +137,11 @@ def test_gen_missing_params(capsys):
     assert main(["gen", "--family", "triangle-tree"]) == 2
     assert main(["gen", "--family", "cycle-spine", "--g", "5"]) == 2
     capsys.readouterr()
+
+
+def test_gen_dense_cycle_spine_rejects_n(capsys):
+    assert main(["gen", "--family", "cycle-spine", "--g", "3", "--k", "2", "--n", "2"]) == 2
+    assert "takes no n" in capsys.readouterr().err
 
 
 def test_random_deterministic(capsys):

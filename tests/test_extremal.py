@@ -94,6 +94,8 @@ def test_family_spec_validation():
     with pytest.raises(InvalidParamsError):
         FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=5)  # n is forced by g
     with pytest.raises(InvalidParamsError):
+        FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1, n=1)  # g and k fix the dense size
+    with pytest.raises(InvalidParamsError):
         FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=0)
     ok = FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=2)
     assert from_spec(ok).v == 15
