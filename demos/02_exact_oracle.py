@@ -24,4 +24,4 @@ print("K4 closed form:", small.v - 1, " by solver:", exact_mlst(small).u_value)
 
 # a node budget trades optimality for time, and says so
 capped = exact_mlst(g, node_budget=1)
-print("budget 1: u >=", capped.u_value, " optimal =", capped.optimal)
+print("budget 1: u >=", capped.u_value, " nodes =", capped.nodes_explored, " optimal =", capped.optimal)

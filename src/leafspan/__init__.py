@@ -93,11 +93,8 @@ from .graph_io import (
 )
 from .trees import (
     SpanningTree,
-    contract_tree_edge,
     extend_tree_lemma3,
-    glue_trees,
     lift_tree_through_contraction,
-    relabel_tree,
     spanning_tree,
 )
 
@@ -146,7 +143,6 @@ __all__ = [
     "construct_theorem1",
     "construct_theorem2",
     "contract_edge",
-    "contract_tree_edge",
     "decompose_blocks",
     "essential_cutpoints",
     "exact_mlst",
@@ -160,14 +156,12 @@ __all__ = [
     "girth",
     "glue",
     "glue_extremal_chain",
-    "glue_trees",
     "graph_hash",
     "greedy_leafy",
     "lift_tree_through_contraction",
     "parse_graph",
     "partition_uwxy",
     "random_constrained_graph",
-    "relabel_tree",
     "remove_large_blocks",
     "replay_trace",
     "s_count",

@@ -47,8 +47,6 @@ def decompose_blocks(g: Graph) -> BlockDecomposition:
     lands in exactly one block; two blocks share at most one vertex and any
     shared vertex is a cutpoint.
     """
-    if not g.is_connected:
-        raise NotConnectedError("block decomposition requires a connected graph")
     verts = g.sorted_vertices
     if g.v == 1:
         only = verts[0]
@@ -103,6 +101,8 @@ def decompose_blocks(g: Graph) -> BlockDecomposition:
                 raw_blocks.append(comp)
                 if up != root or root_children > 1:
                     articulation.add(up)
+    if len(disc) < g.v:
+        raise NotConnectedError("block decomposition requires a connected graph")
     if edge_stack:
         raise AssertionError("edge stack not drained; decomposition bug")
 

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
-from .constructive import construct_theorem1, construct_theorem2, theorem2_girth
+from .constructive import _require_input, construct_theorem1, construct_theorem2, theorem2_girth
 from .corpus import random_constrained_graph, verify_corpus
 from .errors import (
     BoundNotMetError,
@@ -80,6 +80,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args)
+    _require_input(g, "bound")
     if args.theorem == "1":
         rep = bound_theorem1(s_count(g))
     elif args.theorem == "kw":

@@ -314,18 +314,18 @@ def _t1_degree2(g: Graph):
     if a is None:
         return None
     b = min(g.neighbors(a))
-    if a in decompose_blocks(g).cutpoints:
-        res = contract_edge(g, a, b)
-
-        def build(t_sub: SpanningTree) -> SpanningTree:
-            t = lift_tree_through_contraction(t_sub, res, g)
-            assert t.leaf_count >= t_sub.leaf_count
-            return t
-
-        return _Step("1", "contract", (a, b), (res.graph,), build)
     sub = g.without_edge(a, b)
-    require_connected(sub, "degree-2 reduction")
-    return _Step("1", "delete", (a, b), (sub,), _keep_edges(g))
+    # a has degree 2, so it is a cutpoint exactly when ab is a bridge
+    if sub.is_connected:
+        return _Step("1", "delete", (a, b), (sub,), _keep_edges(g))
+    res = contract_edge(g, a, b)
+
+    def build(t_sub: SpanningTree) -> SpanningTree:
+        t = lift_tree_through_contraction(t_sub, res, g)
+        assert t.leaf_count >= t_sub.leaf_count
+        return t
+
+    return _Step("1", "contract", (a, b), (res.graph,), build)
 
 
 def _t1_base_core(g: Graph):

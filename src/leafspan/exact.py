@@ -95,9 +95,14 @@ def _bits(mask: int) -> Iterator[int]:
 def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     """Maximum leaf count over all spanning trees, with a witness tree.
 
-    node_budget caps the number of search nodes; on exhaustion the best tree
-    found so far is returned flagged non-optimal.
+    node_budget, None or an int >= 1, caps the number of search nodes
+    expanded; on exhaustion the best tree found so far is returned flagged
+    non-optimal.
     """
+    if node_budget is not None and (
+        isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1
+    ):
+        raise InvalidParamsError(f"node_budget must be None or an int >= 1, got {node_budget!r}")
     if not g.is_connected:
         raise NotConnectedError("exact_mlst requires a connected graph")
     if g.v < 2:
@@ -128,9 +133,9 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     ]
     best, best_set, nodes = seed.leaf_count, None, 0
     while stack:
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes == node_budget:
             break
+        nodes += 1
         inner, dom, leaf = stack.pop()
         size = inner.bit_count()
         out = full & ~dom

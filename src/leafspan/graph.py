@@ -243,8 +243,8 @@ class Graph:
         )
 
     def fresh_id(self) -> int:
-        """Smallest positive id strictly above every existing one."""
-        return max(self.vertices) + 1 if self.vertices else 0
+        """One more than the largest existing id."""
+        return max(self.vertices) + 1
 
 
 # -- metrics ---------------------------------------------------------------

@@ -1,16 +1,13 @@
-"""Spanning trees as explicit certificates: validation, the leaf-preserving
-glue of two trees, and the one-leaf-gaining extension across a cut vertex."""
+"""Spanning trees as explicit certificates: validation, the lift through an
+edge contraction, and the one-leaf-gaining extension across a cut vertex."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidParamsError,
-    NotALeafError,
-    PreconditionViolatedError,
-)
-from .graph import ContractResult, Graph, GlueResult, norm_edge
+from .blocks import decompose_blocks
+from .errors import InvalidParamsError, PreconditionViolatedError
+from .graph import ContractResult, Graph, norm_edge
 
 
 @dataclass(frozen=True)
@@ -24,20 +21,6 @@ class SpanningTree:
     host: Graph
     tree_edges: frozenset
     leaf_count: int
-
-
-def tree_degrees(t: SpanningTree) -> dict:
-    deg = {x: 0 for x in t.host.vertices}
-    for u, v in t.tree_edges:
-        if u in deg:
-            deg[u] += 1
-        if v in deg:
-            deg[v] += 1
-    return deg
-
-
-def leaves(t: SpanningTree) -> frozenset:
-    return frozenset(x for x, d in tree_degrees(t).items() if d == 1)
 
 
 def spanning_tree(host: Graph, edges) -> SpanningTree:
@@ -74,8 +57,7 @@ def validate(t: SpanningTree) -> str | None:
     sub = Graph(host.vertices, t.tree_edges)
     if not sub.is_connected:
         return "not spanning"
-    # v - 1 edges and connected implies acyclic, but report cycles first
-    # when the edge count already gave them away above.
+    # v - 1 edges and connected implies acyclic
     actual = sum(1 for x in host.vertices if sub.degree(x) == 1)
     if actual != t.leaf_count:
         return "leaf count"
@@ -86,50 +68,6 @@ def check_valid(t: SpanningTree, context: str = "tree") -> None:
     problem = validate(t)
     if problem is not None:
         raise InvalidParamsError(f"{context}: invalid spanning tree ({problem})")
-
-
-def relabel_tree(t: SpanningTree, mapping: dict, new_host: Graph) -> SpanningTree:
-    """Translate a tree through an id mapping onto a new host graph."""
-    es = frozenset(norm_edge(mapping[u], mapping[v]) for u, v in t.tree_edges)
-    return spanning_tree(new_host, es)
-
-
-def glue_trees(t1: SpanningTree, t2: SpanningTree, glued: GlueResult) -> SpanningTree:
-    """Spanning tree of a glued graph from spanning trees of the two parts.
-
-    Both glue points must be leaves of their trees; the merged vertex then
-    becomes internal and the leaf count is exactly leaf1 + leaf2 - 2.
-    """
-    inv1 = {v: k for k, v in glued.map1.items()}
-    inv2 = {v: k for k, v in glued.map2.items()}
-    x1 = inv1[glued.merged]
-    x2 = inv2[glued.merged]
-    if x1 not in leaves(t1):
-        raise NotALeafError(f"glue point {x1} is not a leaf of the first tree")
-    if x2 not in leaves(t2):
-        raise NotALeafError(f"glue point {x2} is not a leaf of the second tree")
-    es = set()
-    for u, v in t1.tree_edges:
-        es.add(norm_edge(glued.map1[u], glued.map1[v]))
-    for u, v in t2.tree_edges:
-        es.add(norm_edge(glued.map2[u], glued.map2[v]))
-    out = spanning_tree(glued.graph, es)
-    if out.leaf_count != t1.leaf_count + t2.leaf_count - 2:
-        raise AssertionError("glued leaf count drifted; gluing bug")
-    return out
-
-
-def contract_tree_edge(t: SpanningTree, res: ContractResult) -> SpanningTree:
-    """Carry a spanning tree through the contraction of one of its own edges."""
-    lo = res.merged
-    hi = next(x for x, y in res.vertex_map.items() if y == lo and x != lo)
-    e = norm_edge(lo, hi)
-    if e not in t.tree_edges:
-        raise InvalidParamsError(f"contracted edge {e} is not a tree edge")
-    es = set()
-    for a, b in t.tree_edges - {e}:
-        es.add(norm_edge(res.vertex_map[a], res.vertex_map[b]))
-    return spanning_tree(res.graph, es)
 
 
 def lift_tree_through_contraction(
@@ -170,8 +108,6 @@ def extend_tree_lemma3(
     more leaf than t_prime: either a itself ends up pendant, or every extra
     component contributes a leaf of its own.
     """
-    from .blocks import decompose_blocks
-
     if a not in g.vertices or b not in g.vertices:
         raise PreconditionViolatedError("vertices: a and b must lie in g")
     if not g.has_edge(a, b):

@@ -98,6 +98,13 @@ def test_bad_input_exits_2(monkeypatch, capsys):
     feed(monkeypatch, serialize_graph(Graph.cycle(5)))
     assert main(["construct", "--theorem", "2", "--k", "1"]) == 2
     assert "exceeds k=1" in capsys.readouterr().err
+    k4 = Graph.complete(4).edges
+    two_k4 = serialize_graph(Graph.build([*k4, *((u + 4, v + 4) for u, v in k4)]))
+    for text, err in ((two_k4, "connected"), ("v 0\n", "two vertices")):
+        for theorem in ("1", "kw"):
+            feed(monkeypatch, text)
+            assert main(["bound", "--theorem", theorem]) == 2
+            assert err in capsys.readouterr().err
 
 
 def test_construct_with_trace(monkeypatch, capsys):

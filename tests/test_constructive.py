@@ -262,6 +262,24 @@ def test_descent_depth_does_not_use_the_call_stack():
         sys.setrecursionlimit(old)
 
 
+def test_degree2_step_decomposes_no_blocks(monkeypatch):
+    # the cutpoint test at a degree-2 vertex is the bridge test on g - ab
+    import leafspan.constructive as constructive
+
+    calls = []
+    real = constructive.decompose_blocks
+
+    def counted(g):
+        calls.append(g.v)
+        return real(g)
+
+    monkeypatch.setattr(constructive, "decompose_blocks", counted)
+    g = Graph.path(400)
+    t, tr = construct_theorem1(g)
+    assert replay_trace(g, tr) == t
+    assert calls == []
+
+
 # -- large-block elimination -------------------------------------------------
 
 

@@ -97,11 +97,21 @@ def test_budget_on_cubic_keeps_a_certified_witness():
 
 def test_budget_gives_honest_flag():
     r = exact_mlst(Graph.petersen(), node_budget=1)
-    assert not r.optimal
+    assert not r.optimal and r.nodes_explored == 1
     assert validate(r.witness) is None
     assert 2 <= r.u_value <= 6
     full = exact_mlst(Graph.petersen(), node_budget=10**7)
     assert full.optimal and full.u_value == 6
+    # a budget the search exactly uses up still proves optimality
+    g = random_cubic(random.Random(24), 16)
+    n = exact_mlst(g).nodes_explored
+    assert exact_mlst(g, node_budget=n).optimal
+    for budget in range(1, n):
+        r = exact_mlst(g, node_budget=budget)
+        assert not r.optimal and r.nodes_explored == budget
+    for bad in (0, -5, True, 2.5):
+        with pytest.raises(InvalidParamsError):
+            exact_mlst(Graph.petersen(), node_budget=bad)
 
 
 def test_tree_hosts_come_back_as_themselves():

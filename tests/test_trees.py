@@ -5,18 +5,13 @@ import pytest
 from leafspan import (
     Graph,
     InvalidParamsError,
-    NotALeafError,
     PreconditionViolatedError,
     contract_edge,
-    contract_tree_edge,
     extend_tree_lemma3,
-    glue,
-    glue_trees,
     lift_tree_through_contraction,
-    relabel_tree,
     spanning_tree,
 )
-from leafspan.trees import check_valid, leaves, validate
+from leafspan.trees import check_valid, validate
 from conftest import random_connected
 
 
@@ -56,56 +51,6 @@ def test_validate_clauses():
     assert validate(bad_count) == "leaf count"
     with pytest.raises(InvalidParamsError):
         check_valid(bad_count)
-
-
-def test_leaves_set():
-    g = Graph.star(4)
-    t = spanning_tree(g, g.edges)
-    assert leaves(t) == frozenset({1, 2, 3, 4})
-
-
-def test_relabel_tree():
-    g = Graph.path(3)
-    t = spanning_tree(g, g.edges)
-    h = g.relabel({0: 10})
-    t2 = relabel_tree(t, {0: 10, 1: 1, 2: 2}, h)
-    assert validate(t2) is None
-    assert t2.leaf_count == 2
-
-
-def test_glue_trees_counts():
-    g1 = Graph.path(3)  # 0-1-2
-    g2 = Graph.build([(10, 11), (11, 12)])
-    res = glue(g1, 2, g2, 10)
-    t1 = spanning_tree(g1, g1.edges)
-    t2 = spanning_tree(g2, g2.edges)
-    out = glue_trees(t1, t2, res)
-    assert validate(out) is None
-    assert out.leaf_count == t1.leaf_count + t2.leaf_count - 2 == 2
-
-
-def test_glue_trees_rejects_internal_glue_point():
-    g1 = Graph.path(3)
-    g2 = Graph.build([(10, 11), (11, 12)])
-    res = glue(g1, 1, g2, 10)  # 1 is internal in the path tree
-    t1 = spanning_tree(g1, g1.edges)
-    t2 = spanning_tree(g2, g2.edges)
-    with pytest.raises(NotALeafError):
-        glue_trees(t1, t2, res)
-
-
-def test_contract_tree_edge():
-    g = Graph.path(4)
-    t = spanning_tree(g, g.edges)
-    res = contract_edge(g, 1, 2)
-    t2 = contract_tree_edge(t, res)
-    assert validate(t2) is None
-    assert t2.leaf_count == 2
-
-    res2 = contract_edge(Graph.cycle(4), 0, 1)
-    t3 = spanning_tree(Graph.cycle(4), [(1, 2), (2, 3), (0, 3)])
-    with pytest.raises(InvalidParamsError):
-        contract_tree_edge(t3, res2)  # (0,1) is not a tree edge
 
 
 def test_lift_tree_through_contraction():
