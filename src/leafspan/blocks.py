@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
-from .graph import Graph, norm_edge
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -40,84 +40,111 @@ class BlockDecomposition:
     bridges: frozenset
 
 
+def index_adjacency(g: Graph) -> list:
+    """g relabelled to 0..n-1 in sorted-id order, as adjacency lists.
+
+    adj[x] lists (y, edge id) for every edge xy, where edge ids index
+    g.sorted_edges.  The relabelling is monotone, so edge tuples and sorted
+    vertex lists compare as they do on g's own ids.
+    """
+    idx = {x: i for i, x in enumerate(g.sorted_vertices)}
+    adj: list = [[] for _ in idx]
+    for eid, (u, v) in enumerate(g.sorted_edges):
+        a, b = idx[u], idx[v]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    return adj
+
+
+def lowpoint_blocks(adj: list) -> tuple:
+    """Blocks and cutpoints of a connected graph on vertices 0..n-1.
+
+    adj[x] lists (y, edge id) for every edge xy.  One iterative depth-first
+    lowpoint pass from vertex 0 (Hopcroft and Tarjan, CACM 16(6), 1973).
+    Returns (blocks, cut): each block is a (vertices, edge ids) pair of
+    lists, and cut[x] is true when x is a cutpoint.  A lone vertex forms one
+    block without edges.  The order of adj changes only the order in which
+    blocks and their members come back, never which blocks they are.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery number from 1; 0 means not reached yet
+    low = [0] * n
+    cut = [False] * n
+    disc[0] = low[0] = 1
+    counter = 2
+    root_children = 0
+    vstack: list = []
+    estack: list = []
+    blocks: list = []
+    # frame: vertex, tree edge in, neighbor iterator, stack heights at entry
+    stack = [(0, -1, iter(adj[0]), 0, 0)]
+    while stack:
+        cur, into, it, _, _ = frame = stack[-1]
+        dcur = disc[cur]
+        for nb, eid in it:
+            d = disc[nb]
+            if not d:
+                stack.append((nb, eid, iter(adj[nb]), len(estack), len(vstack)))
+                estack.append(eid)
+                vstack.append(nb)
+                disc[nb] = low[nb] = counter
+                counter += 1
+                break
+            if d < dcur and eid != into:
+                estack.append(eid)
+                if d < low[cur]:
+                    low[cur] = d
+        else:
+            stack.pop()
+            if not stack:
+                break
+            up = stack[-1][0]
+            if low[cur] < low[up]:
+                low[up] = low[cur]
+            if low[cur] >= disc[up]:
+                epos, vpos = frame[3], frame[4]
+                blocks.append((vstack[vpos:] + [up], estack[epos:]))
+                del estack[epos:], vstack[vpos:]
+                if up:
+                    cut[up] = True
+                else:
+                    root_children += 1
+                    cut[0] = root_children > 1
+    if counter - 1 < n:
+        raise NotConnectedError("block decomposition requires a connected graph")
+    if estack:
+        raise AssertionError("edge stack not drained; decomposition bug")
+    if n == 1:
+        blocks.append(([0], []))
+    return blocks, cut
+
+
 def decompose_blocks(g: Graph) -> BlockDecomposition:
     """Split a connected graph into blocks with cutpoints and bridges.
 
-    Classic depth-first lowpoint computation, run iteratively.  Every edge
-    lands in exactly one block; two blocks share at most one vertex and any
-    shared vertex is a cutpoint.
+    Packs the result of lowpoint_blocks on index_adjacency(g) into Blocks.  Every edge lands in exactly one block; two
+    blocks share at most one vertex and any shared vertex is a cutpoint.
     """
     verts = g.sorted_vertices
-    if g.v == 1:
-        only = verts[0]
-        block = Block(
-            vertices=frozenset({only}),
-            edges=frozenset(),
-            boundary=frozenset(),
-            interior=frozenset({only}),
-        )
-        return BlockDecomposition((block,), frozenset(), frozenset())
+    edges = g.sorted_edges
+    raw_blocks, cut = lowpoint_blocks(index_adjacency(g))
 
-    root = verts[0]
-    disc: dict = {root: 0}
-    low = {root: 0}
-    counter = 1
-    articulation = set()
-    edge_stack: list = []
-    raw_blocks: list = []
-    root_children = 0
-    stack = [(root, None, iter(g.neighbors(root)))]
-    while stack:
-        cur, parent, it = stack[-1]
-        descended = False
-        for nb in it:
-            if nb == parent:
-                continue
-            if nb not in disc:
-                edge_stack.append((cur, nb))
-                disc[nb] = low[nb] = counter
-                counter += 1
-                if cur == root:
-                    root_children += 1
-                stack.append((nb, cur, iter(g.neighbors(nb))))
-                descended = True
-                break
-            if disc[nb] < disc[cur]:
-                edge_stack.append((cur, nb))
-                low[cur] = min(low[cur], disc[nb])
-        if descended:
-            continue
-        stack.pop()
-        if stack:
-            up = stack[-1][0]
-            low[up] = min(low[up], low[cur])
-            if low[cur] >= disc[up]:
-                comp = []
-                while True:
-                    e = edge_stack.pop()
-                    comp.append(e)
-                    if e == (up, cur):
-                        break
-                raw_blocks.append(comp)
-                if up != root or root_children > 1:
-                    articulation.add(up)
-    if len(disc) < g.v:
-        raise NotConnectedError("block decomposition requires a connected graph")
-    if edge_stack:
-        raise AssertionError("edge stack not drained; decomposition bug")
-
-    cutpoints = frozenset(articulation)
+    cutpoints = frozenset(verts[i] for i in range(len(verts)) if cut[i])
     blocks = []
     bridges = set()
-    for comp in raw_blocks:
-        es = frozenset(norm_edge(u, v) for u, v in comp)
-        vs = frozenset(x for e in es for x in e)
+    for vs, es in raw_blocks:
+        vs = frozenset(verts[i] for i in vs)
         boundary = vs & cutpoints
         blocks.append(
-            Block(vertices=vs, edges=es, boundary=boundary, interior=vs - boundary)
+            Block(
+                vertices=vs,
+                edges=frozenset(edges[e] for e in es),
+                boundary=boundary,
+                interior=vs - boundary,
+            )
         )
         if len(es) == 1:
-            bridges.add(next(iter(es)))
+            bridges.add(edges[es[0]])
     blocks.sort(key=lambda b: tuple(sorted(b.vertices)))
     return BlockDecomposition(tuple(blocks), cutpoints, frozenset(bridges))
 

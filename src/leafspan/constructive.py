@@ -18,7 +18,13 @@ from functools import partial
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import decompose_blocks, essential_cutpoints, find_spines
+from .blocks import (
+    decompose_blocks,
+    essential_cutpoints,
+    find_spines,
+    index_adjacency,
+    lowpoint_blocks,
+)
 from .bounds import bound_kw, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
@@ -429,10 +435,6 @@ def construct_theorem1(g: Graph):
 # -- large-block elimination ------------------------------------------------
 
 
-def _large_blocks(g: Graph):
-    return [b for b in decompose_blocks(g).blocks if b.is_large]
-
-
 def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
     """Adjacent degree-2 pairs of the reduced graph must predate the removal."""
     for u, v in reduced.sorted_edges:
@@ -442,33 +444,6 @@ def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
     return True
 
 
-def _removal_candidates(cur: Graph):
-    """Non-bridge edges of the current graph, large-block edges first.
-
-    Any connectivity-preserving removal set can be ordered so that each
-    edge is a non-bridge at its turn, so restricting to non-bridges loses
-    no solutions.  Ordering prefers edges of the biggest large block whose
-    endpoints keep degree at least 3; that is a heuristic only.
-    """
-    dec = decompose_blocks(cur)
-    bridges = dec.bridges
-    large = [b for b in dec.blocks if b.is_large]
-    large.sort(key=lambda b: (-len(b.interior), sorted(b.vertices)))
-    in_large = {}
-    for rank, b in enumerate(large):
-        for e in b.edges:
-            in_large.setdefault(e, rank)
-    out = [e for e in cur.sorted_edges if e not in bridges]
-    out.sort(
-        key=lambda e: (
-            in_large.get(e, len(large)),
-            0 if cur.degree(e[0]) > 3 and cur.degree(e[1]) > 3 else 1,
-            e,
-        )
-    )
-    return out
-
-
 def remove_large_blocks(g: Graph) -> frozenset:
     """Smallest edge set whose removal leaves no large blocks.
 
@@ -476,38 +451,102 @@ def remove_large_blocks(g: Graph) -> frozenset:
     adjacent pair of new degree-2 vertices.  Search is iterative deepening
     on the set size with memoized dead states; exhausting it would mean the
     guarantee this implements is wrong, hence the hard error.
+
+    A search node removes one more non-bridge edge.  Any connectivity-
+    preserving removal set can be ordered so that each edge is a non-bridge
+    at its turn, so this loses no solutions.  Candidates come block by
+    block, large blocks first and the biggest of them first; within a block,
+    edges whose endpoints keep degree at least 3 go first, which is a
+    heuristic only.  The search runs on g relabelled to 0..n-1 in sorted-id
+    order, with one lowpoint_blocks pass per node and each removed set held
+    as a bitmask over the sorted edge list.  The relabelling is monotone, so
+    every tie breaks as it would on g's own ids.
     """
     require_connected(g, "remove_large_blocks")
     if g.v <= 2:
         raise InvalidParamsError("need more than two vertices")
-    if not _large_blocks(g):
+    edges = g.sorted_edges
+    m = len(edges)
+    adj = index_adjacency(g)
+    ends = {eid: (a, b) for a, nbrs in enumerate(adj) for b, eid in nbrs if a < b}
+    touched: list = []  # endpoints of the removed edges
+
+    def blocks_by_size():
+        """Large blocks as (interior, vertices, edges), and other non-bridge edges."""
+        blocks, cut = lowpoint_blocks(adj)
+        large, rest = [], []
+        for vs, es in blocks:
+            inner = len(vs) - sum(cut[x] for x in vs)
+            if inner + inner > len(vs):
+                large.append((inner, vs, es))
+            elif len(es) > 1:
+                rest += es
+        return large, rest
+
+    def chain_condition_holds():
+        # a vertex of degree 2 is new exactly when it lost a removed edge
+        for x in touched:
+            if len(adj[x]) == 2 and any(len(adj[y]) == 2 for y, _ in adj[x]):
+                return False
+        return True
+
+    def rank(eid):
+        a, b = ends[eid]
+        return eid if len(adj[a]) > 3 and len(adj[b]) > 3 else eid + m
+
+    if not blocks_by_size()[0]:
         return frozenset()
 
     max_size = g.e - (g.v - 1)
-    failed = {}  # frozenset(F) -> best budget that still failed
+    failed: set = set()  # removed bitmasks this round searched in vain
 
-    def search(cur: Graph, removed: frozenset, budget: int):
-        if not _large_blocks(cur):
-            if _chain_condition_holds(g, cur):
-                return removed
-            # structure is fine but the chain condition is not; removing
-            # more edges can still fix it, so fall through when budget left
+    def search(removed: int, budget: int):
+        # a set in failed was checked below and found wanting, so looking
+        # it up first answers as checking it again would
+        if removed in failed:
+            return None
+        # a graph that breaks the chain condition is no answer whatever its
+        # blocks; removing more edges can still mend it while budget is left
+        chain_ok = chain_condition_holds()
+        if budget == 0 and not chain_ok:
+            return None
+        large, rest = blocks_by_size()
+        if not large and chain_ok:
+            return removed
         if budget == 0:
             return None
-        if failed.get(removed, -1) >= budget:
-            return None
-        for u, v in _removal_candidates(cur):
-            nxt = cur.without_edge(u, v)
-            got = search(nxt, removed | {norm_edge(u, v)}, budget - 1)
+        large.sort(key=lambda b: (-b[0], sorted(b[1])))
+        order = [eid for _, _, es in large for eid in sorted(es, key=rank)]
+        order += sorted(rest, key=rank)
+        for eid in order:
+            a, b = ends[eid]
+            adj[a].remove((b, eid))
+            adj[b].remove((a, eid))
+            touched.extend((a, b))
+            got = search(removed | 1 << eid, budget - 1)
+            del touched[-2:]
+            adj[a].append((b, eid))
+            adj[b].append((a, eid))
             if got is not None:
                 return got
-        failed[removed] = budget
+        failed.add(removed)
         return None
 
     for size in range(1, max_size + 1):
-        got = search(g, frozenset(), size)
+        # a round meets each set with budget size - |set|, always more than
+        # an earlier round gave it, so earlier failures prune nothing here
+        failed.clear()
+        got = search(0, size)
         if got is not None:
-            return got
+            f = frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
+            reduced = g.without_edges(f)
+            if not (
+                reduced.is_connected
+                and not any(b.is_large for b in decompose_blocks(reduced).blocks)
+                and _chain_condition_holds(g, reduced)
+            ):
+                raise AssertionError(f"removal set {sorted(f)} misses its postconditions")
+            return f
     raise SearchExhaustedError(
         f"no valid removal set up to {max_size} edges; this should be impossible"
     )

@@ -253,12 +253,41 @@ class Graph:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None when the graph is acyclic.
 
-    Runs a breadth-first search from every vertex; a non-tree edge seen at
-    depth d closes a walk of length at most 2d + 1 that contains a cycle, and
-    for roots on a shortest cycle the detection is exact.
+    Every cycle lies in the 2-core, the graph left after repeatedly
+    deleting vertices of degree at most 1.  A component of the core whose
+    vertices all have degree 2 is a single cycle.  Any other cycle passes
+    through a core vertex of degree at least 3, so a breadth-first search
+    runs from each of those only: a non-tree edge seen at depth d closes a
+    walk of length at most 2d + 1 that contains a cycle, and for roots on a
+    shortest cycle the detection is exact.
     """
+    core = {x: set(nbrs) for x, nbrs in g.adjacency.items()}
+    peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
+    while peel:
+        x = peel.pop()
+        for nb in core.pop(x):
+            core[nb].discard(x)
+            if len(core[nb]) == 1:
+                peel.append(nb)
     best = None
-    for root in g.sorted_vertices:
+    seen = set()
+    for start in core:
+        if start in seen or len(core[start]) != 2:
+            continue
+        run = {start}  # the degree-2 vertices reachable through degree-2 ones
+        todo = [start]
+        closed = True
+        while todo:
+            for nb in core[todo.pop()]:
+                if len(core[nb]) != 2:
+                    closed = False
+                elif nb not in run:
+                    run.add(nb)
+                    todo.append(nb)
+        seen |= run
+        if closed and (best is None or len(run) < best):
+            best = len(run)
+    for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
         dist = {root: 0}
         parent = {root: None}
         queue = deque([root])
@@ -266,7 +295,7 @@ def girth(g: Graph) -> Optional[int]:
             cur = queue.popleft()
             if best is not None and dist[cur] * 2 >= best:
                 continue
-            for nb in g.neighbors(cur):
+            for nb in core[cur]:
                 if nb not in dist:
                     dist[nb] = dist[cur] + 1
                     parent[nb] = cur

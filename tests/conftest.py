@@ -6,9 +6,12 @@ asked to certify itself.
 """
 
 import random
+from collections import deque
 from itertools import combinations
 
-from leafspan import Graph
+from leafspan import Graph, InvalidParamsError, SearchExhaustedError, decompose_blocks
+from leafspan.constructive import _chain_condition_holds
+from leafspan.graph import norm_edge, require_connected
 
 
 def brute_u(g: Graph):
@@ -96,6 +99,15 @@ def random_connected(rng: random.Random, v: int) -> Graph:
     return Graph.build(have)
 
 
+def random_sparse(rng: random.Random, v: int, chords: int) -> Graph:
+    """Random recursive tree on 0..v-1 plus exactly `chords` distinct chords."""
+    have = {(rng.randrange(i), i) for i in range(1, v)}
+    while len(have) < v - 1 + chords:
+        x, y = rng.sample(range(v), 2)
+        have.add((min(x, y), max(x, y)))
+    return Graph.build(have)
+
+
 def greedy_leafy_reference(g: Graph):
     """Tree edges of the original quadratic greedy_leafy, kept as a reference.
 
@@ -133,3 +145,103 @@ def random_cubic(rng: random.Random, n: int) -> Graph:
             g = Graph.build(pairs)
             if g.v == n and g.is_connected:
                 return g
+
+
+def brute_girth(g: Graph):
+    """Shortest cycle length: for each edge uv, the shortest u-v path without uv, plus 1."""
+    adj = {x: set() for x in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = None
+    for u, v in g.edges:
+        dist = {u: 0}
+        queue = deque([u])
+        while queue and v not in dist:
+            cur = queue.popleft()
+            for nb in adj[cur]:
+                if nb not in dist and (cur, nb) != (u, v):
+                    dist[nb] = dist[cur] + 1
+                    queue.append(nb)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+# The Graph-level removal search that remove_large_blocks replaced with an
+# index kernel, kept verbatim as the reference the kernel must agree with.
+
+
+def _large_blocks(g: Graph):
+    return [b for b in decompose_blocks(g).blocks if b.is_large]
+
+
+def _removal_candidates(cur: Graph):
+    """Non-bridge edges of the current graph, large-block edges first.
+
+    Any connectivity-preserving removal set can be ordered so that each
+    edge is a non-bridge at its turn, so restricting to non-bridges loses
+    no solutions.  Ordering prefers edges of the biggest large block whose
+    endpoints keep degree at least 3; that is a heuristic only.
+    """
+    dec = decompose_blocks(cur)
+    bridges = dec.bridges
+    large = [b for b in dec.blocks if b.is_large]
+    large.sort(key=lambda b: (-len(b.interior), sorted(b.vertices)))
+    in_large = {}
+    for rank, b in enumerate(large):
+        for e in b.edges:
+            in_large.setdefault(e, rank)
+    out = [e for e in cur.sorted_edges if e not in bridges]
+    out.sort(
+        key=lambda e: (
+            in_large.get(e, len(large)),
+            0 if cur.degree(e[0]) > 3 and cur.degree(e[1]) > 3 else 1,
+            e,
+        )
+    )
+    return out
+
+
+def remove_large_blocks_reference(g: Graph) -> frozenset:
+    """Smallest edge set whose removal leaves no large blocks.
+
+    The returned set keeps the graph connected and never manufactures an
+    adjacent pair of new degree-2 vertices.  Search is iterative deepening
+    on the set size with memoized dead states; exhausting it would mean the
+    guarantee this implements is wrong, hence the hard error.
+    """
+    require_connected(g, "remove_large_blocks")
+    if g.v <= 2:
+        raise InvalidParamsError("need more than two vertices")
+    if not _large_blocks(g):
+        return frozenset()
+
+    max_size = g.e - (g.v - 1)
+    failed = {}  # frozenset(F) -> best budget that still failed
+
+    def search(cur: Graph, removed: frozenset, budget: int):
+        if not _large_blocks(cur):
+            if _chain_condition_holds(g, cur):
+                return removed
+            # structure is fine but the chain condition is not; removing
+            # more edges can still fix it, so fall through when budget left
+        if budget == 0:
+            return None
+        if failed.get(removed, -1) >= budget:
+            return None
+        for u, v in _removal_candidates(cur):
+            nxt = cur.without_edge(u, v)
+            got = search(nxt, removed | {norm_edge(u, v)}, budget - 1)
+            if got is not None:
+                return got
+        failed[removed] = budget
+        return None
+
+    for size in range(1, max_size + 1):
+        got = search(g, frozenset(), size)
+        if got is not None:
+            return got
+    raise SearchExhaustedError(
+        f"no valid removal set up to {max_size} edges; this should be impossible"
+    )

@@ -86,6 +86,25 @@ def test_cutpoints_and_bridges_against_brute_force():
         assert set(d.bridges) == brute_bridges(g), g.sorted_edges
 
 
+def _against_networkx(nx, g):
+    h = nx.Graph(list(g.edges))
+    d = decompose_blocks(g)
+    want = {frozenset(tuple(sorted(e)) for e in comp) for comp in nx.biconnected_component_edges(h)}
+    assert {b.edges for b in d.blocks} == want, g.sorted_edges
+    assert d.cutpoints == set(nx.articulation_points(h)), g.sorted_edges
+    assert d.bridges == {tuple(sorted(e)) for e in nx.bridges(h)}, g.sorted_edges
+
+
+def test_decompose_blocks_against_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = list(connected_graphs(5))
+    assert len(graphs) == 728
+    rng = random.Random(808)
+    graphs += [random_connected(rng, rng.randint(2, 30)) for _ in range(300)]
+    for g in graphs:
+        _against_networkx(nx, g)
+
+
 def test_find_spines_triangle_tail():
     g = Graph.build([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
     (sp,) = find_spines(g)

@@ -30,7 +30,13 @@ from leafspan import (
 )
 from leafspan.constructive import _chain_condition_holds
 from leafspan.trees import validate
-from conftest import connected_graphs, random_connected, random_cubic
+from conftest import (
+    connected_graphs,
+    random_connected,
+    random_cubic,
+    random_sparse,
+    remove_large_blocks_reference,
+)
 
 
 def _t2_params(g):
@@ -344,6 +350,17 @@ def test_remove_large_blocks_seeded_batch():
         f = remove_large_blocks(g)
         _check_lemma4_post(g, f)
         done += 1
+
+
+def test_remove_large_blocks_matches_reference():
+    # the index kernel must return exactly the set the Graph-level search did
+    rng = random.Random(707)
+    graphs = [random_connected(rng, rng.randint(3, 10)) for _ in range(60)]
+    graphs += [random_sparse(rng, rng.randint(8, 12), 5) for _ in range(30)]
+    graphs += [random_cubic(rng, v) for v in (10, 12, 14)]
+    graphs += [Graph.complete(4), Graph.complete(5), Graph.petersen()]
+    for g in graphs:
+        assert remove_large_blocks(g) == remove_large_blocks_reference(g), g.sorted_edges
 
 
 def test_chain_condition_helper():

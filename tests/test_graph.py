@@ -1,5 +1,6 @@
 import pytest
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from leafspan import (
     glue,
     s_count,
 )
-from conftest import random_connected
+from conftest import brute_girth, random_connected, random_cubic
 
 
 def test_build_rejects_self_loop():
@@ -124,6 +125,28 @@ def test_relabel_partial_and_injective():
 def test_fresh_id():
     g = Graph.build([(0, 5)])
     assert g.fresh_id() == 6
+
+
+def test_girth_against_brute_force_small():
+    # every labelled graph on at most 6 vertices, disconnected ones included
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[j] for j in range(len(pairs)) if mask >> j & 1]
+            g = Graph.build(edges, isolated=range(n))
+            assert girth(g) == brute_girth(g), g.sorted_edges
+
+
+def test_girth_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(909)
+    graphs = [random_connected(rng, rng.randint(2, 40)) for _ in range(300)]
+    graphs += [random_cubic(rng, 2 * rng.randint(2, 15)) for _ in range(50)]
+    graphs += [Graph.cycle(n) for n in (3, 17, 200)]
+    for g in graphs:
+        h = nx.Graph(list(g.edges))
+        want = nx.girth(h)
+        assert girth(g) == (None if want == float("inf") else want), g.sorted_edges
 
 
 def test_girth_values():
