@@ -94,7 +94,6 @@ from .graph_io import (
 from .trees import (
     SpanningTree,
     extend_tree_lemma3,
-    lift_tree_through_contraction,
     spanning_tree,
 )
 
@@ -158,7 +157,6 @@ __all__ = [
     "glue_extremal_chain",
     "graph_hash",
     "greedy_leafy",
-    "lift_tree_through_contraction",
     "parse_graph",
     "partition_uwxy",
     "random_constrained_graph",

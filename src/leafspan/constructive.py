@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import exact_mlst, greedy_leafy
 from .graph import Graph, chain_metric, contract_edge, girth, norm_edge, require_connected, s_count
-from .trees import SpanningTree, extend_tree_lemma3, lift_tree_through_contraction, spanning_tree
+from .trees import SpanningTree, extend_tree_lemma3, spanning_tree
 
 EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
 
@@ -319,19 +319,27 @@ def _t1_degree2(g: Graph):
     a = next((x for x in g.sorted_vertices if g.degree(x) == 2), None)
     if a is None:
         return None
-    b = min(g.neighbors(a))
-    sub = g.without_edge(a, b)
-    # a has degree 2, so it is a cutpoint exactly when ab is a bridge
-    if sub.is_connected:
-        return _Step("1", "delete", (a, b), (sub,), _keep_edges(g))
-    res = contract_edge(g, a, b)
+    b, c = g.neighbors(a)
+    # a has degree 2, so it is a cutpoint exactly when ab is a bridge, that
+    # is when g - a separates b from c
+    if b in _side(g, a, c):
+        return _Step("1", "delete", (a, b), (g.without_edge(a, b),), _keep_edges(g))
+    lo = min(a, b)
 
     def build(t_sub: SpanningTree) -> SpanningTree:
-        t = lift_tree_through_contraction(t_sub, res, g)
+        # ab is a bridge, so bc is no edge: a child tree edge at the merged
+        # vertex lo came from a when it ends at c and from b otherwise
+        edges = [(a, b)]
+        for e in t_sub.tree_edges:
+            if lo in e:
+                y = e[1] if e[0] == lo else e[0]
+                e = (a if y == c else b, y)
+            edges.append(e)
+        t = spanning_tree(g, edges)
         assert t.leaf_count >= t_sub.leaf_count
         return t
 
-    return _Step("1", "contract", (a, b), (res.graph,), build)
+    return _Step("1", "contract", (a, b), (contract_edge(g, a, b).graph,), build)
 
 
 def _t1_base_core(g: Graph):
@@ -374,15 +382,16 @@ def _t1_extend(g: Graph):
     for a in g.sorted_vertices:
         if g.degree(a) > 3:
             continue
-        removed = g.without_vertex(a)
-        cut_by_comp = {}
+        comps = []  # (graph, cutpoints) of each component of g - a met so far
         for b in g.neighbors(a):
-            comp = next(c for c in removed.components if b in c)
-            if comp not in cut_by_comp:
-                cut_by_comp[comp] = decompose_blocks(removed.induced(comp)).cutpoints
-            if b in cut_by_comp[comp]:
+            h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
+            if h is None:
+                h = g.induced(_side(g, a, b))
+                cuts = decompose_blocks(h).cutpoints
+                comps.append((h, cuts))
+            if b in cuts:
                 build = partial(extend_tree_lemma3, a=a, b=b, g=g)
-                return _Step("3", "extend", (a, b), (g.induced(comp),), build)
+                return _Step("3", "extend", (a, b), (h,), build)
 
 
 def _t1_heavy_edge(g: Graph):
@@ -403,7 +412,7 @@ def _t1_lemma5(g: Graph):
     a = min(nb for nb in g.neighbors(x) if nb != w)
     assert g.degree(a) == 3
     g_star = g.without_edge(w, x_other)
-    comp = next(c for c in g_star.without_vertex(a).components if w in c)
+    comp = _side(g_star, a, w)
 
     def build(t_sub: SpanningTree) -> SpanningTree:
         return spanning_tree(g, extend_tree_lemma3(t_sub, a, x, g_star).tree_edges)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .blocks import decompose_blocks
+from .blocks import index_adjacency, lowpoint_blocks
 from .errors import InvalidParamsError, NotConnectedError
 from .graph import Graph
 from .trees import SpanningTree, spanning_tree
@@ -113,15 +113,12 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
         return ExactResult(2, seed, 0, time.perf_counter() - start_time, True)
 
     verts = g.sorted_vertices
-    index = {x: i for i, x in enumerate(verts)}
     n = len(verts)
     full = (1 << n) - 1
-    adj = [0] * n
-    for u, v in g.sorted_edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    deg = [a.bit_count() for a in adj]
-    cut = sum(1 << index[x] for x in decompose_blocks(g).cutpoints)
+    lists = index_adjacency(g)  # vertex i is verts[i]
+    adj = [sum(1 << y for y, _ in nbrs) for nbrs in lists]
+    deg = [len(nbrs) for nbrs in lists]
+    cut = sum(1 << i for i, c in enumerate(lowpoint_blocks(lists)[1]) if c)
     if cut:
         roots = [max(_bits(cut), key=lambda i: (deg[i], -i))]
     else:

@@ -185,6 +185,9 @@ class Graph:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Hop distance, or None when u and v are in different components."""
+        for x in (u, v):
+            if x not in self.vertices:
+                raise InvalidParamsError(f"vertex {x} not in graph")
         if u == v:
             return 0
         dist = {u: 0}

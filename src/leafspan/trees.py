@@ -1,5 +1,6 @@
-"""Spanning trees as explicit certificates: validation, the lift through an
-edge contraction, and the one-leaf-gaining extension across a cut vertex."""
+"""Spanning trees as explicit certificates: validation and the one-leaf-gaining
+extension across a cut vertex.  The degree-2 step of the s-count descent
+lifts trees through its own edge contraction, where a rename suffices."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 from .blocks import decompose_blocks
 from .errors import InvalidParamsError, PreconditionViolatedError
-from .graph import ContractResult, Graph, norm_edge
+from .graph import Graph, norm_edge
 
 
 @dataclass(frozen=True)
@@ -68,33 +69,6 @@ def check_valid(t: SpanningTree, context: str = "tree") -> None:
     problem = validate(t)
     if problem is not None:
         raise InvalidParamsError(f"{context}: invalid spanning tree ({problem})")
-
-
-def lift_tree_through_contraction(
-    t: SpanningTree, res: ContractResult, original: Graph
-) -> SpanningTree:
-    """Undo a contraction on a tree of the contracted graph.
-
-    Each tree edge at the merged vertex is pulled back to whichever original
-    endpoint carries it (lower endpoint preferred when both do), and the
-    contracted edge itself is re-added, which keeps the edge count at v - 1.
-    """
-    lo = res.merged
-    hi = next(x for x, y in res.vertex_map.items() if y == lo and x != lo)
-    es = set()
-    for a, b in t.tree_edges:
-        if lo not in (a, b):
-            es.add(norm_edge(a, b))
-            continue
-        other = b if a == lo else a
-        if original.has_edge(lo, other):
-            es.add(norm_edge(lo, other))
-        elif original.has_edge(hi, other):
-            es.add(norm_edge(hi, other))
-        else:
-            raise InvalidParamsError(f"tree edge ({lo}, {other}) has no preimage")
-    es.add(norm_edge(lo, hi))
-    return spanning_tree(original, es)
 
 
 def extend_tree_lemma3(

@@ -29,7 +29,7 @@ from leafspan import (
     s_count,
 )
 from leafspan.constructive import _chain_condition_holds
-from leafspan.trees import validate
+from leafspan.trees import spanning_tree, validate
 from conftest import (
     connected_graphs,
     random_connected,
@@ -269,7 +269,7 @@ def test_descent_depth_does_not_use_the_call_stack():
 
 
 def test_degree2_step_decomposes_no_blocks(monkeypatch):
-    # the cutpoint test at a degree-2 vertex is the bridge test on g - ab
+    # the cutpoint test at a degree-2 vertex is one search in g - a
     import leafspan.constructive as constructive
 
     calls = []
@@ -284,6 +284,79 @@ def test_degree2_step_decomposes_no_blocks(monkeypatch):
     t, tr = construct_theorem1(g)
     assert replay_trace(g, tr) == t
     assert calls == []
+
+
+def test_descent_builds_one_graph_per_step(monkeypatch):
+    # each non-base step builds only the graph it hands to its child
+    g = Graph.path(400)
+    built = []
+    real = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.v)
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    t, tr = construct_theorem1(g)
+    steps = sum(1 for n in tr.preorder() if n.op != "base")
+    assert steps == 398 and len(built) <= steps
+    built.clear()
+    assert replay_trace(g, tr) == t
+    assert len(built) <= steps
+
+
+def test_every_case_runs():
+    # fixed inputs that between them reach every case of both descents
+    case4 = Graph.build([(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    case5 = Graph.build(
+        [(0, 2), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6), (1, 7), (1, 8), (1, 9)]
+        + [(4, 7), (4, 8), (5, 8), (5, 9), (6, 9), (6, 7)]
+    )
+    assert check_lemma5_structure(case5, partition_uwxy(case5)) is None
+    t, tr = construct_theorem1(case5)
+    assert tr.lines()[0] == "case=5 op=extend args=2,0,1,4"
+    assert t.leaf_count == 5 and bound_theorem1(s_count(case5)).value == 4
+    # too large for the exact core, so the greedy base must meet v/4 + 2
+    cubic = random_cubic(random.Random(0), 28)
+    t, tr = construct_theorem1(cubic)
+    assert tr.base_kinds == ("base-core-greedy",) and t.leaf_count >= bound_kw(28).value
+
+    seen1 = set()
+    for g in [Graph.path(5), Graph.star(3), Graph.petersen(), gen_triangle_tree(2), case4, case5, cubic]:
+        t, tr = construct_theorem1(g)
+        assert validate(t) is None and t.leaf_count >= bound_theorem1(s_count(g)).value
+        assert replay_trace(g, tr, theorem=1) == t
+        seen1 |= {n.case for n in tr.preorder()}
+    cases1 = {"base-edge", "base-small-core", "base-core-exact", "base-core-greedy"}
+    assert seen1 == cases1 | {"1", "2", "3", "4", "5"}
+
+    # the cubic graph stays out: its removal search is the known slow case
+    seen2 = set()
+    for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2)]:
+        k, gg = _t2_params(g)
+        t, tr = construct_theorem2(g, k)
+        assert validate(t) is None and t.leaf_count >= bound_theorem2(g.v, gg, k).value
+        assert replay_trace(g, tr, theorem=2, k=k) == t
+        seen2 |= {n.case for n in tr.preorder()}
+    assert seen2 == {"base-tree", "base-short", "base-spines", "1.1", "1.2"}
+
+
+def test_replay_rejects_unknown_theorem():
+    g = Graph.cycle(5)
+    _, tr = construct_theorem1(g)
+    with pytest.raises(InvalidParamsError, match="theorem must be 1 or 2"):
+        replay_trace(g, tr, theorem=3)
+
+
+def test_replay_rejects_swapped_tree():
+    import dataclasses
+
+    g = Graph.cycle(5)
+    t, tr = construct_theorem1(g)
+    other = spanning_tree(g, g.edges - {(2, 3)})
+    assert validate(other) is None and other != t
+    with pytest.raises(InvalidParamsError, match="replay produced a different tree"):
+        replay_trace(g, dataclasses.replace(tr, tree=other), theorem=1)
 
 
 # -- large-block elimination -------------------------------------------------

@@ -99,6 +99,13 @@ def test_bfs_tree_and_distance():
     assert h.distance(0, 3) is None
 
 
+def test_distance_rejects_missing_endpoints():
+    g = Graph.path(3)
+    for u, v in ((99, 0), (0, 99), (99, 99)):
+        with pytest.raises(InvalidParamsError, match="99 not in graph"):
+            g.distance(u, v)
+
+
 def test_surgery_ops():
     g = Graph.cycle(4)
     h = g.without_vertex(0)

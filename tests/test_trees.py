@@ -1,18 +1,13 @@
-import random
-
 import pytest
 
 from leafspan import (
     Graph,
     InvalidParamsError,
     PreconditionViolatedError,
-    contract_edge,
     extend_tree_lemma3,
-    lift_tree_through_contraction,
     spanning_tree,
 )
 from leafspan.trees import check_valid, validate
-from conftest import random_connected
 
 
 def _bfs_spanning(g, root=None):
@@ -51,19 +46,6 @@ def test_validate_clauses():
     assert validate(bad_count) == "leaf count"
     with pytest.raises(InvalidParamsError):
         check_valid(bad_count)
-
-
-def test_lift_tree_through_contraction():
-    rng = random.Random(3)
-    for _ in range(120):
-        g = random_connected(rng, rng.randint(3, 9))
-        u, v = sorted(g.edges)[rng.randrange(g.e)]
-        res = contract_edge(g, u, v)
-        sub = _bfs_spanning(res.graph)
-        lifted = lift_tree_through_contraction(sub, res, g)
-        assert validate(lifted) is None
-        # pulling an edge apart can only free up leaves, never lose one
-        assert lifted.leaf_count >= sub.leaf_count
 
 
 def test_extend_tree_preconditions():
