@@ -34,7 +34,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import exact_mlst, greedy_leafy
-from .graph import Graph, chain_metric, contract_edge, girth, norm_edge, require_connected, s_count
+from .graph import Graph, chain_metric, girth, norm_edge, require_connected, s_count
 from .trees import SpanningTree, extend_tree_lemma3, spanning_tree
 
 EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
@@ -179,8 +179,9 @@ def _base(case: str, t: SpanningTree) -> _Step:
 
 
 def _keep_edges(g: Graph):
-    """Build of a deletion step: the child's tree edges span g as well."""
-    return lambda t_sub: spanning_tree(g, t_sub.tree_edges)
+    """Build of a deletion step: the child's tree edges span g as well, with
+    the same vertices and so the same leaves."""
+    return lambda t_sub: SpanningTree(g, t_sub.tree_edges, t_sub.leaf_count)
 
 
 def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None, collect=None):
@@ -324,22 +325,27 @@ def _t1_degree2(g: Graph):
     # is when g - a separates b from c
     if b in _side(g, a, c):
         return _Step("1", "delete", (a, b), (g.without_edge(a, b),), _keep_edges(g))
-    lo = min(a, b)
+    # a cycle through an edge of a's run of degree-2 vertices would pass a,
+    # so every run edge is a bridge: the run lies in every spanning tree, and
+    # its ends x and y are distinct and not adjacent
+    run, run_edges, ends = {a}, [], []
+    for prev, x in ((a, b), (a, c)):
+        run_edges.append((prev, x))
+        while g.degree(x) == 2:
+            run.add(x)
+            prev, x = x, next(nb for nb in g.adjacency[x] if nb != prev)
+            run_edges.append((prev, x))
+        ends.append(x)
+    x, y = sorted(ends)
+    kept = frozenset(e for e in g.edges if e[0] not in run and e[1] not in run)
+    child = Graph(g.vertices - run, kept | {(x, y)})
 
     def build(t_sub: SpanningTree) -> SpanningTree:
-        # ab is a bridge, so bc is no edge: a child tree edge at the merged
-        # vertex lo came from a when it ends at c and from b otherwise
-        edges = [(a, b)]
-        for e in t_sub.tree_edges:
-            if lo in e:
-                y = e[1] if e[0] == lo else e[0]
-                e = (a if y == c else b, y)
-            edges.append(e)
-        t = spanning_tree(g, edges)
-        assert t.leaf_count >= t_sub.leaf_count
+        t = spanning_tree(g, (t_sub.tree_edges - {(x, y)}).union(run_edges))
+        assert t.leaf_count == t_sub.leaf_count, "leaf count drifted"
         return t
 
-    return _Step("1", "contract", (a, b), (contract_edge(g, a, b).graph,), build)
+    return _Step("1", "contract", (x, y), (child,), build)
 
 
 def _t1_base_core(g: Graph):

@@ -1,6 +1,6 @@
 """Spanning trees as explicit certificates: validation and the one-leaf-gaining
 extension across a cut vertex.  The degree-2 step of the s-count descent
-lifts trees through its own edge contraction, where a rename suffices."""
+lifts trees by swapping one edge for the run of bridges it stands for."""
 
 from __future__ import annotations
 

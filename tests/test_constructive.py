@@ -247,11 +247,36 @@ def test_replay_checks_theorem2_params_like_construct():
         replay_trace(Graph.build([(0, 1), (2, 3)]), tr, theorem=1)
 
 
+def _ladder(rungs):
+    # two paths of the given length joined rung by rung
+    top = [(i, i + 1) for i in range(rungs - 1)]
+    return Graph.build(top + [(x + rungs, y + rungs) for x, y in top] + [(i, i + rungs) for i in range(rungs)])
+
+
+def _caterpillar(spine):
+    # a path with one pendant at every vertex
+    return Graph.build([(i, i + 1) for i in range(spine - 1)] + [(i, i + spine) for i in range(spine)])
+
+
+def _k4_chain(blocks):
+    # copies of K4 in a row, each joined to the next by a path through two
+    # degree-2 vertices
+    edges = []
+    for i in range(blocks):
+        q = range(4 * i, 4 * i + 4)
+        edges += [(x, y) for x in q for y in q if x < y]
+        if i:
+            path = [4 * i - 1, 4 * blocks + 2 * i, 4 * blocks + 2 * i + 1, 4 * i]
+            edges += zip(path, path[1:])
+    return Graph.build(edges)
+
+
 def test_descent_depth_does_not_use_the_call_stack():
-    # trace depth is v-2 on the path and cycle and triangles-1 on the
-    # triangle tree, all beyond the recursion headroom allowed here
+    # trace depth is 298 on the ladder, 98 on the caterpillar and
+    # triangles-1 on the triangle tree, all beyond the recursion headroom
+    # allowed here
     headroom = 60
-    cases = [(Graph.path(300), 1), (Graph.cycle(300), 1), (gen_triangle_tree(80), 2)]
+    cases = [(_ladder(150), 1), (_caterpillar(100), 1), (gen_triangle_tree(80), 2)]
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
     try:
@@ -287,8 +312,9 @@ def test_degree2_step_decomposes_no_blocks(monkeypatch):
 
 
 def test_descent_builds_one_graph_per_step(monkeypatch):
-    # each non-base step builds only the graph it hands to its child
-    g = Graph.path(400)
+    # each non-base step builds only the graph it hands to its child; every
+    # step of the chain contracts one run between two blocks
+    g = _k4_chain(100)
     built = []
     real = Graph.__post_init__
 
@@ -299,10 +325,61 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
     monkeypatch.setattr(Graph, "__post_init__", counted)
     t, tr = construct_theorem1(g)
     steps = sum(1 for n in tr.preorder() if n.op != "base")
-    assert steps == 398 and len(built) <= steps
+    assert steps == 99 and len(built) <= steps
     built.clear()
     assert replay_trace(g, tr) == t
     assert len(built) <= steps
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 10**5])
+def test_path_and_cycle_collapse_in_one_run_step(n):
+    # a path is one run of degree-2 cutpoints between its pendants; a cycle
+    # loses one edge and is then such a path
+    g = Graph.path(n)
+    t, tr = construct_theorem1(g)
+    assert tr.lines() == [f"case=1 op=contract args=0,{n - 1}", "case=base-edge op=base args="]
+    assert replay_trace(g, tr) == t and t.leaf_count == 2
+    g = Graph.cycle(n)
+    t, tr = construct_theorem1(g)
+    assert len(tr.lines()) == 3 and tr.lines()[1] == "case=1 op=contract args=0,1"
+    assert replay_trace(g, tr) == t and t.leaf_count == 2
+
+
+def test_barbell_and_spider_collapse_each_run_once():
+    # two triangles joined by a path of 20 vertices: once each triangle has
+    # lost an edge, the path and the triangle remnant at 3 form one run
+    bar = [2, *range(6, 26), 3]
+    barbell = Graph.build([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *zip(bar, bar[1:])])
+    t, tr = construct_theorem1(barbell)
+    assert tr.lines() == [
+        "case=1 op=delete args=0,1",
+        "case=1 op=delete args=4,3",
+        "case=1 op=contract args=2,4",
+        "case=base-small-core op=base args=",
+    ]
+    assert t.leaf_count >= bound_theorem1(s_count(barbell)).value
+    assert replay_trace(barbell, tr) == t
+    # four legs of 10 vertices at 0: each leg is one run
+    legs = [(0 if i % 10 == 1 else i - 1, i) for i in range(1, 41)]
+    spider = Graph.build(legs)
+    t, tr = construct_theorem1(spider)
+    assert tr.lines() == [f"case=1 op=contract args=0,{tip}" for tip in (10, 20, 30, 40)] + [
+        "case=base-small-core op=base args="
+    ]
+    assert t.leaf_count == 4 >= bound_theorem1(s_count(spider)).value
+    assert replay_trace(spider, tr) == t
+
+
+def test_replay_rejects_altered_run_ends():
+    import dataclasses
+
+    g = Graph.path(10)
+    _, tr = construct_theorem1(g)
+    assert tr.root.args == (0, 9)
+    for args in ((0, 8), (1, 9), (9, 0), (0,)):
+        bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=args))
+        with pytest.raises(InvalidParamsError, match="trace mismatch"):
+            replay_trace(g, bad)
 
 
 def test_every_case_runs():

@@ -24,7 +24,7 @@ from leafspan import (
     serialize_tree,
 )
 
-DIGEST = "62ce36754c071062d8e901af1b3ebb9afb11d90d03aa8fb06dbca3330503f0f6"
+DIGEST = "64181c29c4ec8719bdc8a82703199b7a5e05d8e2e9caa86cbf5aca1b91d2aaed"
 
 
 def _golden_graphs():
