@@ -198,14 +198,20 @@ def essential_cutpoints(g: Graph) -> frozenset:
     """Cutpoints except those that merely detach one spine.
 
     A cutpoint is inessential when removing it leaves exactly two components
-    and one of them is a spine based at the cutpoint.  g - a has one
-    component per block at a, so that holds exactly for the vertices on a
-    spine path and for spine bases lying in two blocks.  Every interior
-    vertex of a path is inessential this way, so a path has no essential
-    cutpoints.
+    and one of them is a spine based at the cutpoint.  The answer is read
+    off one block decomposition and the pendant spines of g.
     """
-    dec = decompose_blocks(g)
-    spines = find_spines(g)
+    return _essential_cutpoints(g, decompose_blocks(g), find_spines(g))
+
+
+def _essential_cutpoints(g: Graph, dec: BlockDecomposition, spines: tuple) -> frozenset:
+    """Essential cutpoints of g, given its block decomposition and spines.
+
+    g - a has one component per block at a, so a cutpoint is inessential
+    exactly when it lies on a spine path or is a spine base in two blocks.
+    A path has no spines, yet each interior vertex of it detaches a pendant
+    path, so a path has no essential cutpoints.
+    """
     if not spines and g.min_degree == 1:
         return frozenset()  # a pendant that starts no spine: g is a path
     on_spine = {x for s in spines for x in s.path}

@@ -19,8 +19,8 @@ from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 from .blocks import (
+    _essential_cutpoints,
     decompose_blocks,
-    essential_cutpoints,
     find_spines,
     index_adjacency,
     lowpoint_blocks,
@@ -364,12 +364,12 @@ def _t1_base_core(g: Graph):
 
 
 def _t1_core_cut(g: Graph):
-    # h is g without its pendants
-    h = g.induced(x for x in g.vertices if g.degree(x) > 1)
-    if h.v <= 2:
+    core = [x for x in g.vertices if g.degree(x) > 1]
+    if len(core) <= 2:
         # star or double star: the graph is its own spanning tree
         assert g.is_tree
         return _base("base-small-core", spanning_tree(g, g.edges))
+    h = g.induced(core)  # g without its pendants
     h_cuts = decompose_blocks(h).cutpoints
     if not h_cuts:
         return None
@@ -580,55 +580,48 @@ def _t2_base_short(g: Graph, k: int):
         return _base("base-short", spanning_tree(g, g.bfs_tree(min(g.vertices))))
 
 
-def _t2_split(g: Graph, k: int):
-    ess = essential_cutpoints(g)
-    cuts = [x for x in sorted(ess) if g.degree(x) >= 3]
-    if not cuts:
-        assert not ess, "only degree-2 essential cutpoints found"
-        return None
-    # split off the lowest component of g - a that is not a spine based at
-    # a; when it is the only one, split off the spines instead.  A half
-    # that keeps degree >= 2 at the cut gets a probe of k+1 vertices.
-    a = cuts[0]
-    spines = [s.path for s in find_spines(g) if s.base == a]
-    on_spine = frozenset(x for path in spines for x in path)
-    side1 = _side(g, a, min(g.vertices - on_spine - {a}))
-    if side1 | on_spine | {a} == g.vertices:
-        assert len(spines) >= 2, "one other side needs two spines"
-        side1 = on_spine
-    g1, g2, build = _split(g, a, side1, lambda d: k + 1 if d >= 2 else 0)
-    return _Step("1.1", "split", (a,), (g1, g2), build)
+def _t2_blocks(g: Graph, k: int) -> _Step:
+    """Split, removal or base of the girth/chain descent.
 
-
-def _t2_remove(g: Graph):
-    f = remove_large_blocks(g)
-    if not f:
-        return None
-    args = tuple(x for e in sorted(f) for x in e)
-    return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
-
-
-def _t2_base_spines(g: Graph) -> _Step:
-    """Base of the girth/chain descent: pendant paths around one block.
-
-    Every cutpoint detaches a single pendant path; what remains is a
-    biconnected core.  The tree keeps every pendant path and spans the core
-    so that, when the core has interior vertices, one of them is a leaf.
+    All three read one block decomposition and one spine search of g.  The
+    lowest essential cutpoint splits g (case 1.1); with none left, the large
+    blocks are removed (case 1.2).  Otherwise every cutpoint detaches a
+    single pendant path and what remains is one biconnected core.  The base
+    tree keeps every pendant path and spans the core so that, when the core
+    has interior vertices, one of them is a leaf.
     """
-    sp = find_spines(g)
-    spine_vertices = set()
-    spine_edges = set()
-    for s in sp:
-        spine_vertices.update(s.path)
-        prev = s.base
-        for p in s.path:
-            spine_edges.add(norm_edge(prev, p))
-            prev = p
-    core = g.induced(g.vertices - spine_vertices)
-    assert core.v >= 3 and core.is_connected
-    assert not decompose_blocks(core).cutpoints, "core is not biconnected"
-    bases = {s.base for s in sp}
-    interior = sorted(core.vertices - bases)
+    dec = decompose_blocks(g)
+    spines = find_spines(g)
+    ess = _essential_cutpoints(g, dec, spines)
+    cuts = [x for x in sorted(ess) if g.degree(x) >= 3]
+    if cuts:
+        # split off the lowest component of g - a that is not a spine based
+        # at a; when it is the only one, split off the spines instead.  A
+        # half that keeps degree >= 2 at the cut gets a probe of k+1 vertices.
+        a = cuts[0]
+        at_a = [s.path for s in spines if s.base == a]
+        on_a = frozenset(x for path in at_a for x in path)
+        side1 = _side(g, a, min(g.vertices - on_a - {a}))
+        if side1 | on_a | {a} == g.vertices:
+            assert len(at_a) >= 2, "one other side needs two spines"
+            side1 = on_a
+        g1, g2, build = _split(g, a, side1, lambda d: k + 1 if d >= 2 else 0)
+        return _Step("1.1", "split", (a,), (g1, g2), build)
+    assert not ess, "only degree-2 essential cutpoints found"
+    # remove_large_blocks returns no edge exactly when no block is large
+    if any(b.is_large for b in dec.blocks):
+        f = remove_large_blocks(g)
+        args = tuple(x for e in sorted(f) for x in e)
+        return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
+    on_spine = frozenset(x for s in spines for x in s.path)
+    cores = [b for b in dec.blocks if not b.vertices & on_spine]
+    assert len(cores) == 1 and len(cores[0].vertices) >= 3, "core is not one block"
+    (block,) = cores
+    assert block.vertices | on_spine == g.vertices, "core and spines miss a vertex"
+    # every cutpoint in the core block is a spine base, so the core's
+    # interior is the block's
+    core = g.induced(block.vertices)
+    interior = sorted(block.interior)
     if interior:
         u0 = interior[0]
         rest = core.without_vertex(u0)
@@ -636,8 +629,9 @@ def _t2_base_spines(g: Graph) -> _Step:
         edges.add(norm_edge(u0, min(core.neighbors(u0))))
     else:
         edges = set(core.bfs_tree(min(core.vertices)))
-    t = spanning_tree(g, edges | spine_edges)
-    assert t.leaf_count >= len(sp) + (1 if interior else 0)
+    edges.update(norm_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
+    t = spanning_tree(g, edges)
+    assert t.leaf_count >= len(spines) + (1 if interior else 0)
     return _base("base-spines", t)
 
 
@@ -648,27 +642,23 @@ def _theorem2(gg: int, k: int) -> _Theorem:
         # hold on bare trees, so every tree is certified at g=3
         return bound_theorem2(g.v, 3 if case == "base-tree" else gg, k).value
 
-    cases = (
-        _t2_base_tree,
-        partial(_t2_base_short, k=k),
-        partial(_t2_split, k=k),
-        _t2_remove,
-        _t2_base_spines,
-    )
+    cases = (_t2_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
     return _Theorem(cases, need)
 
 
 def theorem2_girth(g: Graph, k: int, girth_floor: Optional[int] = None) -> int:
     """Check the inputs of a girth/chain descent and return its girth parameter.
 
-    k caps the chains of degree-2 vertices and must be at least 1.  The
-    girth parameter is the measured girth unless a girth_floor between 3 and
-    the measured girth is declared.  Acyclic graphs use 3, the only rate
-    that holds for all trees.
+    k caps the chains of degree-2 vertices and must be at least 1; a
+    girth_floor, when declared, must be an integer of at least 3.  The girth
+    parameter is the measured girth unless a floor up to it is declared.
+    Acyclic graphs use 3, the only rate that holds for all trees.
     """
     _require_input(g, "the girth/chain descent")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidParamsError(f"k must be an integer >= 1, got {k!r}")
+    if girth_floor is not None and (type(girth_floor) is not int or girth_floor < 3):
+        raise InvalidParamsError(f"girth_floor must be None or an integer >= 3, got {girth_floor!r}")
     ell = chain_metric(g)
     if ell > k:
         raise ChainTooLongError(f"chain of {ell} degree-2 vertices exceeds k={k}")
@@ -677,7 +667,7 @@ def theorem2_girth(g: Graph, k: int, girth_floor: Optional[int] = None) -> int:
         return 3
     if girth_floor is None:
         return measured
-    if girth_floor < 3 or girth_floor > measured:
+    if girth_floor > measured:
         raise InvalidParamsError(f"girth_floor {girth_floor} not in [3, measured {measured}]")
     return girth_floor
 

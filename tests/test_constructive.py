@@ -2,12 +2,15 @@ import inspect
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
 from leafspan import (
+    CYCLE_SPINE_DENSE,
     BoundNotMetError,
     ChainTooLongError,
+    FamilySpec,
     Graph,
     InvalidParamsError,
     NotConnectedError,
@@ -23,6 +26,7 @@ from leafspan import (
     gen_cycle_spine,
     gen_triangle_tree,
     girth,
+    glue_extremal_chain,
     partition_uwxy,
     remove_large_blocks,
     replay_trace,
@@ -142,6 +146,13 @@ def test_theorem2_validation():
         construct_theorem2(Graph.complete(4), 1, girth_floor=7)
     with pytest.raises(InvalidParamsError):
         construct_theorem2(Graph.complete(4), 1, girth_floor=2)
+    # a bad floor is refused on trees too, although trees never use it
+    for floor in (-5, 0, 2, True, "4", 4.0):
+        for g in (Graph.star(3), Graph.complete(4)):
+            with pytest.raises(InvalidParamsError, match="girth_floor"):
+                construct_theorem2(g, 1, girth_floor=floor)
+    t, _ = construct_theorem2(Graph.star(3), 1, girth_floor=9)
+    assert t.leaf_count == 3
 
 
 def test_girth_floor_weakens_bound():
@@ -309,6 +320,58 @@ def test_degree2_step_decomposes_no_blocks(monkeypatch):
     t, tr = construct_theorem1(g)
     assert replay_trace(g, tr) == t
     assert calls == []
+
+
+def test_girth_chain_step_reads_one_decomposition(monkeypatch):
+    # one block decomposition and one spine search answer a node's split,
+    # removal and base questions; the removal search runs at 1.2 steps only,
+    # and decomposes its result once to check it
+    import leafspan.constructive as constructive
+
+    calls = Counter()
+    for name in ("decompose_blocks", "find_spines", "remove_large_blocks"):
+
+        def counted(g, name=name, real=getattr(constructive, name)):
+            calls[name] += 1
+            return real(g)
+
+        monkeypatch.setattr(constructive, name, counted)
+    chain = glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 5)
+    for g in (gen_triangle_tree(10), chain, Graph.petersen()):
+        k, _ = _t2_params(g)
+        calls.clear()
+        t, tr = construct_theorem2(g, k)
+        cases = Counter(n.case for n in tr.preorder())
+        blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"]
+        expected = Counter(
+            decompose_blocks=blocked + cases["1.2"],
+            find_spines=blocked,
+            remove_large_blocks=cases["1.2"],
+        )
+        assert calls == expected
+        calls.clear()
+        assert replay_trace(g, tr, theorem=2, k=k) == t
+        assert calls == expected
+    assert cases["1.2"] > 0  # the Petersen graph removes large blocks
+
+
+def test_small_core_base_builds_no_graph(monkeypatch):
+    # a star or a double star is its own spanning tree, found without
+    # building the core that would be left once its pendants are gone
+    star = Graph.star(50)
+    double = Graph.build([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+    built = []
+    real = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.v)
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for g in (star, double):
+        t, tr = construct_theorem1(g)
+        assert tr.base_kinds == ("base-small-core",) and t.tree_edges == g.edges
+    assert built == []
 
 
 def test_descent_builds_one_graph_per_step(monkeypatch):
