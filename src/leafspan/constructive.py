@@ -159,8 +159,8 @@ class _Step(NamedTuple):
 
 
 class _Theorem(NamedTuple):
-    """Case functions, tried in order until one returns a _Step rather than
-    None, and need(g, case): the leaves a node's tree must reach."""
+    """Case functions case(g, rec), rec the node's TraceNode on replay else None, tried
+    in order until one returns a _Step; need(g, case): the leaves its tree must reach."""
 
     cases: tuple
     need: Callable
@@ -196,7 +196,7 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None,
         if collect is not None:
             collect.append((depth, g))
         for case in theorem.cases:
-            step = case(g)
+            step = case(g, rec)
             if step is not None:
                 break
         derived = (step.case, step.op, step.args)
@@ -311,12 +311,12 @@ def _require_input(g: Graph, what: str) -> None:
 # -- degree-structure descent ----------------------------------------------
 
 
-def _t1_base_edge(g: Graph):
+def _t1_base_edge(g: Graph, rec):
     if g.v == 2:
         return _base("base-edge", spanning_tree(g, g.edges))
 
 
-def _t1_degree2(g: Graph):
+def _t1_degree2(g: Graph, rec):
     a = next((x for x in g.sorted_vertices if g.degree(x) == 2), None)
     if a is None:
         return None
@@ -348,7 +348,7 @@ def _t1_degree2(g: Graph):
     return _Step("1", "contract", (x, y), (child,), build)
 
 
-def _t1_base_core(g: Graph):
+def _t1_base_core(g: Graph, rec):
     # with no degree-2 vertex left, no pendant means a mindeg-3 core: solve
     # it directly and certify the v/4 + 2 bound
     if g.min_degree < 3:
@@ -363,7 +363,7 @@ def _t1_base_core(g: Graph):
     return _base(case, t)
 
 
-def _t1_core_cut(g: Graph):
+def _t1_core_cut(g: Graph, rec):
     core = [x for x in g.vertices if g.degree(x) > 1]
     if len(core) <= 2:
         # star or double star: the graph is its own spanning tree
@@ -383,7 +383,7 @@ def _t1_core_cut(g: Graph):
     return _Step("2", "split", (a,), (g1, g2), build)
 
 
-def _t1_extend(g: Graph):
+def _t1_extend(g: Graph, rec):
     # the core is biconnected from here on
     for a in g.sorted_vertices:
         if g.degree(a) > 3:
@@ -400,7 +400,7 @@ def _t1_extend(g: Graph):
                 return _Step("3", "extend", (a, b), (h,), build)
 
 
-def _t1_heavy_edge(g: Graph):
+def _t1_heavy_edge(g: Graph, rec):
     for x, y in g.sorted_edges:
         if g.degree(x) >= 4 and g.degree(y) >= 4:
             sub = g.without_edge(x, y)
@@ -409,7 +409,7 @@ def _t1_heavy_edge(g: Graph):
             return _Step("4", "delete", (x, y), (sub,), _keep_edges(g))
 
 
-def _t1_lemma5(g: Graph):
+def _t1_lemma5(g: Graph, rec):
     part = partition_uwxy(g)
     violation = check_lemma5_structure(g, part)
     assert violation is None, f"descent exhausted cases yet {violation}"
@@ -459,23 +459,33 @@ def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
     return True
 
 
+def _removal_fault(g: Graph, f: frozenset) -> Optional[str]:
+    """The first postcondition of large-block removal that g - f breaks, or None."""
+    reduced = g.without_edges(f)
+    if not reduced.is_connected:
+        return "disconnects the graph"
+    if any(b.is_large for b in decompose_blocks(reduced).blocks):
+        return "leaves a large block"
+    return None if _chain_condition_holds(g, reduced) else "breaks the chain condition"
+
+
 def remove_large_blocks(g: Graph) -> frozenset:
-    """Smallest edge set whose removal leaves no large blocks.
+    """An edge set, not always the smallest, whose removal leaves no large blocks.
 
     The returned set keeps the graph connected and never manufactures an
-    adjacent pair of new degree-2 vertices.  Search is iterative deepening
-    on the set size with memoized dead states; exhausting it would mean the
-    guarantee this implements is wrong, hence the hard error.
+    adjacent pair of new degree-2 vertices.  One exhaustive depth-first
+    search with memoized dead states looks for it; exhausting the search
+    would mean the guarantee this implements is wrong, hence the hard error.
 
     A search node removes one more non-bridge edge.  Any connectivity-
     preserving removal set can be ordered so that each edge is a non-bridge
     at its turn, so this loses no solutions.  Candidates come block by
     block, large blocks first and the biggest of them first; within a block,
-    edges whose endpoints keep degree at least 3 go first, which is a
-    heuristic only.  The search runs on g relabelled to 0..n-1 in sorted-id
-    order, with one lowpoint_blocks pass per node and each removed set held
-    as a bitmask over the sorted edge list.  The relabelling is monotone, so
-    every tie breaks as it would on g's own ids.
+    edges with both ends of degree 2 go first, then edges whose ends keep
+    degree above 3, which is a heuristic only.  The search runs on g
+    relabelled to 0..n-1 in sorted-id order, one lowpoint_blocks pass per
+    node, each removed set a bitmask over the sorted edges; the monotone
+    relabelling breaks every tie as g's own ids would.
     """
     require_connected(g, "remove_large_blocks")
     if g.v <= 2:
@@ -506,14 +516,12 @@ def remove_large_blocks(g: Graph) -> frozenset:
         return True
 
     def rank(eid):
-        a, b = ends[eid]
-        return eid if len(adj[a]) > 3 and len(adj[b]) > 3 else eid + m
+        da, db = (len(adj[x]) for x in ends[eid])
+        return eid + m * (0 if da == db == 2 else 1 if da > 3 and db > 3 else 2)
 
-    if not blocks_by_size()[0]:
-        return frozenset()
-
-    max_size = g.e - (g.v - 1)
-    failed: set = set()  # removed bitmasks this round searched in vain
+    # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic
+    # number; a set's budget left is that less its size, however it is reached
+    failed: set = set()  # removed bitmasks searched in vain
 
     def search(removed: int, budget: int):
         # a set in failed was checked below and found wanting, so looking
@@ -547,40 +555,40 @@ def remove_large_blocks(g: Graph) -> frozenset:
         failed.add(removed)
         return None
 
-    for size in range(1, max_size + 1):
-        # a round meets each set with budget size - |set|, always more than
-        # an earlier round gave it, so earlier failures prune nothing here
-        failed.clear()
-        got = search(0, size)
-        if got is not None:
-            f = frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
-            reduced = g.without_edges(f)
-            if not (
-                reduced.is_connected
-                and not any(b.is_large for b in decompose_blocks(reduced).blocks)
-                and _chain_condition_holds(g, reduced)
-            ):
-                raise AssertionError(f"removal set {sorted(f)} misses its postconditions")
-            return f
-    raise SearchExhaustedError(
-        f"no valid removal set up to {max_size} edges; this should be impossible"
-    )
+    got = search(0, g.e - g.v + 1)
+    if got is None:
+        raise SearchExhaustedError("no valid removal set; this should be impossible")
+    f = frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
+    if fault := _removal_fault(g, f):
+        raise AssertionError(f"removal set {sorted(f)} {fault}")
+    return f
+
+
+def _recorded_removal(g: Graph, rec: TraceNode) -> frozenset:
+    """The sorted edge list of a recorded 1.2 step, checked instead of searched for."""
+    f = frozenset(zip(rec.args[::2], rec.args[1::2]))
+    listed = not len(rec.args) % 2 and f and f <= g.edges
+    if not listed or tuple(x for e in sorted(f) for x in e) != rec.args:
+        raise InvalidParamsError(f"trace mismatch: recorded {rec.line()}, replay needs a 1.2 edge list")
+    if fault := _removal_fault(g, f):
+        raise InvalidParamsError(f"trace mismatch: recorded 1.2 set {sorted(f)} {fault}")
+    return f
 
 
 # -- girth/chain descent ----------------------------------------------------
 
 
-def _t2_base_tree(g: Graph):
+def _t2_base_tree(g: Graph, rec):
     if g.is_tree:
         return _base("base-tree", spanning_tree(g, g.edges))
 
 
-def _t2_base_short(g: Graph, k: int):
+def _t2_base_short(g: Graph, rec, k: int):
     if g.v - k - 2 <= 0:
         return _base("base-short", spanning_tree(g, g.bfs_tree(min(g.vertices))))
 
 
-def _t2_blocks(g: Graph, k: int) -> _Step:
+def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     """Split, removal or base of the girth/chain descent.
 
     All three read one block decomposition and one spine search of g.  The
@@ -608,9 +616,9 @@ def _t2_blocks(g: Graph, k: int) -> _Step:
         g1, g2, build = _split(g, a, side1, lambda d: k + 1 if d >= 2 else 0)
         return _Step("1.1", "split", (a,), (g1, g2), build)
     assert not ess, "only degree-2 essential cutpoints found"
-    # remove_large_blocks returns no edge exactly when no block is large
+    # a large block means a non-empty removal set; replay checks the recorded one
     if any(b.is_large for b in dec.blocks):
-        f = remove_large_blocks(g)
+        f = remove_large_blocks(g) if rec is None else _recorded_removal(g, rec)
         args = tuple(x for e in sorted(f) for x in e)
         return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
     on_spine = frozenset(x for s in spines for x in s.path)
@@ -695,10 +703,12 @@ def replay_trace(
 ) -> SpanningTree:
     """Re-run a recorded descent, checking every step against the record.
 
-    The inputs are checked exactly as construction checks them.  Returns
-    the reproduced tree; raises InvalidParams on the first step that
-    disagrees with the trace.  collect, when a list, receives (depth, graph)
-    pairs in preorder, one per descent node.
+    The inputs are checked exactly as construction checks them.  A recorded
+    large-block removal (case 1.2) is checked against the postconditions of
+    remove_large_blocks, not searched for again.  Returns the reproduced
+    tree; raises InvalidParams on the first step that disagrees with the
+    trace.  collect, when a list, receives (depth, graph) pairs in preorder,
+    one per descent node.
     """
     if theorem == 1:
         _require_input(g, "replay_trace")

@@ -169,7 +169,8 @@ def brute_girth(g: Graph):
 
 
 # The Graph-level removal search that remove_large_blocks replaced with an
-# index kernel, kept verbatim as the reference the kernel must agree with.
+# index kernel, kept verbatim.  It finds a smallest valid set; the library's
+# set may be larger, never smaller.
 
 
 def _large_blocks(g: Graph):
