@@ -25,7 +25,7 @@ from .blocks import (
     index_adjacency,
     lowpoint_blocks,
 )
-from .bounds import bound_kw, bound_theorem1, bound_theorem2
+from .bounds import bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
@@ -179,7 +179,7 @@ def _base(case: str, t: SpanningTree) -> _Step:
 
 
 def _keep_edges(g: Graph):
-    """Build of a deletion step: the child's tree edges span g as well, with
+    """Lift a tree of g less some edges to g: its edges span g as well, with
     the same vertices and so the same leaves."""
     return lambda t_sub: SpanningTree(g, t_sub.tree_edges, t_sub.leaf_count)
 
@@ -302,6 +302,14 @@ def _rejoin(g: Graph, a: int, tip1: int, tip2: int) -> Callable:
     return build
 
 
+def _base_tree(g: Graph, rec):
+    # a descent node is connected, so with v - 1 edges it is its own only
+    # spanning tree.  Its L leaves and T3 vertices of degree 3 or more have
+    # L >= T3 + 2, so L meets the s-count bound (L + T3 - 2)/4 + 2
+    if g.e == g.v - 1:
+        return _base("base-tree", spanning_tree(g, g.edges))
+
+
 def _require_input(g: Graph, what: str) -> None:
     require_connected(g, what)
     if g.v < 2:
@@ -309,11 +317,6 @@ def _require_input(g: Graph, what: str) -> None:
 
 
 # -- degree-structure descent ----------------------------------------------
-
-
-def _t1_base_edge(g: Graph, rec):
-    if g.v == 2:
-        return _base("base-edge", spanning_tree(g, g.edges))
 
 
 def _t1_degree2(g: Graph, rec):
@@ -349,27 +352,26 @@ def _t1_degree2(g: Graph, rec):
 
 
 def _t1_base_core(g: Graph, rec):
-    # with no degree-2 vertex left, no pendant means a mindeg-3 core: solve
-    # it directly and certify the v/4 + 2 bound
+    # with no degree-2 vertex left, no pendant means a mindeg-3 core, whose
+    # tree needs (v - 2)/4 + 2 leaves as s = v.  greedy_leafy, which seeds
+    # exact_mlst, has them.  It only expands leaves, and with N tree vertices,
+    # L leaves and D dead ones (no neighbour outside the tree), 3L + D - N
+    # never falls: an expansion onto k >= 2 vertices adds k - 1 leaves.  One
+    # onto a single y makes y or another leaf at y dead when y has at most one
+    # outside neighbour (no leaf had two, and y has degree 3 or more); else y
+    # is the unique maximum, expanded next, and the pair adds k_y - 1 leaves
+    # for k_y + 1 vertices.  The root, of maximum degree d, starts the sum at
+    # 2d - 1 or more and it ends at 4L - v: so 4L >= v + 7 when d >= 4, and a
+    # cubic core has v even and 4L >= v + 6.
     if g.min_degree < 3:
         return None
     if g.v <= EXACT_BASE_LIMIT:
-        t, case = exact_mlst(g).witness, "base-core-exact"
-    else:
-        t, case = greedy_leafy(g), "base-core-greedy"
-    need = bound_kw(g.v).value
-    if t.leaf_count < need:
-        raise BoundNotMetError(f"{case}: {t.leaf_count} leaves < {need} at v={g.v}")
-    return _base(case, t)
+        return _base("base-core-exact", exact_mlst(g).witness)
+    return _base("base-core-greedy", greedy_leafy(g))
 
 
 def _t1_core_cut(g: Graph, rec):
-    core = [x for x in g.vertices if g.degree(x) > 1]
-    if len(core) <= 2:
-        # star or double star: the graph is its own spanning tree
-        assert g.is_tree
-        return _base("base-small-core", spanning_tree(g, g.edges))
-    h = g.induced(core)  # g without its pendants
+    h = g.induced([x for x in g.vertices if g.degree(x) > 1])  # g without its pendants
     h_cuts = decompose_blocks(h).cutpoints
     if not h_cuts:
         return None
@@ -419,16 +421,17 @@ def _t1_lemma5(g: Graph, rec):
     assert g.degree(a) == 3
     g_star = g.without_edge(w, x_other)
     comp = _side(g_star, a, w)
+    keep = _keep_edges(g)
 
     def build(t_sub: SpanningTree) -> SpanningTree:
-        return spanning_tree(g, extend_tree_lemma3(t_sub, a, x, g_star).tree_edges)
+        return keep(extend_tree_lemma3(t_sub, a, x, g_star))
 
     return _Step("5", "extend", (w, x, x_other, a), (g_star.induced(comp),), build)
 
 
 _THEOREM1 = _Theorem(
     cases=(
-        _t1_base_edge,
+        _base_tree,
         _t1_degree2,
         _t1_base_core,
         _t1_core_cut,
@@ -578,11 +581,6 @@ def _recorded_removal(g: Graph, rec: TraceNode) -> frozenset:
 # -- girth/chain descent ----------------------------------------------------
 
 
-def _t2_base_tree(g: Graph, rec):
-    if g.is_tree:
-        return _base("base-tree", spanning_tree(g, g.edges))
-
-
 def _t2_base_short(g: Graph, rec, k: int):
     if g.v - k - 2 <= 0:
         return _base("base-short", spanning_tree(g, g.bfs_tree(min(g.vertices))))
@@ -650,7 +648,7 @@ def _theorem2(gg: int, k: int) -> _Theorem:
         # hold on bare trees, so every tree is certified at g=3
         return bound_theorem2(g.v, 3 if case == "base-tree" else gg, k).value
 
-    cases = (_t2_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
+    cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
     return _Theorem(cases, need)
 
 
@@ -710,15 +708,15 @@ def replay_trace(
     trace.  collect, when a list, receives (depth, graph) pairs in preorder,
     one per descent node.
     """
+    if type(theorem) is not int or theorem not in (1, 2):
+        raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
     if theorem == 1:
         _require_input(g, "replay_trace")
         spec = _THEOREM1
-    elif theorem == 2:
+    else:
         if k is None:
             raise InvalidParamsError("replay of the girth/chain descent needs k")
         spec = _theorem2(theorem2_girth(g, k, girth_floor), k)
-    else:
-        raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
     t, _ = _descend(g, spec, trace.root, collect)
     if t != trace.tree:
         raise InvalidParamsError("replay produced a different tree")

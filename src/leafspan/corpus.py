@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundReport, bound_theorem1, bound_theorem2
+from .bounds import BoundReport, _check_int, bound_theorem1, bound_theorem2
 from .constructive import construct_theorem1, construct_theorem2, replay_trace
 from .errors import InfeasibleError, InvalidParamsError
 from .exact import exact_mlst
@@ -51,8 +51,7 @@ def random_constrained_graph(
     handled by rejection.  Raises Infeasible once the attempt budget runs
     out, which is the expected outcome for contradictory parameters.
     """
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise InvalidParamsError(f"v must be an integer >= 1, got {v!r}")
+    _check_int("v", v, 1)
     if min_degree < 0 or min_degree > max(v - 1, 0):
         raise InvalidParamsError(f"min_degree {min_degree} out of range for v={v}")
     if girth_at_least < 3:
@@ -182,12 +181,12 @@ def verify_corpus(
     higher.  Instance i uses seed + 7919*i, so corpora are reproducible
     and extensible.
     """
-    if theorem not in (1, 2):
+    if type(theorem) is not int or theorem not in (1, 2):
         raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
     if mode not in ("exact", "construct"):
         raise InvalidParamsError(f"mode must be exact or construct, got {mode!r}")
-    if count < 1 or max_v < 2:
-        raise InvalidParamsError("count must be >= 1 and max_v >= 2")
+    _check_int("count", count, 1)
+    _check_int("max_v", max_v, 2)
     records = []
     for i in range(count):
         si = seed + SEED_STRIDE * i

@@ -147,6 +147,18 @@ def random_cubic(rng: random.Random, n: int) -> Graph:
                 return g
 
 
+def random_cubic_plus(rng: random.Random, n: int, chords: int) -> Graph:
+    """random_cubic(rng, n) with `chords` distinct extra edges, at most
+    n * (n - 4) / 2 of them: minimum degree 3 and, for chords >= 1, maximum
+    degree 4 or more."""
+    g = random_cubic(rng, n)
+    have = set(g.edges)
+    while len(have) < g.e + chords:
+        x, y = rng.sample(range(n), 2)
+        have.add((min(x, y), max(x, y)))
+    return Graph.build(have)
+
+
 def brute_girth(g: Graph):
     """Shortest cycle length: for each edge uv, the shortest u-v path without uv, plus 1."""
     adj = {x: set() for x in g.vertices}

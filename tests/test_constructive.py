@@ -38,6 +38,7 @@ from conftest import (
     connected_graphs,
     random_connected,
     random_cubic,
+    random_cubic_plus,
     random_sparse,
     remove_large_blocks_reference,
 )
@@ -53,7 +54,7 @@ def test_single_edge():
     g = Graph.build([(0, 1)])
     t, tr = construct_theorem1(g)
     assert validate(t) is None and t.leaf_count == 2
-    assert tr.base_kinds == ("base-edge",)
+    assert tr.base_kinds == ("base-tree",)
     t2, tr2 = construct_theorem2(g, 1)
     assert t2.leaf_count == 2
 
@@ -85,6 +86,19 @@ def test_large_cubic_core_is_solved_exactly():
         assert tr.base_kinds == ("base-core-exact",)
         assert replay_trace(g, tr, theorem=1).tree_edges == t.tree_edges
         assert t.leaf_count == exact_mlst(g).u_value >= bound_kw(v).value
+
+
+def test_large_mindeg3_cores_take_the_greedy_base():
+    # cores above the exact limit, cubic and of maximum degree 4 or more,
+    # certify in one greedy base step, which _t1_base_core proves sufficient
+    rng = random.Random(2712)
+    graphs = [random_cubic(rng, v) for v in range(28, 301, 8)]
+    graphs += [random_cubic_plus(rng, v, rng.randint(1, v)) for v in range(28, 301, 8)]
+    for g in graphs:
+        t, tr = construct_theorem1(g)
+        assert tr.lines() == ["case=base-core-greedy op=base args="]
+        assert validate(t) is None and t.leaf_count >= bound_theorem1(s_count(g)).value
+        assert replay_trace(g, tr, theorem=1) == t
 
 
 def test_exhaustive_small_theorem1():
@@ -264,11 +278,6 @@ def _ladder(rungs):
     return Graph.build(top + [(x + rungs, y + rungs) for x, y in top] + [(i, i + rungs) for i in range(rungs)])
 
 
-def _caterpillar(spine):
-    # a path with one pendant at every vertex
-    return Graph.build([(i, i + 1) for i in range(spine - 1)] + [(i, i + spine) for i in range(spine)])
-
-
 def _k4_chain(blocks):
     # copies of K4 in a row, each joined to the next by a path through two
     # degree-2 vertices
@@ -282,12 +291,20 @@ def _k4_chain(blocks):
     return Graph.build(edges)
 
 
+def _k4_run(n):
+    # two copies of K4, on 0..3 and 4..7, joined by a path from 3 to 4
+    # through n degree-2 vertices
+    k4 = [(x, y) for x in range(4) for y in range(4) if x < y]
+    path = [3, *range(8, 8 + n), 4]
+    return Graph.build(k4 + [(x + 4, y + 4) for x, y in k4] + list(zip(path, path[1:])))
+
+
 def test_descent_depth_does_not_use_the_call_stack():
-    # trace depth is 298 on the ladder, 98 on the caterpillar and
+    # trace depth is 298 on the ladder, 99 on the chain of K4s and
     # triangles-1 on the triangle tree, all beyond the recursion headroom
     # allowed here
     headroom = 60
-    cases = [(_ladder(150), 1), (_caterpillar(100), 1), (gen_triangle_tree(80), 2)]
+    cases = [(_ladder(150), 1), (_k4_chain(100), 1), (gen_triangle_tree(80), 2)]
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
     try:
@@ -316,9 +333,11 @@ def test_degree2_step_decomposes_no_blocks(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(constructive, "decompose_blocks", counted)
-    g = Graph.path(400)
-    t, tr = construct_theorem1(g)
-    assert replay_trace(g, tr) == t
+    # a cycle's vertex is no cutpoint, a chain's degree-2 vertices all are
+    for g, op in ((Graph.cycle(400), "delete"), (_k4_chain(50), "contract")):
+        t, tr = construct_theorem1(g)
+        assert replay_trace(g, tr) == t
+        assert {n.op for n in tr.preorder()} == {op, "base"}
     assert calls == []
 
 
@@ -357,11 +376,13 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
     assert cases["1.2"] > 0  # the Petersen graph removes large blocks
 
 
-def test_small_core_base_builds_no_graph(monkeypatch):
-    # a star or a double star is its own spanning tree, found without
-    # building the core that would be left once its pendants are gone
+def test_tree_base_builds_no_graph(monkeypatch):
+    # a tree is its own spanning tree, found without building the core that
+    # would be left once its pendants are gone, or the path a run of
+    # degree-2 vertices would contract to
     star = Graph.star(50)
     double = Graph.build([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+    path = Graph.path(400)
     built = []
     real = Graph.__post_init__
 
@@ -370,9 +391,9 @@ def test_small_core_base_builds_no_graph(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counted)
-    for g in (star, double):
+    for g in (star, double, path):
         t, tr = construct_theorem1(g)
-        assert tr.base_kinds == ("base-small-core",) and t.tree_edges == g.edges
+        assert tr.lines() == ["case=base-tree op=base args="] and t.tree_edges == g.edges
     assert built == []
 
 
@@ -398,50 +419,62 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 50, 10**5])
 def test_path_and_cycle_collapse_in_one_run_step(n):
-    # a path is one run of degree-2 cutpoints between its pendants; a cycle
-    # loses one edge and is then such a path
+    # a path is a tree, so one base step; a cycle loses one edge and is then
+    # a path.  Between two blocks, a run of n degree-2 cutpoints becomes one
+    # edge in one step
     g = Graph.path(n)
     t, tr = construct_theorem1(g)
-    assert tr.lines() == [f"case=1 op=contract args=0,{n - 1}", "case=base-edge op=base args="]
+    assert tr.lines() == ["case=base-tree op=base args="]
     assert replay_trace(g, tr) == t and t.leaf_count == 2
     g = Graph.cycle(n)
     t, tr = construct_theorem1(g)
-    assert len(tr.lines()) == 3 and tr.lines()[1] == "case=1 op=contract args=0,1"
+    assert tr.lines() == ["case=1 op=delete args=0,1", "case=base-tree op=base args="]
     assert replay_trace(g, tr) == t and t.leaf_count == 2
+    g = _k4_run(n)
+    t, tr = construct_theorem1(g)
+    assert tr.lines() == ["case=1 op=contract args=3,4", "case=base-core-exact op=base args="]
+    assert replay_trace(g, tr) == t and t.leaf_count == 6
 
 
 def test_barbell_and_spider_collapse_each_run_once():
-    # two triangles joined by a path of 20 vertices: once each triangle has
-    # lost an edge, the path and the triangle remnant at 3 form one run
+    # a K4 and a triangle joined by a path of 20 vertices: once the triangle
+    # has lost an edge, the path and the triangle remnant at 3 form one run
+    k4 = [(0, 1), (0, 2), (0, 26), (1, 2), (1, 26), (2, 26)]
     bar = [2, *range(6, 26), 3]
-    barbell = Graph.build([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *zip(bar, bar[1:])])
+    barbell = Graph.build(k4 + [(3, 4), (3, 5), (4, 5), *zip(bar, bar[1:])])
     t, tr = construct_theorem1(barbell)
     assert tr.lines() == [
-        "case=1 op=delete args=0,1",
         "case=1 op=delete args=4,3",
         "case=1 op=contract args=2,4",
-        "case=base-small-core op=base args=",
+        "case=3 op=extend args=0,2",
+        "case=1 op=delete args=1,2",
+        "case=base-tree op=base args=",
     ]
     assert t.leaf_count >= bound_theorem1(s_count(barbell)).value
     assert replay_trace(barbell, tr) == t
-    # four legs of 10 vertices at 0: each leg is one run
+    # four legs of 10 vertices at 0, a vertex of a K4: each leg is one run
     legs = [(0 if i % 10 == 1 else i - 1, i) for i in range(1, 41)]
-    spider = Graph.build(legs)
+    spider = Graph.build(legs + [(0, 41), (0, 42), (0, 43), (41, 42), (41, 43), (42, 43)])
     t, tr = construct_theorem1(spider)
     assert tr.lines() == [f"case=1 op=contract args=0,{tip}" for tip in (10, 20, 30, 40)] + [
-        "case=base-small-core op=base args="
+        "case=3 op=extend args=10,0",
+        "case=3 op=extend args=20,0",
+        "case=3 op=extend args=30,0",
+        "case=3 op=extend args=41,0",
+        "case=1 op=delete args=42,0",
+        "case=base-tree op=base args=",
     ]
-    assert t.leaf_count == 4 >= bound_theorem1(s_count(spider)).value
+    assert t.leaf_count == 6 >= bound_theorem1(s_count(spider)).value
     assert replay_trace(spider, tr) == t
 
 
 def test_replay_rejects_altered_run_ends():
     import dataclasses
 
-    g = Graph.path(10)
+    g = _k4_run(6)
     _, tr = construct_theorem1(g)
-    assert tr.root.args == (0, 9)
-    for args in ((0, 8), (1, 9), (9, 0), (0,)):
+    assert tr.root.args == (3, 4)
+    for args in ((3, 5), (2, 4), (4, 3), (3,)):
         bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=args))
         with pytest.raises(InvalidParamsError, match="trace mismatch"):
             replay_trace(g, bad)
@@ -469,7 +502,7 @@ def test_every_case_runs():
         assert validate(t) is None and t.leaf_count >= bound_theorem1(s_count(g)).value
         assert replay_trace(g, tr, theorem=1) == t
         seen1 |= {n.case for n in tr.preorder()}
-    cases1 = {"base-edge", "base-small-core", "base-core-exact", "base-core-greedy"}
+    cases1 = {"base-tree", "base-core-exact", "base-core-greedy"}
     assert seen1 == cases1 | {"1", "2", "3", "4", "5"}
 
     # the cubic graph stays out: its removal search is the known slow case
@@ -509,8 +542,9 @@ def test_replay_checks_recorded_removal_set(alter, why):
 def test_replay_rejects_unknown_theorem():
     g = Graph.cycle(5)
     _, tr = construct_theorem1(g)
-    with pytest.raises(InvalidParamsError, match="theorem must be 1 or 2"):
-        replay_trace(g, tr, theorem=3)
+    for theorem in (3, True, 1.0, "1"):
+        with pytest.raises(InvalidParamsError, match="theorem must be 1 or 2"):
+            replay_trace(g, tr, theorem=theorem)
 
 
 def test_replay_rejects_swapped_tree():

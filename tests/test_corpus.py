@@ -123,3 +123,10 @@ def test_verify_corpus_validation():
         verify_corpus(1, count=1, max_v=1)
     with pytest.raises(InvalidParamsError):
         verify_corpus(1, count=1, max_v=5, mode="guess")
+    # bools and non-integers are refused, not read as 1 or passed to range
+    bad = [(True, 2, 5), (1.0, 2, 5), ("1", 2, 5)]
+    bad += [(1, 2.5, 5), (1, True, 5), (1, 2, 5.0), (1, 2, True)]
+    for theorem, count, max_v in bad:
+        with pytest.raises(InvalidParamsError) as info:
+            verify_corpus(theorem, count, max_v)
+        assert type(info.value) is InvalidParamsError

@@ -8,8 +8,10 @@ from leafspan import (
     InvalidParamsError,
     NotConnectedError,
     bound_kw,
+    bound_theorem1,
     exact_mlst,
     greedy_leafy,
+    s_count,
 )
 from leafspan.trees import validate
 from conftest import (
@@ -18,6 +20,7 @@ from conftest import (
     greedy_leafy_reference,
     random_connected,
     random_cubic,
+    random_cubic_plus,
 )
 
 
@@ -131,6 +134,29 @@ def test_greedy_is_a_valid_lower_bound():
         t = greedy_leafy(g)
         assert validate(t) is None
         assert t.leaf_count <= exact_mlst(g).u_value
+
+
+def test_greedy_meets_the_leaf_potential_on_mindeg3_graphs():
+    # 3L + D - N never falls along greedy's expansions (see _t1_base_core in
+    # constructive.py), so minimum degree 3 and maximum degree d give
+    # 4L - v >= 2d - 1, and so the s-count bound (v - 2)/4 + 2
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        Graph.build(a.edges())
+        for a in nx.graph_atlas_g()
+        if len(a) >= 4 and min(d for _, d in a.degree()) >= 3 and nx.is_connected(a)
+    ]
+    assert len(graphs) > 100
+    rng = random.Random(3303)
+    for v in range(4, 121, 2):
+        graphs += [random_cubic(rng, v) for _ in range(6)]
+        # a cubic graph on v >= 6 vertices leaves room for v chords
+        graphs += [random_cubic_plus(rng, v, rng.randint(1, v)) for _ in range(6) if v >= 6]
+    for g in graphs:
+        t = greedy_leafy(g)
+        d = max(g.degree(x) for x in g.vertices)
+        assert 4 * t.leaf_count - g.v >= 2 * d - 1, g.sorted_edges
+        assert t.leaf_count >= bound_theorem1(s_count(g)).value
 
 
 def test_greedy_deterministic():

@@ -24,7 +24,7 @@ from leafspan import (
     serialize_tree,
 )
 
-DIGEST = "e3165376a14130903371ea0e1c107968a88ea2b6ef9499bd606ef8090a1350e0"
+DIGEST = "9799b698fa43488b36ae3b23540f68b327ca3ed8af3eb03e7f43316e1f102832"
 
 
 def _golden_graphs():
