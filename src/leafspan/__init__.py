@@ -55,7 +55,6 @@ from .errors import (
     NotALeafError,
     NotConnectedError,
     ParseError,
-    PreconditionViolatedError,
     SearchExhaustedError,
     SelfLoopError,
 )
@@ -93,7 +92,6 @@ from .graph_io import (
 )
 from .trees import (
     SpanningTree,
-    extend_tree_lemma3,
     spanning_tree,
 )
 
@@ -124,7 +122,6 @@ __all__ = [
     "NotALeafError",
     "NotConnectedError",
     "ParseError",
-    "PreconditionViolatedError",
     "SearchExhaustedError",
     "SelfLoopError",
     "SpanningTree",
@@ -146,7 +143,6 @@ __all__ = [
     "essential_cutpoints",
     "exact_mlst",
     "export_dot",
-    "extend_tree_lemma3",
     "find_spines",
     "from_spec",
     "gamma",

@@ -13,6 +13,7 @@ means the implementation (not the input) is wrong.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .exact import exact_mlst, greedy_leafy
 from .graph import Graph, chain_metric, girth, norm_edge, require_connected, s_count
-from .trees import SpanningTree, extend_tree_lemma3, spanning_tree
+from .trees import SpanningTree, check_valid, spanning_tree
 
 EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
 
@@ -385,8 +386,46 @@ def _t1_core_cut(g: Graph, rec):
     return _Step("2", "split", (a,), (g1, g2), build)
 
 
+def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
+    """Build of a lemma-3 step: lift a tree of h, the component of g - a
+    that holds a's neighbour b, to g.
+
+    The edge ab joins a to the tree, and every other component of g - a
+    hangs below a from its lowest neighbour of a by a breadth-first tree.
+    b is a cutpoint of h, so it is internal in h's tree and the lift gains
+    a leaf: either a ends up pendant, or each other component brings one.
+    """
+
+    def build(t_sub: SpanningTree) -> SpanningTree:
+        check_valid(t_sub, "lemma 3")
+        es = set(t_sub.tree_edges)
+        es.add(norm_edge(a, b))
+        seen = set(h.vertices) | {a}
+        for x in g.neighbors(a):
+            if x in seen:
+                continue
+            # x is the lowest neighbour of a in a new component of g - a
+            es.add(norm_edge(a, x))
+            seen.add(x)
+            queue = deque([x])
+            while queue:
+                cur = queue.popleft()
+                for nb in g.neighbors(cur):
+                    if nb not in seen:
+                        seen.add(nb)
+                        es.add(norm_edge(cur, nb))
+                        queue.append(nb)
+        t = spanning_tree(g, es)
+        assert t.leaf_count >= t_sub.leaf_count + 1, "extension failed to gain a leaf"
+        return t
+
+    return build
+
+
 def _t1_extend(g: Graph, rec):
-    # the core is biconnected from here on
+    # the core is biconnected from here on.  A vertex a of degree at most 3
+    # with a neighbour b that is a cutpoint of its component h of g - a
+    # reduces g to h, and lemma 3 lifts h's tree back with one more leaf
     for a in g.sorted_vertices:
         if g.degree(a) > 3:
             continue
@@ -398,8 +437,7 @@ def _t1_extend(g: Graph, rec):
                 cuts = decompose_blocks(h).cutpoints
                 comps.append((h, cuts))
             if b in cuts:
-                build = partial(extend_tree_lemma3, a=a, b=b, g=g)
-                return _Step("3", "extend", (a, b), (h,), build)
+                return _Step("3", "extend", (a, b), (h,), _lemma3(g, a, b, h))
 
 
 def _t1_heavy_edge(g: Graph, rec):
@@ -419,14 +457,12 @@ def _t1_lemma5(g: Graph, rec):
     x, x_other = sorted(nb for nb in g.neighbors(w) if nb in part.X)
     a = min(nb for nb in g.neighbors(x) if nb != w)
     assert g.degree(a) == 3
+    # dropping w x_other leaves x a cutpoint of the component h of g* - a
+    # that holds w, so lemma 3 lifts h's tree to g*, whose tree spans g too
     g_star = g.without_edge(w, x_other)
-    comp = _side(g_star, a, w)
-    keep = _keep_edges(g)
-
-    def build(t_sub: SpanningTree) -> SpanningTree:
-        return keep(extend_tree_lemma3(t_sub, a, x, g_star))
-
-    return _Step("5", "extend", (w, x, x_other, a), (g_star.induced(comp),), build)
+    h = g_star.induced(_side(g_star, a, w))
+    keep, lift = _keep_edges(g), _lemma3(g_star, a, x, h)
+    return _Step("5", "extend", (w, x, x_other, a), (h,), lambda t_sub: keep(lift(t_sub)))
 
 
 _THEOREM1 = _Theorem(

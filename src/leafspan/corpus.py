@@ -52,12 +52,11 @@ def random_constrained_graph(
     out, which is the expected outcome for contradictory parameters.
     """
     _check_int("v", v, 1)
-    if min_degree < 0 or min_degree > max(v - 1, 0):
+    if _check_int("min_degree", min_degree, 0) > max(v - 1, 0):
         raise InvalidParamsError(f"min_degree {min_degree} out of range for v={v}")
-    if girth_at_least < 3:
-        raise InvalidParamsError("girth floor below 3 is meaningless")
-    if ell_at_most is not None and ell_at_most < 0:
-        raise InvalidParamsError("ell_at_most must be >= 0")
+    _check_int("girth_at_least", girth_at_least, 3)
+    if ell_at_most is not None:
+        _check_int("ell_at_most", ell_at_most, 0)
     if v == 1:
         return Graph.build([], isolated=[0])
 

@@ -25,10 +25,6 @@ class NotALeafError(LeafspanError, ValueError):
     """A tree vertex expected to be a leaf is internal."""
 
 
-class PreconditionViolatedError(LeafspanError, ValueError):
-    """A structural precondition failed; the message names the clause."""
-
-
 class ChainTooLongError(LeafspanError, ValueError):
     """The graph's longest degree-2 chain exceeds the declared limit."""
 

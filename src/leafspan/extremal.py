@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bounds import _check_int
 from .errors import InvalidParamsError
 from .graph import Graph, chain_metric, contract_edge, girth, glue
 
@@ -29,8 +30,7 @@ class FamilySpec:
     chain_count: int = 1
 
     def __post_init__(self):
-        if self.chain_count < 1:
-            raise InvalidParamsError("chain_count must be >= 1")
+        _check_int("chain_count", self.chain_count, 1)
         if self.kind == TRIANGLE_TREE:
             if self.n is None or self.n < 1:
                 raise InvalidParamsError("triangle tree needs n >= 1")
@@ -144,8 +144,7 @@ def glue_extremal_chain(base: FamilySpec, copies: int) -> Graph:
     drop by k+2 per junction relative to the disjoint union, and the bound
     stays exactly attained.
     """
-    if copies < 1:
-        raise InvalidParamsError("copies must be >= 1")
+    _check_int("copies", copies, 1)
     piece = _gen_base(base)
     fold = (base.k + 1) if base.k is not None else 1
     out = piece

@@ -1,13 +1,12 @@
-"""Spanning trees as explicit certificates: validation and the one-leaf-gaining
-extension across a cut vertex.  The degree-2 step of the s-count descent
-lifts trees by swapping one edge for the run of bridges it stands for."""
+"""Spanning trees as explicit certificates: an edge set packaged with its
+leaf count, and validation.  The descents lift their children's trees to
+each step's graph with builds of their own."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import decompose_blocks
-from .errors import InvalidParamsError, PreconditionViolatedError
+from .errors import InvalidParamsError
 from .graph import Graph, norm_edge
 
 
@@ -70,42 +69,3 @@ def check_valid(t: SpanningTree, context: str = "tree") -> None:
     if problem is not None:
         raise InvalidParamsError(f"{context}: invalid spanning tree ({problem})")
 
-
-def extend_tree_lemma3(
-    t_prime: SpanningTree, a: int, b: int, g: Graph
-) -> SpanningTree:
-    """Grow a spanning tree of the component of g - a containing b to all of g.
-
-    The edge ab joins a to the given tree and every other component of g - a
-    is hung below a with a breadth-first subtree.  Because b is a cutpoint of
-    its component it is internal in t_prime, so the result has at least one
-    more leaf than t_prime: either a itself ends up pendant, or every extra
-    component contributes a leaf of its own.
-    """
-    if a not in g.vertices or b not in g.vertices:
-        raise PreconditionViolatedError("vertices: a and b must lie in g")
-    if not g.has_edge(a, b):
-        raise PreconditionViolatedError("adjacent: a and b must be adjacent in g")
-    rest = g.without_vertex(a)
-    comp_b = next((c for c in rest.components if b in c), None)
-    if comp_b is None or t_prime.host != g.induced(comp_b):
-        raise PreconditionViolatedError(
-            "component: t_prime's host must be the component of g - a containing b"
-        )
-    if b not in decompose_blocks(t_prime.host).cutpoints:
-        raise PreconditionViolatedError(
-            "cutpoint: b must be a cutpoint of its component"
-        )
-    check_valid(t_prime, "extend_tree_lemma3")
-    es = set(t_prime.tree_edges)
-    es.add(norm_edge(a, b))
-    for comp in rest.components:
-        if comp == comp_b:
-            continue
-        attach = min(x for x in comp if g.has_edge(a, x))
-        es.add(norm_edge(a, attach))
-        es |= g.induced(comp).bfs_tree(attach)
-    out = spanning_tree(g, es)
-    if out.leaf_count < t_prime.leaf_count + 1:
-        raise AssertionError("extension failed to gain a leaf; construction bug")
-    return out

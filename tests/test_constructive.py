@@ -468,6 +468,27 @@ def test_barbell_and_spider_collapse_each_run_once():
     assert replay_trace(spider, tr) == t
 
 
+def test_extension_hangs_every_other_component_below_a():
+    # g - 0 has two components: the extension lifts the tree of the one
+    # holding 2 and hangs the pendant 10 below 0
+    g = Graph.build([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 10), (1, 11), (2, 12)])
+    assert len(g.without_vertex(0).components) == 2
+    t, tr = construct_theorem1(g)
+    assert tr.lines()[0] == "case=3 op=extend args=0,2"
+    assert validate(t) is None and (0, 10) in t.tree_edges
+    assert t.leaf_count >= bound_theorem1(s_count(g)).value
+    assert replay_trace(g, tr) == t
+    # a K4 whose vertex 30 carries the pendants 0..29 is peeled one pendant
+    # per case-3 step, the last at 31 once 29 alone hangs from 30
+    k4 = [(30 + i, 30 + j) for i in range(4) for j in range(i + 1, 4)]
+    g = Graph.build(k4 + [(30, i) for i in range(30)])
+    t, tr = construct_theorem1(g)
+    steps = [line for line in tr.lines() if line.startswith("case=3 ")]
+    assert steps == [f"case=3 op=extend args={a},30" for a in [*range(29), 31]]
+    assert validate(t) is None and t.leaf_count == 32
+    assert replay_trace(g, tr) == t
+
+
 def test_replay_rejects_altered_run_ends():
     import dataclasses
 

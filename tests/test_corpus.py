@@ -71,6 +71,23 @@ def test_param_validation():
         random_constrained_graph(5, ell_at_most=-1)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(min_degree=1.5),
+        dict(min_degree=True),
+        dict(min_degree="1"),
+        dict(girth_at_least=3.5),
+        dict(girth_at_least=True),
+        dict(ell_at_most=2.0),
+        dict(ell_at_most=False),
+    ],
+)
+def test_param_validation_wants_ints(kw):
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        random_constrained_graph(5, **kw)
+
+
 LINE = re.compile(
     r"^i=\d+ hash=[0-9a-f]{12} v=\d+ e=\d+ girth=(\d+|acyclic) ell=\d+ s=\d+ "
     r"kind=(Theorem1|Theorem2) bound=-?\d+/\d+ achieved=\d+ pass=[01]( note=\w+)?$"

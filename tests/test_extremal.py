@@ -101,6 +101,15 @@ def test_family_spec_validation():
     assert from_spec(ok).v == 15
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.5, True, "2", None])
+def test_chain_counts_must_be_ints(bad):
+    base = FamilySpec(kind=TRIANGLE_TREE, n=2)
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=bad)
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        glue_extremal_chain(base, bad)
+
+
 def test_from_spec_single():
     assert from_spec(FamilySpec(kind=TRIANGLE_TREE, n=3)).v == 14
     assert from_spec(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)).v == 9

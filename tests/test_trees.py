@@ -3,8 +3,6 @@ import pytest
 from leafspan import (
     Graph,
     InvalidParamsError,
-    PreconditionViolatedError,
-    extend_tree_lemma3,
     spanning_tree,
 )
 from leafspan.trees import check_valid, validate
@@ -47,47 +45,3 @@ def test_validate_clauses():
     with pytest.raises(InvalidParamsError):
         check_valid(bad_count)
 
-
-def test_extend_tree_preconditions():
-    # triangle (1,2,3) with pendant 4 on 3, all hanging from a=0 via edge (0,3)
-    g = Graph.build([(1, 2), (2, 3), (1, 3), (3, 4), (0, 3)])
-    rest_comp = frozenset({1, 2, 3, 4})
-    comp_host = g.induced(rest_comp)
-    t_prime = _bfs_spanning(comp_host, root=3)
-
-    with pytest.raises(PreconditionViolatedError, match="vertices"):
-        extend_tree_lemma3(t_prime, 9, 3, g)
-    with pytest.raises(PreconditionViolatedError, match="adjacent"):
-        extend_tree_lemma3(t_prime, 0, 1, g)
-    with pytest.raises(PreconditionViolatedError, match="cutpoint"):
-        # 1 is adjacent to nothing outside the triangle, so make a=0 adjacent
-        # to a non-cutpoint first: rebuild with edge (0,1)
-        g2 = Graph.build([(1, 2), (2, 3), (1, 3), (3, 4), (0, 1)])
-        comp2 = g2.induced(frozenset({1, 2, 3, 4}))
-        extend_tree_lemma3(_bfs_spanning(comp2, root=1), 0, 1, g2)
-
-    wrong_host = _bfs_spanning(g)
-    with pytest.raises(PreconditionViolatedError, match="component"):
-        extend_tree_lemma3(wrong_host, 0, 3, g)
-
-
-def test_extend_tree_gains_a_leaf():
-    g = Graph.build([(1, 2), (2, 3), (1, 3), (3, 4), (0, 3)])
-    comp_host = g.induced(frozenset({1, 2, 3, 4}))
-    t_prime = _bfs_spanning(comp_host, root=3)
-    out = extend_tree_lemma3(t_prime, 0, 3, g)
-    assert validate(out) is None
-    assert out.leaf_count >= t_prime.leaf_count + 1
-
-
-def test_extend_tree_multiple_components():
-    # a=0 joins three otherwise separate pieces; b=2 is a cutpoint of its piece
-    g = Graph.build(
-        [(1, 2), (2, 3), (0, 2), (0, 4), (4, 5), (0, 6)]
-    )
-    comp_host = g.induced(frozenset({1, 2, 3}))
-    t_prime = spanning_tree(comp_host, comp_host.edges)
-    out = extend_tree_lemma3(t_prime, 0, 2, g)
-    assert validate(out) is None
-    assert out.leaf_count >= t_prime.leaf_count + 1
-    assert out.host == g
