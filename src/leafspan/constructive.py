@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import compress, count
 from typing import Callable, NamedTuple, Optional
 
 from .blocks import (
@@ -35,8 +35,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import exact_mlst, greedy_leafy
-from .graph import Graph, chain_metric, girth, norm_edge, require_connected, s_count
-from .trees import SpanningTree, check_valid, spanning_tree
+from .graph import Graph, _edge, chain_metric, girth, require_connected, s_count
+from .trees import SpanningTree, _pack, check_valid
 
 EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
 
@@ -259,13 +259,14 @@ def _split(g: Graph, a: int, side1: frozenset, probe: Callable) -> tuple:
     m0 = max(g.vertices)
     a2 = m0 + 1
     fresh = count(m0 + 2)
+    adj = g.adjacency
     halves = []
     for side, cut in ((side1, a), (g.vertices - side1 - {a}, a2)):
-        arms = [norm_edge(cut, x) for x in g.adjacency[a] if x in side]
+        arms = adj[a] & side
         path = (cut,) + tuple(next(fresh) for _ in range(probe(len(arms))))
-        inner = [e for e in g.edges if e[0] in side and e[1] in side]
-        edges = frozenset(inner + arms + list(zip(path, path[1:])))
-        halves.append((Graph(side | frozenset(path), edges), path[-1]))
+        gone = g.vertices - side - {cut}
+        add = [_edge(cut, x) for x in arms] + list(zip(path, path[1:]))
+        halves.append((g._derive(gone, {_edge(x, y) for x in gone for y in adj[x]}, add), path[-1]))
     (g1, tip1), (g2, tip2) = halves
     assert tip1 != a or tip2 != a2, "cut degree below 3"
     return g1, g2, _rejoin(g, a, tip1, tip2)
@@ -292,11 +293,11 @@ def _rejoin(g: Graph, a: int, tip1: int, tip2: int) -> Callable:
                 if u == v:
                     assert e in t.tree_edges, f"probe edge {e} is not a tree edge"
                     continue
-                host.add(norm_edge(u, v))
+                host.add(_edge(u, v))
                 if e in t.tree_edges:
-                    edges.add(norm_edge(u, v))
+                    edges.add(_edge(u, v))
         assert host == g.edges, "recombination did not restore the split graph"
-        t = spanning_tree(g, edges)
+        t = _pack(g, edges)
         assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2, "leaf count drifted"
         return t
 
@@ -308,7 +309,7 @@ def _base_tree(g: Graph, rec):
     # spanning tree.  Its L leaves and T3 vertices of degree 3 or more have
     # L >= T3 + 2, so L meets the s-count bound (L + T3 - 2)/4 + 2
     if g.e == g.v - 1:
-        return _base("base-tree", spanning_tree(g, g.edges))
+        return _base("base-tree", _pack(g, g.edges))
 
 
 def _require_input(g: Graph, what: str) -> None:
@@ -321,10 +322,11 @@ def _require_input(g: Graph, what: str) -> None:
 
 
 def _t1_degree2(g: Graph, rec):
-    a = next((x for x in g.sorted_vertices if g.degree(x) == 2), None)
+    adj = g.adjacency
+    a = min(compress(adj, map((2).__eq__, map(len, adj.values()))), default=None)  # lowest of degree 2
     if a is None:
         return None
-    b, c = g.neighbors(a)
+    b, c = sorted(adj[a])
     # a has degree 2, so it is a cutpoint exactly when ab is a bridge, that
     # is when g - a separates b from c
     if b in _side(g, a, c):
@@ -334,18 +336,17 @@ def _t1_degree2(g: Graph, rec):
     # its ends x and y are distinct and not adjacent
     run, run_edges, ends = {a}, [], []
     for prev, x in ((a, b), (a, c)):
-        run_edges.append((prev, x))
-        while g.degree(x) == 2:
+        run_edges.append(_edge(prev, x))
+        while len(adj[x]) == 2:
             run.add(x)
-            prev, x = x, next(nb for nb in g.adjacency[x] if nb != prev)
-            run_edges.append((prev, x))
+            prev, x = x, next(nb for nb in adj[x] if nb != prev)
+            run_edges.append(_edge(prev, x))
         ends.append(x)
     x, y = sorted(ends)
-    kept = frozenset(e for e in g.edges if e[0] not in run and e[1] not in run)
-    child = Graph(g.vertices - run, kept | {(x, y)})
+    child = g._derive(run, run_edges, [(x, y)])
 
     def build(t_sub: SpanningTree) -> SpanningTree:
-        t = spanning_tree(g, (t_sub.tree_edges - {(x, y)}).union(run_edges))
+        t = _pack(g, (t_sub.tree_edges - {(x, y)}).union(run_edges))
         assert t.leaf_count == t_sub.leaf_count, "leaf count drifted"
         return t
 
@@ -371,14 +372,19 @@ def _t1_base_core(g: Graph, rec):
     return _base("base-core-greedy", greedy_leafy(g))
 
 
+def _cutpoints(h: Graph) -> list:
+    """The cutpoints of a connected graph in ascending order, from one lowpoint pass."""
+    return list(compress(h.sorted_vertices, lowpoint_blocks(index_adjacency(h))[1]))
+
+
 def _t1_core_cut(g: Graph, rec):
-    h = g.induced([x for x in g.vertices if g.degree(x) > 1])  # g without its pendants
-    h_cuts = decompose_blocks(h).cutpoints
+    h = g.induced([x for x, nbrs in g.adjacency.items() if len(nbrs) > 1])  # g without its pendants
+    h_cuts = _cutpoints(h)
     if not h_cuts:
         return None
     # the first half is the lowest component of g - a with core vertices;
     # the pendants at a travel with the second half
-    a = min(h_cuts)
+    a = h_cuts[0]
     pendants = {x for x in g.adjacency[a] if g.degree(x) == 1}
     side1 = _side(g, a, min(g.vertices - pendants - {a}))
     assert not h.vertices <= side1 | {a}, "split vertex is not a core cutpoint"
@@ -399,13 +405,13 @@ def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
     def build(t_sub: SpanningTree) -> SpanningTree:
         check_valid(t_sub, "lemma 3")
         es = set(t_sub.tree_edges)
-        es.add(norm_edge(a, b))
+        es.add(_edge(a, b))
         seen = set(h.vertices) | {a}
         for x in g.neighbors(a):
             if x in seen:
                 continue
             # x is the lowest neighbour of a in a new component of g - a
-            es.add(norm_edge(a, x))
+            es.add(_edge(a, x))
             seen.add(x)
             queue = deque([x])
             while queue:
@@ -413,9 +419,9 @@ def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
                 for nb in g.neighbors(cur):
                     if nb not in seen:
                         seen.add(nb)
-                        es.add(norm_edge(cur, nb))
+                        es.add(_edge(cur, nb))
                         queue.append(nb)
-        t = spanning_tree(g, es)
+        t = _pack(g, es)
         assert t.leaf_count >= t_sub.leaf_count + 1, "extension failed to gain a leaf"
         return t
 
@@ -434,7 +440,7 @@ def _t1_extend(g: Graph, rec):
             h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
             if h is None:
                 h = g.induced(_side(g, a, b))
-                cuts = decompose_blocks(h).cutpoints
+                cuts = _cutpoints(h)
                 comps.append((h, cuts))
             if b in cuts:
                 return _Step("3", "extend", (a, b), (h,), _lemma3(g, a, b, h))
@@ -619,7 +625,7 @@ def _recorded_removal(g: Graph, rec: TraceNode) -> frozenset:
 
 def _t2_base_short(g: Graph, rec, k: int):
     if g.v - k - 2 <= 0:
-        return _base("base-short", spanning_tree(g, g.bfs_tree(min(g.vertices))))
+        return _base("base-short", _pack(g, g.bfs_tree(min(g.vertices))))
 
 
 def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
@@ -668,11 +674,11 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
         u0 = interior[0]
         rest = core.without_vertex(u0)
         edges = set(rest.bfs_tree(min(rest.vertices)))
-        edges.add(norm_edge(u0, min(core.neighbors(u0))))
+        edges.add(_edge(u0, min(core.adjacency[u0])))
     else:
         edges = set(core.bfs_tree(min(core.vertices)))
-    edges.update(norm_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
-    t = spanning_tree(g, edges)
+    edges.update(_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
+    t = _pack(g, edges)
     assert t.leaf_count >= len(spines) + (1 if interior else 0)
     return _base("base-spines", t)
 

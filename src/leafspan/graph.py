@@ -22,13 +22,22 @@ from .errors import (
 )
 
 
+def _require_int(x) -> None:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidGraphError(f"vertex id {x!r} is not an int")
+
+
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     """Return the canonical (low, high) form of an edge, rejecting loops."""
-    for x in (u, v):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InvalidGraphError(f"vertex id {x!r} is not an int")
+    _require_int(u)
+    _require_int(v)
     if u == v:
         raise InvalidGraphError(f"self-loop at vertex {u}")
+    return (u, v) if u < v else (v, u)
+
+
+def _edge(u: int, v: int) -> tuple[int, int]:
+    """norm_edge for two distinct int ids already known to be in a graph."""
     return (u, v) if u < v else (v, u)
 
 
@@ -43,8 +52,7 @@ class Graph:
         if not self.vertices:
             raise InvalidGraphError("a graph needs at least one vertex")
         for x in self.vertices:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidGraphError(f"vertex id {x!r} is not an int")
+            _require_int(x)
         for e in self.edges:
             u, v = e
             if not (u < v):
@@ -53,6 +61,35 @@ class Graph:
                 raise InvalidGraphError(f"edge {e!r} has an endpoint outside the vertex set")
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _derived(cls, vertices: frozenset, edges: frozenset, adjacency: Optional[dict] = None) -> "Graph":
+        """A graph from fields known to be valid, skipping __post_init__; adjacency,
+        when given, is the graph's own and seeds the cached one."""
+        g = object.__new__(cls)
+        vars(g).update(vertices=vertices, edges=edges)
+        if adjacency is not None:
+            vars(g)["adjacency"] = adjacency
+        return g
+
+    def _derive(self, gone=frozenset(), drop=(), add=()) -> "Graph":
+        """This graph less the vertices in gone and the edges in drop, plus the
+        edges in add, unchecked.  drop holds every edge at a vertex of gone, and
+        both hold edges in (low, high) form.  The adjacency is this graph's, with
+        new sets only at the ends of dropped and added edges."""
+        nbrs = dict(self.adjacency)
+        for x in gone:
+            del nbrs[x]
+        new: dict = {}
+        for es, put in ((drop, set.discard), (add, set.add)):
+            for u, v in es:
+                for x, y in ((u, v), (v, u)):
+                    if x in nbrs or put is set.add:
+                        if x not in new:
+                            new[x] = set(nbrs.get(x, ()))
+                        put(new[x], y)
+        nbrs.update((x, frozenset(s)) for x, s in new.items())
+        return Graph._derived(frozenset(nbrs), self.edges.difference(drop).union(add), nbrs)
 
     @classmethod
     def build(cls, edges: Iterable[tuple[int, int]], isolated: Iterable[int] = ()) -> "Graph":
@@ -132,10 +169,13 @@ class Graph:
 
     @cached_property
     def min_degree(self) -> int:
-        return min(self.degree(x) for x in self.vertices)
+        return min(map(len, self.adjacency.values()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
+        """Whether uv is an edge.  A loop never is; a non-int id raises."""
+        _require_int(u)
+        _require_int(v)
+        return u != v and _edge(u, v) in self.edges
 
     # -- connectivity -----------------------------------------------------
 
@@ -179,7 +219,7 @@ class Graph:
             for nb in self.neighbors(cur):
                 if nb not in seen:
                     seen.add(nb)
-                    out.append(norm_edge(cur, nb))
+                    out.append(_edge(cur, nb))
                     queue.append(nb)
         return frozenset(out)
 
@@ -209,7 +249,10 @@ class Graph:
         extra = keep - self.vertices
         if extra:
             raise InvalidParamsError(f"vertices {sorted(extra)} not in graph")
-        return Graph(keep, frozenset(e for e in self.edges if e[0] in keep and e[1] in keep))
+        if not keep:
+            raise InvalidGraphError("a graph needs at least one vertex")
+        gone = self.vertices - keep
+        return self._derive(gone, {_edge(x, y) for x in gone for y in self.adjacency[x]})
 
     def without_vertex(self, x: int) -> "Graph":
         if x not in self.vertices:
@@ -220,7 +263,7 @@ class Graph:
         e = norm_edge(u, v)
         if e not in self.edges:
             raise EdgeNotFoundError(f"edge {e} not in graph")
-        return Graph(self.vertices, self.edges - {e})
+        return self._derive(drop=(e,))
 
     def without_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
         drop = set()
@@ -229,11 +272,11 @@ class Graph:
             if e not in self.edges:
                 raise EdgeNotFoundError(f"edge {e} not in graph")
             drop.add(e)
-        return Graph(self.vertices, self.edges - drop)
+        return self._derive(drop=drop)
 
     def with_edge(self, u: int, v: int) -> "Graph":
         e = norm_edge(u, v)
-        return Graph(self.vertices | set(e), self.edges | {e})
+        return self._derive(add=(e,))
 
     def relabel(self, mapping: Mapping[int, int]) -> "Graph":
         """Apply a partial id mapping (identity elsewhere); must stay injective."""
@@ -341,7 +384,7 @@ def chain_metric(g: Graph) -> int:
 
 def s_count(g: Graph) -> int:
     """Number of vertices whose degree differs from 2."""
-    return sum(1 for x in g.vertices if g.degree(x) != 2)
+    return g.v - list(map(len, g.adjacency.values())).count(2)
 
 
 # -- surgery operators -----------------------------------------------------

@@ -4,7 +4,9 @@ each step's graph with builds of their own."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidParamsError
 from .graph import Graph, norm_edge
@@ -26,15 +28,15 @@ class SpanningTree:
 def spanning_tree(host: Graph, edges) -> SpanningTree:
     """Package an edge set as a SpanningTree with its leaf count."""
     es = frozenset(norm_edge(u, v) for u, v in edges)
-    deg: dict = {}
-    for u, v in es:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if host.v == 1:
-        lc = 0
-    else:
-        lc = sum(1 for x in host.vertices if deg.get(x, 0) == 1)
+    deg = Counter(chain.from_iterable(es))
+    lc = 0 if host.v == 1 else sum(1 for x in host.vertices if deg[x] == 1)
     return SpanningTree(host=host, tree_edges=es, leaf_count=lc)
+
+
+def _pack(host: Graph, es) -> SpanningTree:
+    """spanning_tree for edges of host already in (low, high) form that span it;
+    the leaves are counted from the edges."""
+    return SpanningTree(host, frozenset(es), list(Counter(chain.from_iterable(es)).values()).count(1))
 
 
 def validate(t: SpanningTree) -> str | None:
@@ -48,13 +50,9 @@ def validate(t: SpanningTree) -> str | None:
     for e in sorted(t.tree_edges):
         if e not in host.edges:
             return f"edge {e} not in host"
-    if host.v == 1:
-        if t.tree_edges:
-            return "edge count"
-        return None if t.leaf_count == 0 else "leaf count"
     if len(t.tree_edges) != host.v - 1:
         return "edge count"
-    sub = Graph(host.vertices, t.tree_edges)
+    sub = Graph._derived(host.vertices, t.tree_edges)  # every tree edge is a host edge
     if not sub.is_connected:
         return "not spanning"
     # v - 1 edges and connected implies acyclic

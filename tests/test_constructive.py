@@ -3,11 +3,14 @@ import random
 import re
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafspan import (
     CYCLE_SPINE_DENSE,
+    CYCLE_SPINE_SPARSE,
     BoundNotMetError,
     ChainTooLongError,
     FamilySpec,
@@ -32,7 +35,14 @@ from leafspan import (
     replay_trace,
     s_count,
 )
-from leafspan.constructive import _chain_condition_holds
+from leafspan.constructive import (
+    _THEOREM1,
+    ConstructionTrace,
+    _chain_condition_holds,
+    _descend,
+    _theorem2,
+    theorem2_girth,
+)
 from leafspan.trees import spanning_tree, validate
 from conftest import (
     connected_graphs,
@@ -42,6 +52,7 @@ from conftest import (
     random_sparse,
     remove_large_blocks_reference,
 )
+from test_trace_golden import _golden_graphs
 
 
 def _t2_params(g):
@@ -376,6 +387,33 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
     assert cases["1.2"] > 0  # the Petersen graph removes large blocks
 
 
+def _count_builds(monkeypatch):
+    """Lists that record the vertex count of every graph built, checked or
+    derived, and of every graph whose adjacency is built from its edges."""
+    built, rebuilt = [], []
+    real_check, real_derived = Graph.__post_init__, Graph._derived
+    real_adjacency = Graph.__dict__["adjacency"].func
+
+    def checked(self):
+        built.append(self.v)
+        real_check(self)
+
+    def derived(cls, vertices, edges, adjacency=None):
+        built.append(len(vertices))
+        return real_derived(vertices, edges, adjacency)
+
+    def adjacency(self):
+        rebuilt.append(self.v)
+        return real_adjacency(self)
+
+    prop = cached_property(adjacency)
+    prop.__set_name__(Graph, "adjacency")
+    monkeypatch.setattr(Graph, "__post_init__", checked)
+    monkeypatch.setattr(Graph, "_derived", classmethod(derived))
+    monkeypatch.setattr(Graph, "adjacency", prop)
+    return built, rebuilt
+
+
 def test_tree_base_builds_no_graph(monkeypatch):
     # a tree is its own spanning tree, found without building the core that
     # would be left once its pendants are gone, or the path a run of
@@ -383,14 +421,9 @@ def test_tree_base_builds_no_graph(monkeypatch):
     star = Graph.star(50)
     double = Graph.build([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
     path = Graph.path(400)
-    built = []
-    real = Graph.__post_init__
-
-    def counted(self):
-        built.append(self.v)
-        real(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    built, _ = _count_builds(monkeypatch)
+    assert Graph.path(2).with_edge(1, 2) and len(built) == 2  # both kinds are counted
+    built.clear()
     for g in (star, double, path):
         t, tr = construct_theorem1(g)
         assert tr.lines() == ["case=base-tree op=base args="] and t.tree_edges == g.edges
@@ -398,23 +431,70 @@ def test_tree_base_builds_no_graph(monkeypatch):
 
 
 def test_descent_builds_one_graph_per_step(monkeypatch):
-    # each non-base step builds only the graph it hands to its child; every
-    # step of the chain contracts one run between two blocks
+    # each non-base step builds only the graph it hands to its child, and
+    # derives that graph's adjacency from its own; every step of the chain
+    # contracts one run between two blocks
     g = _k4_chain(100)
-    built = []
-    real = Graph.__post_init__
-
-    def counted(self):
-        built.append(self.v)
-        real(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    assert g.adjacency
+    built, rebuilt = _count_builds(monkeypatch)
     t, tr = construct_theorem1(g)
     steps = sum(1 for n in tr.preorder() if n.op != "base")
-    assert steps == 99 and len(built) <= steps
+    assert steps == 99 and 0 < len(built) <= steps and rebuilt == []
     built.clear()
     assert replay_trace(g, tr) == t
-    assert len(built) <= steps
+    assert 0 < len(built) <= steps and rebuilt == []
+
+
+class _Seeded(list):
+    """A collect list that checks, as the descent enters each node, that a
+    child arrives with its adjacency already derived from its parent's."""
+
+    def append(self, node):
+        depth, sub = node
+        assert depth == 0 or "adjacency" in vars(sub), f"child at depth {depth} has no derived adjacency"
+        super().append(node)
+
+
+def _derived_descent_graphs(g, theorem):
+    """Every graph a descent from g meets, in construction and on replay."""
+    k = max(chain_metric(g), 1) if theorem == 2 else None
+    spec = _THEOREM1 if theorem == 1 else _theorem2(theorem2_girth(g, k), k)
+    built, replayed = _Seeded(), _Seeded()
+    t, root = _descend(g, spec, collect=built)
+    assert replay_trace(g, ConstructionTrace(root, t), theorem, k, collect=replayed) == t
+    assert len(built) == len(replayed)
+    return [sub for _, sub in built + replayed]
+
+
+def _assert_checked(graphs):
+    for sub in graphs:
+        checked = Graph(sub.vertices, sub.edges)
+        assert sub == checked and sub.adjacency == checked.adjacency
+
+
+def test_descent_children_equal_their_checked_builds():
+    # descent children skip validation and derive their adjacency from the
+    # parent's, so each must equal the graph checked from its own fields
+    rng = random.Random(2718)
+    graphs = _golden_graphs() + [gen_triangle_tree(n) for n in (5, 30)]
+    graphs += [random_sparse(rng, v, c) for v, c in ((100, 10), (200, 15), (400, 20))]
+    graphs += [
+        glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 6),
+        glue_extremal_chain(FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2), 6),
+        _k4_chain(8),
+        _ladder(12),
+    ]
+    for g in graphs:
+        for theorem in (1, 2):
+            _assert_checked(_derived_descent_graphs(g, theorem))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 14))
+def test_descent_children_equal_their_checked_builds_hypothesis(seed, v):
+    g = random_connected(random.Random(seed), v)
+    for theorem in (1, 2):
+        _assert_checked(_derived_descent_graphs(g, theorem))
 
 
 @pytest.mark.parametrize("n", [3, 4, 50, 10**5])

@@ -120,6 +120,60 @@ def test_surgery_ops():
     assert h4.v == 3 and h4.e == 2
 
 
+def test_has_edge_answers_loops_and_rejects_bad_ids():
+    # a query is not a construction: a loop is simply not an edge
+    g = Graph.cycle(4)
+    assert g.has_edge(1, 0) and g.has_edge(0, 3) and not g.has_edge(0, 2)
+    assert not g.has_edge(2, 2) and not g.has_edge(9, 9)
+    for u, v in (("a", 1), (1, "a"), ("a", "a"), (True, 1), (1, True), (1.0, 1.0)):
+        with pytest.raises(InvalidGraphError):
+            g.has_edge(u, v)
+
+
+def test_derivations_reject_what_they_rejected_before():
+    g = Graph.cycle(4)
+    with pytest.raises(InvalidGraphError, match="at least one vertex"):
+        g.induced([])
+    with pytest.raises(InvalidGraphError, match="at least one vertex"):
+        Graph.path(1).without_vertex(0)
+    for bad in ([0, 9], ["a"], [0, None]):
+        with pytest.raises(InvalidParamsError, match="not in graph"):
+            g.induced(bad)
+    for x in (9, "a", None):
+        with pytest.raises(InvalidParamsError, match="not in graph"):
+            g.without_vertex(x)
+    with pytest.raises(EdgeNotFoundError):
+        g.without_edge(0, 2)
+    with pytest.raises(EdgeNotFoundError):
+        g.without_edges([(0, 1), (0, 2)])
+    with pytest.raises(EdgeNotFoundError):
+        g.without_edge(0, 9)
+    for derive in (g.without_edge, g.with_edge, lambda u, v: g.without_edges([(u, v)])):
+        for u, v in ((0, "a"), (True, 2), (1, 1)):
+            with pytest.raises(InvalidGraphError):
+                derive(u, v)
+
+
+def test_derived_graphs_equal_their_checked_builds():
+    # derivation skips validation and patches the parent's adjacency, so
+    # every result must equal the graph built and checked from its fields
+    rng = random.Random(1414)
+    for _ in range(60):
+        g = random_connected(rng, rng.randint(2, 12))
+        vs, es = sorted(g.vertices), sorted(g.edges)
+        derived = [
+            g.induced(rng.sample(vs, rng.randint(1, g.v))),
+            g.without_vertex(rng.choice(vs)),
+            g.without_edge(*rng.choice(es)),
+            g.without_edges(rng.sample(es, rng.randint(0, len(es)))),
+            g.with_edge(*rng.sample(vs, 2)),
+            g.with_edge(vs[0], g.fresh_id()),
+        ]
+        for h in derived:
+            checked = Graph(h.vertices, h.edges)
+            assert h == checked and h.adjacency == checked.adjacency
+
+
 def test_relabel_partial_and_injective():
     g = Graph.build([(0, 1), (1, 2)])
     h = g.relabel({0: 9})
