@@ -14,8 +14,8 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import bound_kw, bound_theorem1, bound_theorem2
-from .constructive import _require_input, construct_theorem1, construct_theorem2, theorem2_girth
+from .bounds import bound_kw
+from .constructive import _certify, _theorem
 from .corpus import random_constrained_graph, verify_corpus
 from .errors import (
     BoundNotMetError,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import exact_mlst
 from .extremal import FamilySpec, TRIANGLE_TREE, CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, from_spec
-from .graph import Graph, chain_metric, s_count
+from .graph import Graph, chain_metric
 from .graph_io import export_dot, parse_graph, serialize_graph, serialize_tree
 
 
@@ -80,32 +80,26 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args)
-    _require_input(g, "bound")
-    if args.theorem == "1":
-        rep = bound_theorem1(s_count(g))
-    elif args.theorem == "kw":
+    if args.theorem == "2" and args.k is None:
+        raise InvalidParamsError("bound --theorem 2 needs --k")
+    # the v/4 rate takes the graphs a theorem-1 request takes, of minimum degree 3
+    rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound()
+    if args.theorem == "kw":
         if g.min_degree < 3:
             raise InvalidParamsError("the v/4 rate needs minimum degree 3")
         rep = bound_kw(g.v)
-    else:
-        if args.k is None:
-            raise InvalidParamsError("bound --theorem 2 needs --k")
-        rep = bound_theorem2(g.v, theorem2_girth(g, args.k, args.g), args.k)
     _emit(args, _report_line(rep) + "\n")
     return 0
 
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
-    if args.theorem == "1":
-        tree, trace = construct_theorem1(g)
-        rep = bound_theorem1(s_count(g))
-    else:
-        k = args.k
-        if k is None:
-            k = max(chain_metric(g), 1)
-        tree, trace = construct_theorem2(g, k, girth_floor=args.g)
-        rep = bound_theorem2(g.v, theorem2_girth(g, k, args.g), k)
+    theorem, k = int(args.theorem), args.k
+    if theorem == 2 and k is None:
+        k = max(chain_metric(g), 1)
+    request = _theorem(g, theorem, k, args.g)
+    tree, trace = _certify(g, request)
+    rep = request.bound()
     ok = tree.leaf_count >= rep.value
     out = [
         f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} "

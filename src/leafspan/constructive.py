@@ -26,7 +26,7 @@ from .blocks import (
     index_adjacency,
     lowpoint_blocks,
 )
-from .bounds import bound_theorem1, bound_theorem2
+from .bounds import _check_int, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
@@ -160,11 +160,16 @@ class _Step(NamedTuple):
 
 
 class _Theorem(NamedTuple):
-    """Case functions case(g, rec), rec the node's TraceNode on replay else None, tried
-    in order until one returns a _Step; need(g, case): the leaves its tree must reach."""
+    """A checked certification request.  Case functions case(g, rec), rec the node's
+    TraceNode on replay else None, tried in order until one returns a _Step; need(g,
+    case): the leaves its tree must reach; bound(): the root's report, evaluated only
+    when asked for; girth: the root's measured girth under theorem 2, None when
+    acyclic or under theorem 1."""
 
     cases: tuple
     need: Callable
+    bound: Callable
+    girth: Optional[int] = None
 
 
 class _Frame(NamedTuple):
@@ -310,12 +315,6 @@ def _base_tree(g: Graph, rec):
     # L >= T3 + 2, so L meets the s-count bound (L + T3 - 2)/4 + 2
     if g.e == g.v - 1:
         return _base("base-tree", _pack(g, g.edges))
-
-
-def _require_input(g: Graph, what: str) -> None:
-    require_connected(g, what)
-    if g.v < 2:
-        raise InvalidParamsError("need at least two vertices")
 
 
 # -- degree-structure descent ----------------------------------------------
@@ -471,25 +470,12 @@ def _t1_lemma5(g: Graph, rec):
     return _Step("5", "extend", (w, x, x_other, a), (h,), lambda t_sub: keep(lift(t_sub)))
 
 
-_THEOREM1 = _Theorem(
-    cases=(
-        _base_tree,
-        _t1_degree2,
-        _t1_base_core,
-        _t1_core_cut,
-        _t1_extend,
-        _t1_heavy_edge,
-        _t1_lemma5,
-    ),
-    need=lambda g, case: bound_theorem1(s_count(g)).value,
-)
+_T1_CASES = (_base_tree, _t1_degree2, _t1_base_core, _t1_core_cut, _t1_extend, _t1_heavy_edge, _t1_lemma5)
 
 
 def construct_theorem1(g: Graph):
     """Spanning tree certified against the s-count bound, with its trace."""
-    _require_input(g, "construct_theorem1")
-    t, root = _descend(g, _THEOREM1)
-    return t, ConstructionTrace(root=root, tree=t)
+    return _certify(g, _theorem(g, 1))
 
 
 # -- large-block elimination ------------------------------------------------
@@ -683,54 +669,64 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     return _base("base-spines", t)
 
 
-def _theorem2(gg: int, k: int) -> _Theorem:
-    def need(g: Graph, case: str):
-        assert chain_metric(g) <= k, "descent produced an overlong chain"
-        # trees meet the triangle-girth rate; larger declared girths need not
-        # hold on bare trees, so every tree is certified at g=3
-        return bound_theorem2(g.v, 3 if case == "base-tree" else gg, k).value
-
-    cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
-    return _Theorem(cases, need)
+# -- requests and replay ----------------------------------------------------
 
 
-def theorem2_girth(g: Graph, k: int, girth_floor: Optional[int] = None) -> int:
-    """Check the inputs of a girth/chain descent and return its girth parameter.
+def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
+    """Check a certification request and return its case table and bound.
 
-    k caps the chains of degree-2 vertices and must be at least 1; a
-    girth_floor, when declared, must be an integer of at least 3.  The girth
-    parameter is the measured girth unless a floor up to it is declared.
+    theorem is 1, the s-count bound, or 2, the girth/chain bound; g must be
+    connected with at least two vertices.  Theorem 1 ignores k and
+    girth_floor.  Under theorem 2, k caps the chains of degree-2 vertices
+    and must be an integer of at least 1 that no chain of g exceeds; a
+    girth_floor, when declared, must be an integer of at least 3 and at
+    most the measured girth, and replaces it as the girth parameter.
     Acyclic graphs use 3, the only rate that holds for all trees.
     """
-    _require_input(g, "the girth/chain descent")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidParamsError(f"k must be an integer >= 1, got {k!r}")
-    if girth_floor is not None and (type(girth_floor) is not int or girth_floor < 3):
-        raise InvalidParamsError(f"girth_floor must be None or an integer >= 3, got {girth_floor!r}")
+    if type(theorem) is not int or theorem not in (1, 2):
+        raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
+    require_connected(g, "certification")
+    if g.v < 2:
+        raise InvalidParamsError("need at least two vertices")
+    if theorem == 1:
+        return _Theorem(
+            _T1_CASES, lambda h, case: bound_theorem1(s_count(h)).value, lambda: bound_theorem1(s_count(g))
+        )
+    _check_int("k", k, 1)
+    if girth_floor is not None:
+        _check_int("girth_floor", girth_floor, 3)
     ell = chain_metric(g)
     if ell > k:
         raise ChainTooLongError(f"chain of {ell} degree-2 vertices exceeds k={k}")
     measured = girth(g)
-    if measured is None:
-        return 3
-    if girth_floor is None:
-        return measured
-    if girth_floor > measured:
+    gg = 3 if measured is None else girth_floor or measured
+    if measured is not None and gg > measured:
         raise InvalidParamsError(f"girth_floor {girth_floor} not in [3, measured {measured}]")
-    return girth_floor
+
+    def need(h: Graph, case: str):
+        assert chain_metric(h) <= k, "descent produced an overlong chain"
+        # trees meet the triangle-girth rate; larger declared girths need not
+        # hold on bare trees, so every tree is certified at g=3
+        return bound_theorem2(h.v, 3 if case == "base-tree" else gg, k).value
+
+    cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
+    return _Theorem(cases, need, lambda: bound_theorem2(g.v, gg, k), measured)
+
+
+def _certify(g: Graph, request: _Theorem):
+    """The tree and trace of a descent from g under a checked request."""
+    t, root = _descend(g, request)
+    return t, ConstructionTrace(root=root, tree=t)
 
 
 def construct_theorem2(g: Graph, k: int, girth_floor: Optional[int] = None):
     """Spanning tree certified against the girth/chain bound, with trace.
 
-    k and girth_floor are checked and resolved by theorem2_girth.  Tree
-    inputs certify against the girth-3 rate.
+    k caps the chains of degree-2 vertices; girth_floor, when declared,
+    replaces the measured girth.  Tree inputs certify against the girth-3
+    rate.
     """
-    t, root = _descend(g, _theorem2(theorem2_girth(g, k, girth_floor), k))
-    return t, ConstructionTrace(root=root, tree=t)
-
-
-# -- replay ------------------------------------------------------------------
+    return _certify(g, _theorem(g, 2, k, girth_floor))
 
 
 def replay_trace(
@@ -739,7 +735,6 @@ def replay_trace(
     theorem: int = 1,
     k: Optional[int] = None,
     girth_floor: Optional[int] = None,
-    collect=None,
 ) -> SpanningTree:
     """Re-run a recorded descent, checking every step against the record.
 
@@ -747,19 +742,9 @@ def replay_trace(
     large-block removal (case 1.2) is checked against the postconditions of
     remove_large_blocks, not searched for again.  Returns the reproduced
     tree; raises InvalidParams on the first step that disagrees with the
-    trace.  collect, when a list, receives (depth, graph) pairs in preorder,
-    one per descent node.
+    trace.
     """
-    if type(theorem) is not int or theorem not in (1, 2):
-        raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
-    if theorem == 1:
-        _require_input(g, "replay_trace")
-        spec = _THEOREM1
-    else:
-        if k is None:
-            raise InvalidParamsError("replay of the girth/chain descent needs k")
-        spec = _theorem2(theorem2_girth(g, k, girth_floor), k)
-    t, _ = _descend(g, spec, trace.root, collect)
+    t, _ = _descend(g, _theorem(g, theorem, k, girth_floor), trace.root)
     if t != trace.tree:
         raise InvalidParamsError("replay produced a different tree")
     return t

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundReport, _check_int, bound_theorem1, bound_theorem2
-from .constructive import construct_theorem1, construct_theorem2, replay_trace
+from .bounds import BoundReport, _check_int
+from .constructive import _theorem, construct_theorem1, construct_theorem2, replay_trace
 from .errors import InfeasibleError, InvalidParamsError
 from .exact import exact_mlst
 from .graph import Graph, chain_metric, girth, s_count
@@ -152,19 +152,6 @@ class CorpusReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def _achieve(g: Graph, theorem: int, k: Optional[int], mode: str) -> int:
-    if mode == "exact":
-        return exact_mlst(g).u_value
-    if theorem == 1:
-        t, tr = construct_theorem1(g)
-        check = replay_trace(g, tr, theorem=1)
-    else:
-        t, tr = construct_theorem2(g, k)
-        check = replay_trace(g, tr, theorem=2, k=k)
-    assert check.tree_edges == t.tree_edges
-    return t.leaf_count
-
-
 def verify_corpus(
     theorem: int,
     count: int,
@@ -180,8 +167,6 @@ def verify_corpus(
     higher.  Instance i uses seed + 7919*i, so corpora are reproducible
     and extensible.
     """
-    if type(theorem) is not int or theorem not in (1, 2):
-        raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
     if mode not in ("exact", "construct"):
         raise InvalidParamsError(f"mode must be exact or construct, got {mode!r}")
     _check_int("count", count, 1)
@@ -192,21 +177,16 @@ def verify_corpus(
         rng = random.Random(si)
         v = rng.randint(2, max_v)
         g = random_constrained_graph(v, min_degree=1, seed=si)
-        gv = girth(g)
         ell = chain_metric(g)
-        s = s_count(g)
-        note = ""
-        if theorem == 1:
-            rep = bound_theorem1(s)
-            k = None
+        k = max(ell, 1) if theorem == 2 else None
+        request = _theorem(g, theorem, k)
+        rep = request.bound()
+        gv = request.girth if theorem == 2 else girth(g)
+        if mode == "exact":
+            achieved = exact_mlst(g).u_value
         else:
-            k = max(ell, 1)
-            if gv is None:
-                rep = bound_theorem2(g.v, 3, k)
-                note = "tree"
-            else:
-                rep = bound_theorem2(g.v, gv, k)
-        achieved = _achieve(g, theorem, k, mode)
+            _, trace = construct_theorem2(g, k) if theorem == 2 else construct_theorem1(g)
+            achieved = replay_trace(g, trace, theorem, k).leaf_count
         records.append(
             InstanceRecord(
                 index=i,
@@ -215,11 +195,11 @@ def verify_corpus(
                 e=g.e,
                 girth=gv,
                 ell=ell,
-                s=s,
+                s=s_count(g),
                 report=rep,
                 achieved=achieved,
                 passed=achieved >= rep.value,
-                note=note,
+                note="tree" if theorem == 2 and gv is None else "",
             )
         )
     return CorpusReport(theorem=theorem, mode=mode, seed=seed, records=tuple(records))

@@ -31,13 +31,16 @@ class FamilySpec:
 
     def __post_init__(self):
         _check_int("chain_count", self.chain_count, 1)
+        for name, least in (("n", 1), ("g", 3), ("k", 1)):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name), least)
         if self.kind == TRIANGLE_TREE:
-            if self.n is None or self.n < 1:
+            if self.n is None:
                 raise InvalidParamsError("triangle tree needs n >= 1")
         elif self.kind in (CYCLE_SPINE_SPARSE, CYCLE_SPINE_DENSE):
-            if self.g is None or self.g < 3:
+            if self.g is None:
                 raise InvalidParamsError("cycle spine needs g >= 3")
-            if self.k is None or self.k < 1:
+            if self.k is None:
                 raise InvalidParamsError("cycle spine needs k >= 1")
             sparse = self.k < self.g - 2
             if sparse and self.kind == CYCLE_SPINE_DENSE:
@@ -149,11 +152,9 @@ def glue_extremal_chain(base: FamilySpec, copies: int) -> Graph:
     fold = (base.k + 1) if base.k is not None else 1
     out = piece
     for _ in range(copies - 1):
+        # glue shifts the copy's ids by off, so they all lie above out's
         off = max(out.vertices) + 1 - min(piece.vertices)
-        nxt = piece.relabel({x: x + off for x in piece.vertices})
-        x1 = _pendants(out)[0]
-        x2 = _pendants(nxt)[0]
-        glued = glue(out, x1, nxt, x2)
+        glued = glue(out, _pendants(out)[0], piece, _pendants(piece)[0])
         cur = glued.graph
         joint = glued.merged
         # walk into the fresh copy, folding bridges until the junction is short

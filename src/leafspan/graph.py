@@ -49,16 +49,20 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        if not isinstance(self.vertices, frozenset) or not isinstance(self.edges, frozenset):
+            raise InvalidGraphError("vertices and edges must be frozensets")
         if not self.vertices:
             raise InvalidGraphError("a graph needs at least one vertex")
         for x in self.vertices:
             _require_int(x)
         for e in self.edges:
+            if type(e) is not tuple or len(e) != 2:
+                raise InvalidGraphError(f"edge {e!r} is not a pair")
             u, v = e
-            if not (u < v):
-                raise InvalidGraphError(f"edge {e!r} is not in (low, high) form")
             if u not in self.vertices or v not in self.vertices:
                 raise InvalidGraphError(f"edge {e!r} has an endpoint outside the vertex set")
+            if not (u < v):
+                raise InvalidGraphError(f"edge {e!r} is not in (low, high) form")
 
     # -- construction -----------------------------------------------------
 

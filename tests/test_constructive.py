@@ -1,4 +1,5 @@
 import inspect
+import io
 import random
 import re
 import sys
@@ -34,14 +35,14 @@ from leafspan import (
     remove_large_blocks,
     replay_trace,
     s_count,
+    serialize_graph,
+    verify_corpus,
 )
+from leafspan.cli import main
 from leafspan.constructive import (
-    _THEOREM1,
-    ConstructionTrace,
     _chain_condition_holds,
     _descend,
-    _theorem2,
-    theorem2_girth,
+    _theorem,
 )
 from leafspan.trees import spanning_tree, validate
 from conftest import (
@@ -206,9 +207,9 @@ def test_theorem1_measure_strictly_decreases():
     rng = random.Random(5150)
     for _ in range(40):
         g = random_connected(rng, rng.randint(3, 10))
-        _, tr = construct_theorem1(g)
+        t, tr = construct_theorem1(g)
         seen = []
-        replay_trace(g, tr, theorem=1, collect=seen)
+        assert _descend(g, _theorem(g, 1), tr.root, seen)[0] == t
         stack = {}
         for depth, sub in seen:
             if depth > 0:
@@ -222,9 +223,9 @@ def test_theorem2_measure_strictly_decreases():
     for _ in range(40):
         g = random_connected(rng, rng.randint(3, 10))
         k, _ = _t2_params(g)
-        _, tr = construct_theorem2(g, k)
+        t, tr = construct_theorem2(g, k)
         seen = []
-        replay_trace(g, tr, theorem=2, k=k, collect=seen)
+        assert _descend(g, _theorem(g, 2, k), tr.root, seen)[0] == t
         stack = {}
         for depth, sub in seen:
             assert chain_metric(sub) <= k
@@ -283,6 +284,58 @@ def test_replay_checks_theorem2_params_like_construct():
         replay_trace(Graph.build([(0, 1), (2, 3)]), tr, theorem=1)
 
 
+# (graph, theorem, k, girth_floor, error): one bad part of a request each.
+# The 5-cycle has girth 5 and one chain of 5 degree-2 vertices.
+_BAD_REQUESTS = [
+    (Graph.cycle(5), True, 5, None, InvalidParamsError),
+    (Graph.cycle(5), 1.0, 5, None, InvalidParamsError),
+    (Graph.cycle(5), 3, 5, None, InvalidParamsError),
+    (Graph.cycle(5), 2, None, None, InvalidParamsError),
+    (Graph.cycle(5), 2, 0, None, InvalidParamsError),
+    (Graph.cycle(5), 2, True, None, InvalidParamsError),
+    (Graph.cycle(5), 2, 5, 2, InvalidParamsError),
+    (Graph.cycle(5), 2, 5, 6, InvalidParamsError),
+    (Graph.cycle(5), 2, 4, None, ChainTooLongError),
+    (Graph.build([(0, 1), (2, 3)]), 1, None, None, NotConnectedError),
+    (Graph.build([(0, 1), (2, 3)]), 2, 1, None, NotConnectedError),
+    (Graph.path(1), 1, None, None, InvalidParamsError),
+    (Graph.path(1), 2, 1, None, InvalidParamsError),
+]
+
+
+def test_requests_are_checked_alike_at_every_entry_point(monkeypatch, capsys):
+    def cli(argv, g):
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(g)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flag's value
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    _, trace = construct_theorem1(Graph.cycle(5))
+    for g, theorem, k, floor, error in _BAD_REQUESTS:
+        if type(theorem) is int and theorem in (1, 2):
+            with pytest.raises(error):
+                construct_theorem1(g) if theorem == 1 else construct_theorem2(g, k, floor)
+        else:
+            with pytest.raises(error):
+                verify_corpus(theorem, 1, 5)
+        with pytest.raises(error):
+            replay_trace(g, trace, theorem, k, floor)
+        flags = ["--theorem", str(theorem)]
+        flags += ["--k", str(k)] * (k is not None) + ["--g", str(floor)] * (floor is not None)
+        assert cli(["bound", *flags], g)[0] == 2
+        if k is not None or theorem != 2:  # construct defaults k to the longest chain
+            assert cli(["construct", *flags], g)[0] == 2
+    # bound prints the fraction construct certifies against
+    for g in _golden_graphs():
+        k = str(max(chain_metric(g), 1))
+        for flags in (["--theorem", "1"], ["--theorem", "2", "--k", k]):
+            bound = re.search(r"bound=(\S+)", cli(["bound", *flags], g)[1]).group(1)
+            head = cli(["construct", *flags], g)[1].splitlines()[0]
+            assert f" bound={bound} " in head, (g.sorted_edges, flags)
+
+
 def _ladder(rungs):
     # two paths of the given length joined rung by rung
     top = [(i, i + 1) for i in range(rungs - 1)]
@@ -326,7 +379,7 @@ def test_descent_depth_does_not_use_the_call_stack():
             else:
                 t, tr = construct_theorem2(g, k)
             seen = []
-            assert replay_trace(g, tr, theorem=theorem, k=k, collect=seen) == t
+            assert _descend(g, _theorem(g, theorem, k), tr.root, seen)[0] == t
             assert max(depth for depth, _ in seen) > headroom + 10
     finally:
         sys.setrecursionlimit(old)
@@ -458,10 +511,10 @@ class _Seeded(list):
 def _derived_descent_graphs(g, theorem):
     """Every graph a descent from g meets, in construction and on replay."""
     k = max(chain_metric(g), 1) if theorem == 2 else None
-    spec = _THEOREM1 if theorem == 1 else _theorem2(theorem2_girth(g, k), k)
+    request = _theorem(g, theorem, k)
     built, replayed = _Seeded(), _Seeded()
-    t, root = _descend(g, spec, collect=built)
-    assert replay_trace(g, ConstructionTrace(root, t), theorem, k, collect=replayed) == t
+    t, root = _descend(g, request, collect=built)
+    assert _descend(g, request, root, replayed)[0] == t
     assert len(built) == len(replayed)
     return [sub for _, sub in built + replayed]
 

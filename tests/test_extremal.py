@@ -110,6 +110,21 @@ def test_chain_counts_must_be_ints(bad):
         glue_extremal_chain(base, bad)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(kind=TRIANGLE_TREE, n="3"),
+        dict(kind=TRIANGLE_TREE, n=2.0),
+        dict(kind=CYCLE_SPINE_DENSE, g="5", k=3),
+        dict(kind=CYCLE_SPINE_DENSE, g=5, k=True),
+        dict(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n="2"),
+    ],
+)
+def test_family_params_must_be_ints(kw):
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        FamilySpec(**kw)
+
+
 def test_from_spec_single():
     assert from_spec(FamilySpec(kind=TRIANGLE_TREE, n=3)).v == 14
     assert from_spec(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)).v == 9

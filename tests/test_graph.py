@@ -40,6 +40,21 @@ def test_edge_outside_vertex_set():
         Graph(frozenset({1, 2}), frozenset({(1, 3)}))
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ({0, 1}, frozenset({(0, 1)})),  # a set would make the graph unhashable
+        (frozenset({0, 1}), [(0, 1)]),
+        (frozenset({0, 1, 2}), frozenset({(0, 1, 2)})),
+        (frozenset({0, 1}), frozenset({(0, "a")})),
+        (frozenset({0, 1}), frozenset({5})),
+    ],
+)
+def test_constructor_rejects_malformed_fields(vertices, edges):
+    with pytest.raises(InvalidGraphError):
+        Graph(vertices, edges)
+
+
 def test_factories():
     p = Graph.path(4)
     assert p.v == 4 and p.e == 3
