@@ -4,6 +4,7 @@ bridges, pendant spines, and the essential/inessential cutpoint split."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
@@ -125,28 +126,16 @@ def decompose_blocks(g: Graph) -> BlockDecomposition:
     Packs the result of lowpoint_blocks on index_adjacency(g) into Blocks.  Every edge lands in exactly one block; two
     blocks share at most one vertex and any shared vertex is a cutpoint.
     """
-    verts = g.sorted_vertices
-    edges = g.sorted_edges
+    verts, edges = g.sorted_vertices, g.sorted_edges
     raw_blocks, cut = lowpoint_blocks(index_adjacency(g))
-
-    cutpoints = frozenset(verts[i] for i in range(len(verts)) if cut[i])
+    cutpoints = frozenset(compress(verts, cut))
     blocks = []
-    bridges = set()
     for vs, es in raw_blocks:
         vs = frozenset(verts[i] for i in vs)
-        boundary = vs & cutpoints
-        blocks.append(
-            Block(
-                vertices=vs,
-                edges=frozenset(edges[e] for e in es),
-                boundary=boundary,
-                interior=vs - boundary,
-            )
-        )
-        if len(es) == 1:
-            bridges.add(edges[es[0]])
+        blocks.append(Block(vs, frozenset(edges[e] for e in es), vs & cutpoints, vs - cutpoints))
     blocks.sort(key=lambda b: tuple(sorted(b.vertices)))
-    return BlockDecomposition(tuple(blocks), cutpoints, frozenset(bridges))
+    bridges = frozenset(edges[es[0]] for _, es in raw_blocks if len(es) == 1)
+    return BlockDecomposition(tuple(blocks), cutpoints, bridges)
 
 
 @dataclass(frozen=True)
@@ -198,27 +187,19 @@ def essential_cutpoints(g: Graph) -> frozenset:
     """Cutpoints except those that merely detach one spine.
 
     A cutpoint is inessential when removing it leaves exactly two components
-    and one of them is a spine based at the cutpoint.  The answer is read
-    off one block decomposition and the pendant spines of g.
+    and one of them is a spine based at the cutpoint.  g - a has one
+    component per block at a, so a cutpoint is inessential exactly when it
+    lies on a spine path or is a spine base in two blocks.  A path has no
+    spines, yet each interior vertex of it detaches a pendant path, so a
+    path has no essential cutpoints.  The answer is read off one lowpoint
+    pass and the pendant spines of g.
     """
-    return _essential_cutpoints(g, decompose_blocks(g), find_spines(g))
-
-
-def _essential_cutpoints(g: Graph, dec: BlockDecomposition, spines: tuple) -> frozenset:
-    """Essential cutpoints of g, given its block decomposition and spines.
-
-    g - a has one component per block at a, so a cutpoint is inessential
-    exactly when it lies on a spine path or is a spine base in two blocks.
-    A path has no spines, yet each interior vertex of it detaches a pendant
-    path, so a path has no essential cutpoints.
-    """
+    spines = find_spines(g)
     if not spines and g.min_degree == 1:
         return frozenset()  # a pendant that starts no spine: g is a path
+    blocks, cut = lowpoint_blocks(index_adjacency(g))
     on_spine = {x for s in spines for x in s.path}
     bases = {s.base for s in spines}
-    blocks_at = Counter(x for b in dec.blocks for x in b.boundary)
-    return frozenset(
-        a
-        for a in dec.cutpoints
-        if a not in on_spine and not (a in bases and blocks_at[a] == 2)
-    )
+    verts = g.sorted_vertices
+    blocks_at = Counter(verts[x] for vs, _ in blocks for x in vs if cut[x])
+    return frozenset(a for a, n in blocks_at.items() if a not in on_spine and not (a in bases and n == 2))

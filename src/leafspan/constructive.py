@@ -13,25 +13,20 @@ means the implementation (not the input) is wrong.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import (
-    _essential_cutpoints,
-    decompose_blocks,
-    find_spines,
-    index_adjacency,
-    lowpoint_blocks,
-)
-from .bounds import _check_int, bound_theorem1, bound_theorem2
+from .blocks import decompose_blocks, find_spines, index_adjacency, lowpoint_blocks
+from .bounds import _check_int, alpha, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
     InvalidParamsError,
     NotALeafError,
+    NotConnectedError,
     SearchExhaustedError,
 )
 from .exact import exact_mlst, greedy_leafy
@@ -111,6 +106,10 @@ def check_lemma5_structure(g: Graph, p: PartitionUWXY) -> Optional[str]:
 
 @dataclass(frozen=True)
 class TraceNode:
+    """One descent step: its case, operation and ids, the size of its graph and
+    its children.  A split lists its cuts ascending, a cut shared by m pieces
+    m - 1 times, so a split line has len(args) + 1 children."""
+
     case: str
     op: str  # contract | delete | split | extend | base
     args: tuple
@@ -162,9 +161,9 @@ class _Step(NamedTuple):
 class _Theorem(NamedTuple):
     """A checked certification request.  Case functions case(g, rec), rec the node's
     TraceNode on replay else None, tried in order until one returns a _Step; need(g,
-    case): the leaves its tree must reach; bound(): the root's report, evaluated only
-    when asked for; girth: the root's measured girth under theorem 2, None when
-    acyclic or under theorem 1."""
+    case): the leaves its tree must reach; bound(): the root's report, evaluated when
+    asked for under theorem 1; girth: the root's measured girth under theorem 2, None
+    when acyclic or under theorem 1."""
 
     cases: tuple
     need: Callable
@@ -239,74 +238,72 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None,
         stack[-1].done.append((t, node))
 
 
-def _side(g: Graph, a: int, start: int) -> frozenset:
-    """The component of g - a that contains start."""
+def _side(nbrs: dict, a, start: int) -> frozenset:
+    """The component that contains start of the graph with adjacency nbrs, less a."""
     seen = {start}
     todo = [start]
     while todo:
-        for nb in g.adjacency[todo.pop()]:
+        for nb in nbrs[todo.pop()]:
             if nb != a and nb not in seen:
                 seen.add(nb)
                 todo.append(nb)
     return frozenset(seen)
 
 
-def _split(g: Graph, a: int, side1: frozenset, probe: Callable) -> tuple:
-    """Split g at the cutpoint a into side1 and the rest; return (g1, g2, build).
+def _split(g: Graph, groups: dict, probe: Callable) -> tuple:
+    """Split g at every cut in groups at once; return (pieces, build).
 
-    The second half carries a relabeled cut copy a2.  Each half gets a fresh
-    probe path of probe(d) vertices at its cut vertex, where d is the cut
-    vertex's degree in the half; the last probe vertex is the half's tip, or
-    the cut vertex itself when the probe is empty.  Fresh ids sit above every
-    real id, in the order a2, probe 1, probe 2, and all of them fold back
-    onto a when the halves' trees are rejoined.
+    groups maps each cut a, ascending, to its groups: a partition of a's
+    neighbours into unions of components of g - a.  The first group keeps
+    a, every other one gets a fresh copy of it, and each gets a probe path
+    of probe(d) fresh vertices at its copy, d its arm count; the group's tip
+    is its last probe vertex, or the copy itself.  Fresh ids come per cut,
+    copies then probes.  The pieces, the components of what is left in the
+    order of their first group, are built each from its own vertices.  build
+    folds every fresh id back onto its cut: the tips must be leaves, and the
+    probe edges collapse.
     """
-    m0 = max(g.vertices)
-    a2 = m0 + 1
-    fresh = count(m0 + 2)
-    adj = g.adjacency
-    halves = []
-    for side, cut in ((side1, a), (g.vertices - side1 - {a}, a2)):
-        arms = adj[a] & side
-        path = (cut,) + tuple(next(fresh) for _ in range(probe(len(arms))))
-        gone = g.vertices - side - {cut}
-        add = [_edge(cut, x) for x in arms] + list(zip(path, path[1:]))
-        halves.append((g._derive(gone, {_edge(x, y) for x in gone for y in adj[x]}, add), path[-1]))
-    (g1, tip1), (g2, tip2) = halves
-    assert tip1 != a or tip2 != a2, "cut degree below 3"
-    return g1, g2, _rejoin(g, a, tip1, tip2)
+    adj, fresh = g.adjacency, count(max(g.vertices) + 1)
+    side, paths = {}, []  # (cut, arm): the cut's id on the arm's side; (cut, arms, probe path)
+    for a, arm_sets in groups.items():
+        ids = [a] + [next(fresh) for _ in arm_sets[1:]]
+        side.update(((a, y), c) for c, arms in zip(ids, arm_sets) for y in arms)
+        paths += [(a, arms, (c, *(next(fresh) for _ in range(probe(len(arms)))))) for c, arms in zip(ids, arm_sets)]
+        assert any(len(path) > 1 for _, _, path in paths[-len(ids) :]), "no group at the cut has a probe"
+    nbrs = dict(adj)  # each cut's entry is overwritten by its first group's
+    for a, arms, path in paths:
+        nbrs[path[0]] = frozenset(side.get((y, a), y) for y in arms).union(path[1:2])
+        nbrs.update((x, frozenset(path[i : i + 3 : 2])) for i, x in enumerate(path[1:]))
+        nbrs.update((y, frozenset(side.get((z, y), z) for z in adj[y])) for y in arms if y not in groups)
+    onto = {x: a for a, _, path in paths for x in path if x != a}  # fresh id -> its cut
+    piece_of, pieces = {}, []
+    for _, _, (c, *_) in paths:
+        if c not in piece_of:
+            vs = _side(nbrs, None, c)
+            piece_of.update(dict.fromkeys(vs, len(pieces)))
+            es = frozenset((x, y) for x in vs for y in nbrs[x] if x < y)
+            pieces.append(Graph._derived(vs, es, {x: nbrs[x] for x in vs}))
+    assert len(pieces) == 1 + sum(len(s) - 1 for s in groups.values()), "a group is not a union of components"
 
-
-def _rejoin(g: Graph, a: int, tip1: int, tip2: int) -> Callable:
-    """Build of a split at a.
-
-    The halves' trees meet at their probe tips, which must be leaves; every
-    id outside g (the probes and the cut copy) maps onto a, and the probe
-    edges, all of them tree edges, collapse.
-    """
-
-    def onto(x: int) -> int:
-        return x if x in g.vertices else a
-
-    def build(t1: SpanningTree, t2: SpanningTree) -> SpanningTree:
-        host, edges = set(), set()
-        for t, tip in ((t1, tip1), (t2, tip2)):
-            if sum(tip in e for e in t.tree_edges) != 1:
-                raise NotALeafError(f"probe tip {tip} is not a leaf of its half's tree")
+    def build(*trees: SpanningTree) -> SpanningTree:
+        degree = [Counter(chain.from_iterable(t.tree_edges)) for t in trees]
+        for _, _, path in paths:
+            if degree[piece_of[path[0]]][path[-1]] != 1:
+                raise NotALeafError(f"probe tip {path[-1]} is not a leaf of its piece's tree")
+        edges, rest = set(), set()
+        for t in trees:
             for e in t.host.edges:
-                u, v = onto(e[0]), onto(e[1])
-                if u == v:
+                u, v = onto.get(e[0], e[0]), onto.get(e[1], e[1])
+                if u != v:
+                    (edges if e in t.tree_edges else rest).add(_edge(u, v))
+                else:
                     assert e in t.tree_edges, f"probe edge {e} is not a tree edge"
-                    continue
-                host.add(_edge(u, v))
-                if e in t.tree_edges:
-                    edges.add(_edge(u, v))
-        assert host == g.edges, "recombination did not restore the split graph"
+        assert edges | rest == g.edges, "recombination did not restore the split graph"
         t = _pack(g, edges)
-        assert t.leaf_count == t1.leaf_count + t2.leaf_count - 2, "leaf count drifted"
+        assert t.leaf_count == sum(x.leaf_count for x in trees) - len(paths), "leaf count drifted"
         return t
 
-    return build
+    return tuple(pieces), build
 
 
 def _base_tree(g: Graph, rec):
@@ -328,7 +325,7 @@ def _t1_degree2(g: Graph, rec):
     b, c = sorted(adj[a])
     # a has degree 2, so it is a cutpoint exactly when ab is a bridge, that
     # is when g - a separates b from c
-    if b in _side(g, a, c):
+    if b in _side(adj, a, c):
         return _Step("1", "delete", (a, b), (g.without_edge(a, b),), _keep_edges(g))
     # a cycle through an edge of a's run of degree-2 vertices would pass a,
     # so every run edge is a bridge: the run lies in every spanning tree, and
@@ -385,10 +382,10 @@ def _t1_core_cut(g: Graph, rec):
     # the pendants at a travel with the second half
     a = h_cuts[0]
     pendants = {x for x in g.adjacency[a] if g.degree(x) == 1}
-    side1 = _side(g, a, min(g.vertices - pendants - {a}))
+    side1 = _side(g.adjacency, a, min(g.vertices - pendants - {a}))
     assert not h.vertices <= side1 | {a}, "split vertex is not a core cutpoint"
-    g1, g2, build = _split(g, a, side1, lambda d: 1)
-    return _Step("2", "split", (a,), (g1, g2), build)
+    pieces, build = _split(g, {a: [g.adjacency[a] & side1, g.adjacency[a] - side1]}, lambda d: 1)
+    return _Step("2", "split", (a,), pieces, build)
 
 
 def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
@@ -438,7 +435,7 @@ def _t1_extend(g: Graph, rec):
         for b in g.neighbors(a):
             h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
             if h is None:
-                h = g.induced(_side(g, a, b))
+                h = g.induced(_side(g.adjacency, a, b))
                 cuts = _cutpoints(h)
                 comps.append((h, cuts))
             if b in cuts:
@@ -465,7 +462,7 @@ def _t1_lemma5(g: Graph, rec):
     # dropping w x_other leaves x a cutpoint of the component h of g* - a
     # that holds w, so lemma 3 lifts h's tree to g*, whose tree spans g too
     g_star = g.without_edge(w, x_other)
-    h = g_star.induced(_side(g_star, a, w))
+    h = g_star.induced(_side(g_star.adjacency, a, w))
     keep, lift = _keep_edges(g), _lemma3(g_star, a, x, h)
     return _Step("5", "extend", (w, x, x_other, a), (h,), lambda t_sub: keep(lift(t_sub)))
 
@@ -490,12 +487,13 @@ def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
     return True
 
 
-def _removal_fault(g: Graph, f: frozenset) -> Optional[str]:
-    """The first postcondition of large-block removal that g - f breaks, or None."""
-    reduced = g.without_edges(f)
-    if not reduced.is_connected:
+def _removal_fault(g: Graph, reduced: Graph) -> Optional[str]:
+    """The first postcondition of removal that reduced, g less a removal set, breaks, or None."""
+    try:
+        blocks, cut = lowpoint_blocks(index_adjacency(reduced))
+    except NotConnectedError:
         return "disconnects the graph"
-    if any(b.is_large for b in decompose_blocks(reduced).blocks):
+    if any(2 * sum(not cut[x] for x in vs) > len(vs) for vs, _ in blocks):
         return "leaves a large block"
     return None if _chain_condition_holds(g, reduced) else "breaks the chain condition"
 
@@ -589,21 +587,21 @@ def remove_large_blocks(g: Graph) -> frozenset:
     got = search(0, g.e - g.v + 1)
     if got is None:
         raise SearchExhaustedError("no valid removal set; this should be impossible")
-    f = frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
-    if fault := _removal_fault(g, f):
-        raise AssertionError(f"removal set {sorted(f)} {fault}")
-    return f
+    return frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
 
 
-def _recorded_removal(g: Graph, rec: TraceNode) -> frozenset:
-    """The sorted edge list of a recorded 1.2 step, checked instead of searched for."""
-    f = frozenset(zip(rec.args[::2], rec.args[1::2]))
-    listed = not len(rec.args) % 2 and f and f <= g.edges
-    if not listed or tuple(x for e in sorted(f) for x in e) != rec.args:
+def _removal(g: Graph, rec: Optional[TraceNode]) -> tuple:
+    """The removal set of a 1.2 step, searched for in construction and read from
+    the record on replay, and g less it, built once and checked either way."""
+    f = remove_large_blocks(g) if rec is None else frozenset(zip(rec.args[::2], rec.args[1::2]))
+    if rec is not None and not (f and f <= g.edges and tuple(x for e in sorted(f) for x in e) == rec.args):
         raise InvalidParamsError(f"trace mismatch: recorded {rec.line()}, replay needs a 1.2 edge list")
-    if fault := _removal_fault(g, f):
+    reduced = g.without_edges(f)
+    if fault := _removal_fault(g, reduced):
+        if rec is None:
+            raise AssertionError(f"removal set {sorted(f)} {fault}")
         raise InvalidParamsError(f"trace mismatch: recorded 1.2 set {sorted(f)} {fault}")
-    return f
+    return f, reduced
 
 
 # -- girth/chain descent ----------------------------------------------------
@@ -615,54 +613,70 @@ def _t2_base_short(g: Graph, rec, k: int):
 
 
 def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
-    """Split, removal or base of the girth/chain descent.
+    """Split, removal or base of the girth/chain descent, read off one
+    lowpoint pass and one spine search of g.
 
-    All three read one block decomposition and one spine search of g.  The
-    lowest essential cutpoint splits g (case 1.1); with none left, the large
-    blocks are removed (case 1.2).  Otherwise every cutpoint detaches a
-    single pendant path and what remains is one biconnected core.  The base
-    tree keeps every pendant path and spans the core so that, when the core
-    has interior vertices, one of them is a leaf.
+    Case 1.1 walks the cutpoints of degree >= 3 upwards and splits g at
+    once at each one still essential in the piece the earlier ones leave
+    it in.  The groups at such a cut a are the components of g - a, each
+    non-spine one alone and the spines at a together, a spider, which is a
+    tree; a bridge run of degree-2 vertices to an earlier cut counts as a
+    spine, as that cut's pendant copy ends it.  So splitting one cut at a
+    time, upwards, gives the same pieces.  A group of d >= 2 arms gets a
+    probe of k+1 vertices; when every group has one arm, the last two
+    merge.  A cut with m groups, r of them without a probe, adds m - 1
+    copies, (m - r)(k+1) probe vertices and m - 1 pieces, and the rejoin
+    loses its m tips.  With x = (k+1)alpha < 1, as alpha(g, k) < 1/(k+2),
+    the pieces' bounds less the lost tips exceed the parent's by the sum
+    over cuts of (m - 2) + x(1 - r) >= (m - 2)(1 - x) >= 0, as r < m.  A
+    tree piece is held to the girth-3 rate only; need checks the split
+    node itself.
+
+    With no cut taken, large blocks are removed (case 1.2).  Otherwise
+    every cutpoint detaches one pendant path around a biconnected core,
+    and the base tree keeps the paths and spans the core with one of its
+    interior vertices, if it has any, a leaf.
     """
-    dec = decompose_blocks(g)
+    verts, adj, index = g.sorted_vertices, g.adjacency, index_adjacency(g)
+    blocks, cut = lowpoint_blocks(index)
     spines = find_spines(g)
-    ess = _essential_cutpoints(g, dec, spines)
-    cuts = [x for x in sorted(ess) if g.degree(x) >= 3]
-    if cuts:
-        # split off the lowest component of g - a that is not a spine based
-        # at a; when it is the only one, split off the spines instead.  A
-        # half that keeps degree >= 2 at the cut gets a probe of k+1 vertices.
-        a = cuts[0]
-        at_a = [s.path for s in spines if s.base == a]
-        on_a = frozenset(x for path in at_a for x in path)
-        side1 = _side(g, a, min(g.vertices - on_a - {a}))
-        if side1 | on_a | {a} == g.vertices:
-            assert len(at_a) >= 2, "one other side needs two spines"
-            side1 = on_a
-        g1, g2, build = _split(g, a, side1, lambda d: k + 1 if d >= 2 else 0)
-        return _Step("1.1", "split", (a,), (g1, g2), build)
-    assert not ess, "only degree-2 essential cutpoints found"
+    block_of = {eid: i for i, (_, es) in enumerate(blocks) for eid in es}
+    lows = [sorted(vs)[:2] for vs, _ in blocks]  # to order a's groups by their block's lowest vertex but a
+    spiny = {(s.base, s.path[0]) for s in spines}  # (cut, arm) of spines and of runs to taken cuts
+    groups = {}
+    for i in compress(range(g.v), cut):
+        a, arms = verts[i], {}
+        for j, eid in index[i]:
+            arms.setdefault(block_of[eid], []).append(verts[j])
+        own = [arms[b] for b in sorted(arms, key=lambda b: lows[b][lows[b][0] == i]) if (a, arms[b][0]) not in spiny]
+        spider = [ys[0] for ys in arms.values() if (a, ys[0]) in spiny]
+        if len(adj[a]) < 3 or len(own) + (len(spider) > 1) < 2:
+            continue
+        groups[a] = grouped = own + [spider] * bool(spider) if len(own) > 1 else [spider] + own
+        if all(len(ys) == 1 for ys in grouped):
+            grouped[-2:] = [grouped[-2] + grouped[-1]]
+        for (y,) in (ys for ys in grouped if len(ys) == 1):
+            prev = a
+            while len(adj[y]) == 2:
+                prev, y = y, min(adj[y] - {prev})
+            spiny.add((y, prev))
+    if groups:
+        pieces, build = _split(g, groups, lambda d: k + 1 if d >= 2 else 0)
+        return _Step("1.1", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
     # a large block means a non-empty removal set; replay checks the recorded one
-    if any(b.is_large for b in dec.blocks):
-        f = remove_large_blocks(g) if rec is None else _recorded_removal(g, rec)
-        args = tuple(x for e in sorted(f) for x in e)
-        return _Step("1.2", "delete", args, (g.without_edges(f),), _keep_edges(g))
+    if any(2 * sum(not cut[x] for x in vs) > len(vs) for vs, _ in blocks):
+        f, reduced = _removal(g, rec)
+        return _Step("1.2", "delete", tuple(x for e in sorted(f) for x in e), (reduced,), _keep_edges(g))
     on_spine = frozenset(x for s in spines for x in s.path)
-    cores = [b for b in dec.blocks if not b.vertices & on_spine]
-    assert len(cores) == 1 and len(cores[0].vertices) >= 3, "core is not one block"
-    (block,) = cores
-    assert block.vertices | on_spine == g.vertices, "core and spines miss a vertex"
+    cores = [vs for vs, _ in blocks if on_spine.isdisjoint(verts[x] for x in vs)]
+    assert len(cores) == 1 and 3 <= len(cores[0]) == g.v - len(on_spine), "core is not one block"
     # every cutpoint in the core block is a spine base, so the core's
     # interior is the block's
-    core = g.induced(block.vertices)
-    interior = sorted(block.interior)
-    if interior:
-        u0 = interior[0]
-        rest = core.without_vertex(u0)
-        edges = set(rest.bfs_tree(min(rest.vertices)))
-        edges.add(_edge(u0, min(core.adjacency[u0])))
-    else:
-        edges = set(core.bfs_tree(min(core.vertices)))
+    core = g.induced(verts[x] for x in cores[0])
+    interior = sorted(verts[x] for x in cores[0] if not cut[x])
+    rest = core.without_vertex(interior[0]) if interior else core
+    edges = set(rest.bfs_tree(min(rest.vertices)))
+    edges.update(_edge(u0, min(core.adjacency[u0])) for u0 in interior[:1])
     edges.update(_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
     t = _pack(g, edges)
     assert t.leaf_count >= len(spines) + (1 if interior else 0)
@@ -703,14 +717,19 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     if measured is not None and gg > measured:
         raise InvalidParamsError(f"girth_floor {girth_floor} not in [3, measured {measured}]")
 
+    rep = bound_theorem2(g.v, gg, k)
+    rate, tree_rate = rep.params["alpha"], alpha(3, k)
+
     def need(h: Graph, case: str):
-        assert chain_metric(h) <= k, "descent produced an overlong chain"
-        # trees meet the triangle-girth rate; larger declared girths need not
-        # hold on bare trees, so every tree is certified at g=3
-        return bound_theorem2(h.v, 3 if case == "base-tree" else gg, k).value
+        # the request measured the root's chains.  Trees meet the girth-3 rate;
+        # larger declared girths need not hold on bare trees
+        assert h is g or chain_metric(h) <= k, "descent produced an overlong chain"
+        value = (tree_rate if case == "base-tree" else rate) * (h.v - k - 2) + 2
+        assert h is not g or value == rep.value, "root need differs from the request's bound"
+        return value
 
     cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
-    return _Theorem(cases, need, lambda: bound_theorem2(g.v, gg, k), measured)
+    return _Theorem(cases, need, lambda: rep, measured)
 
 
 def _certify(g: Graph, request: _Theorem):

@@ -364,9 +364,9 @@ def _k4_run(n):
 
 
 def test_descent_depth_does_not_use_the_call_stack():
-    # trace depth is 298 on the ladder, 99 on the chain of K4s and
-    # triangles-1 on the triangle tree, all beyond the recursion headroom
-    # allowed here
+    # trace depth is 298 on the ladder and 99 on the chain of K4s, beyond the
+    # recursion headroom allowed here; the girth/chain descent splits the
+    # triangle tree at every cut in one step, so there it is 1
     headroom = 60
     cases = [(_ladder(150), 1), (_k4_chain(100), 1), (gen_triangle_tree(80), 2)]
     old = sys.getrecursionlimit()
@@ -380,7 +380,8 @@ def test_descent_depth_does_not_use_the_call_stack():
                 t, tr = construct_theorem2(g, k)
             seen = []
             assert _descend(g, _theorem(g, theorem, k), tr.root, seen)[0] == t
-            assert max(depth for depth, _ in seen) > headroom + 10
+            deepest = max(depth for depth, _ in seen)
+            assert deepest == 1 if theorem == 2 else deepest > headroom + 10
     finally:
         sys.setrecursionlimit(old)
 
@@ -406,18 +407,22 @@ def test_degree2_step_decomposes_no_blocks(monkeypatch):
 
 
 def test_girth_chain_step_reads_one_decomposition(monkeypatch):
-    # one block decomposition and one spine search answer a node's split,
+    # one lowpoint pass and one spine search answer a node's split,
     # removal and base questions; the removal search runs at 1.2 steps of
-    # construction only, and its result is decomposed once to check it.
-    # Replay decomposes the recorded set once instead of searching again.
+    # construction only, and one more lowpoint pass checks its result.
+    # Replay checks the recorded set with that pass instead of searching.
     import leafspan.constructive as constructive
 
     calls = Counter()
-    for name in ("decompose_blocks", "find_spines", "remove_large_blocks"):
+    for name in ("lowpoint_blocks", "find_spines", "remove_large_blocks"):
 
         def counted(g, name=name, real=getattr(constructive, name)):
             calls[name] += 1
-            return real(g)
+            before = calls["lowpoint_blocks"]
+            out = real(g)
+            if name == "remove_large_blocks":
+                calls["lowpoint_blocks"] = before  # the search's own passes are its nodes
+            return out
 
         monkeypatch.setattr(constructive, name, counted)
     chain = glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 5)
@@ -428,7 +433,7 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
         cases = Counter(n.case for n in tr.preorder())
         blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"]
         expected = Counter(
-            decompose_blocks=blocked + cases["1.2"],
+            lowpoint_blocks=blocked + cases["1.2"],
             find_spines=blocked,
             remove_large_blocks=cases["1.2"],
         )
@@ -438,6 +443,64 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
         assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
         assert calls["remove_large_blocks"] == 0
     assert cases["1.2"] > 0  # the Petersen graph removes large blocks
+
+
+# the chained specs of the benchmark's ladder
+_LADDER_SPECS = (
+    FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2),
+    FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2),
+    FamilySpec(CYCLE_SPINE_DENSE, g=5, k=3),
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_triangle_tree(n) for n in (3, 10, 50)]
+    + [glue_extremal_chain(spec, copies) for spec in _LADDER_SPECS for copies in (5, 20)],
+)
+def test_girth_chain_descent_splits_at_every_cut_in_one_step(g):
+    # one split line, its cuts ascending, and every piece it hands out is a base
+    k, _ = _t2_params(g)
+    t, tr = construct_theorem2(g, k)
+    (split,) = [n for n in tr.preorder() if n.case == "1.1"]
+    assert split.op == "split" and list(split.args) == sorted(split.args)
+    assert len(split.children) == len(split.args) + 1 >= 2
+    assert all(child.op == "base" for child in split.children)
+    assert replay_trace(g, tr, theorem=2, k=k) == t
+
+
+def test_triangle_tree_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
+    import leafspan.blocks as blocks
+    import leafspan.constructive as constructive
+
+    calls = []
+
+    def counted(adj, real=blocks.lowpoint_blocks):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(blocks, "lowpoint_blocks", counted)
+    monkeypatch.setattr(constructive, "lowpoint_blocks", counted)
+    _, tr = construct_theorem2(gen_triangle_tree(200), 1)
+    assert tr.root.op == "split" and len(calls) <= len(tr.root.children) + 2
+
+
+def test_replay_rejects_altered_split():
+    import dataclasses
+
+    g = gen_triangle_tree(10)
+    _, tr = construct_theorem2(g, 1)
+    root, a = tr.root, tr.root.args
+    assert root.case == "1.1" and len(a) >= 3
+    # a dropped, a swapped and a repeated cut
+    for args in (a[1:], (a[1], a[0]) + a[2:], a[:1] + a):
+        bad = dataclasses.replace(tr, root=dataclasses.replace(root, args=args))
+        with pytest.raises(InvalidParamsError, match="trace mismatch: recorded case=1.1"):
+            replay_trace(g, bad, theorem=2, k=1)
+    for children, why in ((root.children[1:], "missing"), (root.children + root.children[:1], "extra")):
+        bad = dataclasses.replace(tr, root=dataclasses.replace(root, children=children))
+        with pytest.raises(InvalidParamsError, match=f"{why} child step"):
+            replay_trace(g, bad, theorem=2, k=1)
 
 
 def _count_builds(monkeypatch):

@@ -24,7 +24,7 @@ from leafspan import (
     serialize_tree,
 )
 
-DIGEST = "9799b698fa43488b36ae3b23540f68b327ca3ed8af3eb03e7f43316e1f102832"
+DIGEST = "31f6e7baf3c14d9e8164999c1c867217498a8aa2d33a418fb36269fae3ff7c15"
 
 
 def _golden_graphs():
