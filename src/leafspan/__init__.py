@@ -14,7 +14,6 @@ from .blocks import (
     BlockDecomposition,
     Spine,
     decompose_blocks,
-    essential_cutpoints,
     find_spines,
 )
 from .bounds import (
@@ -140,7 +139,6 @@ __all__ = [
     "construct_theorem2",
     "contract_edge",
     "decompose_blocks",
-    "essential_cutpoints",
     "exact_mlst",
     "export_dot",
     "find_spines",

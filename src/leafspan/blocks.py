@@ -1,9 +1,8 @@
 """Block structure of a connected graph: biconnected components, cutpoints,
-bridges, pendant spines, and the essential/inessential cutpoint split."""
+bridges, large blocks and pendant spines."""
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import compress
 from dataclasses import dataclass
 
@@ -120,6 +119,18 @@ def lowpoint_blocks(adj: list) -> tuple:
     return blocks, cut
 
 
+def large_blocks(blocks: list, cut: list) -> list:
+    """The large blocks of a lowpoint_blocks result, as (interior size,
+    vertices, edge ids) in the order given: those whose interior, the
+    vertices that are not cutpoints, outnumbers their cutpoints."""
+    out = []
+    for vs, es in blocks:
+        inner = len(vs) - sum(cut[x] for x in vs)
+        if inner + inner > len(vs):
+            out.append((inner, vs, es))
+    return out
+
+
 def decompose_blocks(g: Graph) -> BlockDecomposition:
     """Split a connected graph into blocks with cutpoints and bridges.
 
@@ -181,25 +192,3 @@ def find_spines(g: Graph) -> tuple:
         spines.append(Spine(path=tuple(path), base=cur))
     spines.sort(key=lambda s: (s.base, s.path[0]))
     return tuple(spines)
-
-
-def essential_cutpoints(g: Graph) -> frozenset:
-    """Cutpoints except those that merely detach one spine.
-
-    A cutpoint is inessential when removing it leaves exactly two components
-    and one of them is a spine based at the cutpoint.  g - a has one
-    component per block at a, so a cutpoint is inessential exactly when it
-    lies on a spine path or is a spine base in two blocks.  A path has no
-    spines, yet each interior vertex of it detaches a pendant path, so a
-    path has no essential cutpoints.  The answer is read off one lowpoint
-    pass and the pendant spines of g.
-    """
-    spines = find_spines(g)
-    if not spines and g.min_degree == 1:
-        return frozenset()  # a pendant that starts no spine: g is a path
-    blocks, cut = lowpoint_blocks(index_adjacency(g))
-    on_spine = {x for s in spines for x in s.path}
-    bases = {s.base for s in spines}
-    verts = g.sorted_vertices
-    blocks_at = Counter(verts[x] for vs, _ in blocks for x in vs if cut[x])
-    return frozenset(a for a, n in blocks_at.items() if a not in on_spine and not (a in bases and n == 2))

@@ -53,10 +53,7 @@ def beta_prime(h: int, k: int) -> Fraction:
 
     For even h = 2n this simplifies to (n-1) / ((n-1)(k+3) + 1).
     """
-    _check_int("h", h, 3)
-    _check_int("k", k, 1)
-    m = (h + 1) // 2
-    value = Fraction(m - 1, h + (k + 1) * m - k - 2)
+    value = gamma(h, (_check_int("h", h, 3) + 1) // 2, k)
     if h % 2 == 0:
         n = h // 2
         assert value == Fraction(n - 1, (n - 1) * (k + 3) + 1)

@@ -116,7 +116,7 @@ def _cmd_gen(args) -> int:
     if args.family == "triangle-tree":
         if args.n is None:
             raise InvalidParamsError("gen --family triangle-tree needs --n")
-        spec = FamilySpec(kind=TRIANGLE_TREE, n=args.n, chain_count=args.copies)
+        spec = FamilySpec(kind=TRIANGLE_TREE, n=args.n, g=args.g, k=args.k, chain_count=args.copies)
     else:
         if args.g is None or args.k is None:
             raise InvalidParamsError("gen --family cycle-spine needs --g and --k")

@@ -19,7 +19,7 @@ from functools import partial
 from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import decompose_blocks, find_spines, index_adjacency, lowpoint_blocks
+from .blocks import find_spines, index_adjacency, large_blocks, lowpoint_blocks
 from .bounds import _check_int, alpha, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
@@ -189,17 +189,14 @@ def _keep_edges(g: Graph):
     return lambda t_sub: SpanningTree(g, t_sub.tree_edges, t_sub.leaf_count)
 
 
-def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None, collect=None):
+def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None):
     """Run a descent from root on an explicit stack; return (tree, trace root).
 
     With a record, every derived step and its child count must match the
-    recorded one.  collect, when a list, receives (depth, graph) pairs in
-    preorder, one per node.
+    recorded one.
     """
 
     def enter(g: Graph, rec: Optional[TraceNode], depth: int) -> _Frame:
-        if collect is not None:
-            collect.append((depth, g))
         for case in theorem.cases:
             step = case(g, rec)
             if step is not None:
@@ -374,16 +371,22 @@ def _cutpoints(h: Graph) -> list:
 
 
 def _t1_core_cut(g: Graph, rec):
-    h = g.induced([x for x, nbrs in g.adjacency.items() if len(nbrs) > 1])  # g without its pendants
-    h_cuts = _cutpoints(h)
-    if not h_cuts:
+    # a core cutpoint, one of g without its pendants, is a cutpoint of g in
+    # two or more blocks that are not pendant edges: g - a has one component
+    # per block at a, and dropping the pendants empties only the components
+    # that are a lone pendant of a
+    index = index_adjacency(g)
+    blocks, cut = lowpoint_blocks(index)
+    cores = Counter(x for vs, _ in blocks if len(vs) > 2 or all(len(index[y]) > 1 for y in vs) for x in vs if cut[x])
+    i = min((x for x, n in cores.items() if n > 1), default=None)
+    if i is None:
         return None
     # the first half is the lowest component of g - a with core vertices;
     # the pendants at a travel with the second half
-    a = h_cuts[0]
+    a = g.sorted_vertices[i]
     pendants = {x for x in g.adjacency[a] if g.degree(x) == 1}
     side1 = _side(g.adjacency, a, min(g.vertices - pendants - {a}))
-    assert not h.vertices <= side1 | {a}, "split vertex is not a core cutpoint"
+    assert g.v > len(side1) + 1 + len(pendants), "split vertex is not a core cutpoint"
     pieces, build = _split(g, {a: [g.adjacency[a] & side1, g.adjacency[a] - side1]}, lambda d: 1)
     return _Step("2", "split", (a,), pieces, build)
 
@@ -478,24 +481,28 @@ def construct_theorem1(g: Graph):
 # -- large-block elimination ------------------------------------------------
 
 
-def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
-    """Adjacent degree-2 pairs of the reduced graph must predate the removal."""
-    for u, v in reduced.sorted_edges:
-        if reduced.degree(u) == 2 and reduced.degree(v) == 2:
-            if g.degree(u) != 2 or g.degree(v) != 2:
-                return False
-    return True
+def _breaks_chain(adj: list, touched) -> bool:
+    """Whether removing edges from an index graph, adj after the removal, made
+    an adjacent pair of degree-2 vertices that was not there before.
+
+    touched holds the ends of the removed edges.  Degrees only fall, so a
+    vertex is newly of degree 2 exactly when it lost a removed edge.
+    """
+    return any(len(adj[x]) == 2 and any(len(adj[y]) == 2 for y, _ in adj[x]) for x in touched)
 
 
-def _removal_fault(g: Graph, reduced: Graph) -> Optional[str]:
-    """The first postcondition of removal that reduced, g less a removal set, breaks, or None."""
+def _removal_fault(reduced: Graph, f) -> Optional[str]:
+    """The first postcondition of removal that reduced, a graph less the edge set f, breaks, or None."""
+    adj = index_adjacency(reduced)
     try:
-        blocks, cut = lowpoint_blocks(index_adjacency(reduced))
+        blocks, cut = lowpoint_blocks(adj)
     except NotConnectedError:
         return "disconnects the graph"
-    if any(2 * sum(not cut[x] for x in vs) > len(vs) for vs, _ in blocks):
+    if large_blocks(blocks, cut):
         return "leaves a large block"
-    return None if _chain_condition_holds(g, reduced) else "breaks the chain condition"
+    ends = set(chain.from_iterable(f))
+    touched = [i for i, x in enumerate(reduced.sorted_vertices) if x in ends]
+    return "breaks the chain condition" if _breaks_chain(adj, touched) else None
 
 
 def remove_large_blocks(g: Graph) -> frozenset:
@@ -525,25 +532,6 @@ def remove_large_blocks(g: Graph) -> frozenset:
     ends = {eid: (a, b) for a, nbrs in enumerate(adj) for b, eid in nbrs if a < b}
     touched: list = []  # endpoints of the removed edges
 
-    def blocks_by_size():
-        """Large blocks as (interior, vertices, edges), and other non-bridge edges."""
-        blocks, cut = lowpoint_blocks(adj)
-        large, rest = [], []
-        for vs, es in blocks:
-            inner = len(vs) - sum(cut[x] for x in vs)
-            if inner + inner > len(vs):
-                large.append((inner, vs, es))
-            elif len(es) > 1:
-                rest += es
-        return large, rest
-
-    def chain_condition_holds():
-        # a vertex of degree 2 is new exactly when it lost a removed edge
-        for x in touched:
-            if len(adj[x]) == 2 and any(len(adj[y]) == 2 for y, _ in adj[x]):
-                return False
-        return True
-
     def rank(eid):
         da, db = (len(adj[x]) for x in ends[eid])
         return eid + m * (0 if da == db == 2 else 1 if da > 3 and db > 3 else 2)
@@ -559,17 +547,19 @@ def remove_large_blocks(g: Graph) -> frozenset:
             return None
         # a graph that breaks the chain condition is no answer whatever its
         # blocks; removing more edges can still mend it while budget is left
-        chain_ok = chain_condition_holds()
+        chain_ok = not _breaks_chain(adj, touched)
         if budget == 0 and not chain_ok:
             return None
-        large, rest = blocks_by_size()
+        blocks, cut = lowpoint_blocks(adj)
+        large = large_blocks(blocks, cut)
         if not large and chain_ok:
             return removed
         if budget == 0:
             return None
         large.sort(key=lambda b: (-b[0], sorted(b[1])))
         order = [eid for _, _, es in large for eid in sorted(es, key=rank)]
-        order += sorted(rest, key=rank)
+        big = {id(es) for _, _, es in large}
+        order += sorted((eid for _, es in blocks if len(es) > 1 and id(es) not in big for eid in es), key=rank)
         for eid in order:
             a, b = ends[eid]
             adj[a].remove((b, eid))
@@ -597,7 +587,7 @@ def _removal(g: Graph, rec: Optional[TraceNode]) -> tuple:
     if rec is not None and not (f and f <= g.edges and tuple(x for e in sorted(f) for x in e) == rec.args):
         raise InvalidParamsError(f"trace mismatch: recorded {rec.line()}, replay needs a 1.2 edge list")
     reduced = g.without_edges(f)
-    if fault := _removal_fault(g, reduced):
+    if fault := _removal_fault(reduced, f):
         if rec is None:
             raise AssertionError(f"removal set {sorted(f)} {fault}")
         raise InvalidParamsError(f"trace mismatch: recorded 1.2 set {sorted(f)} {fault}")
@@ -664,7 +654,7 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
         pieces, build = _split(g, groups, lambda d: k + 1 if d >= 2 else 0)
         return _Step("1.1", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
     # a large block means a non-empty removal set; replay checks the recorded one
-    if any(2 * sum(not cut[x] for x in vs) > len(vs) for vs, _ in blocks):
+    if large_blocks(blocks, cut):
         f, reduced = _removal(g, rec)
         return _Step("1.2", "delete", tuple(x for e in sorted(f) for x in e), (reduced,), _keep_edges(g))
     on_spine = frozenset(x for s in spines for x in s.path)

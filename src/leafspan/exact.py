@@ -31,6 +31,7 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .blocks import index_adjacency, lowpoint_blocks
+from .bounds import _check_int
 from .errors import InvalidParamsError, NotConnectedError
 from .graph import Graph
 from .trees import SpanningTree, spanning_tree
@@ -99,10 +100,8 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     expanded; on exhaustion the best tree found so far is returned flagged
     non-optimal.
     """
-    if node_budget is not None and (
-        isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1
-    ):
-        raise InvalidParamsError(f"node_budget must be None or an int >= 1, got {node_budget!r}")
+    if node_budget is not None:
+        _check_int("node_budget", node_budget, 1)
     if not g.is_connected:
         raise NotConnectedError("exact_mlst requires a connected graph")
     if g.v < 2:

@@ -37,6 +37,8 @@ class FamilySpec:
         if self.kind == TRIANGLE_TREE:
             if self.n is None:
                 raise InvalidParamsError("triangle tree needs n >= 1")
+            if self.g is not None or self.k is not None:
+                raise InvalidParamsError("triangle tree takes no g or k; n fixes its size")
         elif self.kind in (CYCLE_SPINE_SPARSE, CYCLE_SPINE_DENSE):
             if self.g is None:
                 raise InvalidParamsError("cycle spine needs g >= 3")
@@ -66,8 +68,7 @@ def gen_triangle_tree(n: int) -> Graph:
     Every non-pendant vertex is a cutpoint, which is what pins the maximum
     leaf count to exactly n+2.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParamsError(f"n must be an integer >= 1, got {n!r}")
+    _check_int("n", n, 1)
     edges = []
     for i in range(n):
         a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
@@ -117,10 +118,8 @@ def gen_cycle_spine(g: int, k: int) -> Graph:
     v = 2n+2 + (n+1)(k+1).  Both have chain metric exactly k and girth at
     least g.
     """
-    if not isinstance(g, int) or isinstance(g, bool) or g < 3:
-        raise InvalidParamsError(f"g must be an integer >= 3, got {g!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidParamsError(f"k must be an integer >= 1, got {k!r}")
+    _check_int("g", g, 3)
+    _check_int("k", k, 1)
     if k >= g - 2:
         out = _cycle_with_spines(g, range(g), k)
         assert out.v == g * (k + 2)

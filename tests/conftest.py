@@ -10,7 +10,6 @@ from collections import deque
 from itertools import combinations
 
 from leafspan import Graph, InvalidParamsError, SearchExhaustedError, decompose_blocks
-from leafspan.constructive import _chain_condition_holds
 from leafspan.graph import norm_edge, require_connected
 
 
@@ -183,6 +182,15 @@ def brute_girth(g: Graph):
 # The Graph-level removal search that remove_large_blocks replaced with an
 # index kernel, kept verbatim.  It finds a smallest valid set; the library's
 # set may be larger, never smaller.
+
+
+def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
+    """Adjacent degree-2 pairs of the reduced graph must predate the removal."""
+    for u, v in reduced.sorted_edges:
+        if reduced.degree(u) == 2 and reduced.degree(v) == 2:
+            if g.degree(u) != 2 or g.degree(v) != 2:
+                return False
+    return True
 
 
 def _large_blocks(g: Graph):

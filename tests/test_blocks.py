@@ -9,7 +9,6 @@ from leafspan import (
     Graph,
     NotConnectedError,
     decompose_blocks,
-    essential_cutpoints,
     find_spines,
     gen_triangle_tree,
     glue_extremal_chain,
@@ -138,32 +137,6 @@ def test_spines_disjoint_random():
                 assert g.degree(inner) == 2
 
 
-def _brute_essential(g):
-    out = set()
-    for a in brute_cutpoints(g):
-        comps = g.without_vertex(a).components
-        if len(comps) == 2:
-            spineish = False
-            for c in comps:
-                if all(g.degree(x) <= 2 for x in c) and sum(
-                    1 for x in c if g.has_edge(a, x)
-                ) == 1:
-                    spineish = True
-            if spineish:
-                continue
-        out.add(a)
-    return out
-
-
-def test_essential_cutpoints_examples():
-    assert essential_cutpoints(Graph.path(7)) == frozenset()
-    assert essential_cutpoints(Graph.star(4)) == frozenset({0})
-    g = Graph.build([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    assert essential_cutpoints(g) == frozenset()
-    barbell = Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
-    assert essential_cutpoints(barbell) == frozenset({2, 3, 4})
-
-
 def _spider(legs):
     edges, nxt = [], 1
     for n in legs:
@@ -174,7 +147,9 @@ def _spider(legs):
     return Graph.build(edges)
 
 
-def _essential_cases():
+def _cut_cases():
+    """Graphs whose cutpoints take many roles: every connected graph on five
+    vertices, paths, spiders, spine bases, chained blocks, random graphs."""
     yield from connected_graphs(5)
     for n in range(1, 9):
         yield Graph.path(n)
@@ -202,7 +177,3 @@ def _essential_cases():
     for _ in range(300):
         yield random_connected(rng, rng.randint(2, 30))
 
-
-def test_essential_cutpoints_against_brute_force():
-    for g in _essential_cases():
-        assert essential_cutpoints(g) == _brute_essential(g), g.sorted_edges

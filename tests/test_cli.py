@@ -153,6 +153,12 @@ def test_gen_missing_params(capsys):
     capsys.readouterr()
 
 
+def test_gen_triangle_tree_rejects_g_and_k(capsys):
+    for extra in (["--k", "1"], ["--k", "3"], ["--g", "3"]):
+        assert main(["gen", "--family", "triangle-tree", "--n", "3", "--copies", "2"] + extra) == 2
+        assert "takes no g or k" in capsys.readouterr().err
+
+
 def test_gen_dense_cycle_spine_rejects_n(capsys):
     assert main(["gen", "--family", "cycle-spine", "--g", "3", "--k", "2", "--n", "2"]) == 2
     assert "takes no n" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import re
 import sys
 from collections import Counter
 from functools import cached_property
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from leafspan import (
     CYCLE_SPINE_SPARSE,
     BoundNotMetError,
     ChainTooLongError,
+    ConstructionTrace,
     FamilySpec,
     Graph,
     InvalidParamsError,
@@ -38,14 +40,17 @@ from leafspan import (
     serialize_graph,
     verify_corpus,
 )
+from leafspan.blocks import index_adjacency
 from leafspan.cli import main
 from leafspan.constructive import (
-    _chain_condition_holds,
+    _breaks_chain,
     _descend,
     _theorem,
 )
 from leafspan.trees import spanning_tree, validate
 from conftest import (
+    _chain_condition_holds,
+    brute_cutpoints,
     connected_graphs,
     random_connected,
     random_cubic,
@@ -53,6 +58,7 @@ from conftest import (
     random_sparse,
     remove_large_blocks_reference,
 )
+from test_blocks import _cut_cases
 from test_trace_golden import _golden_graphs
 
 
@@ -60,6 +66,32 @@ def _t2_params(g):
     k = max(chain_metric(g), 1)
     gv = girth(g)
     return k, (3 if gv is None else gv)
+
+
+def _descent_graphs(g, request, record=None):
+    """(tree, trace root, graphs) of a descent from g under request.
+
+    A first case that declines every node records its graph, so the graphs
+    come in trace preorder.  It checks, as the descent enters a child, that
+    the child arrives with its adjacency already derived from its parent's.
+    """
+    graphs = []
+
+    def spy(h, rec):
+        assert h is g or "adjacency" in vars(h), f"child {len(graphs)} in preorder has no derived adjacency"
+        graphs.append(h)
+
+    t, root = _descend(g, request._replace(cases=(spy,) + request.cases), record)
+    return t, root, graphs
+
+
+def _depths(root):
+    """The depth of every trace node, in preorder."""
+    stack = [(0, root)]
+    while stack:
+        depth, node = stack.pop()
+        yield depth
+        stack.extend((depth + 1, child) for child in reversed(node.children))
 
 
 def test_single_edge():
@@ -208,10 +240,10 @@ def test_theorem1_measure_strictly_decreases():
     for _ in range(40):
         g = random_connected(rng, rng.randint(3, 10))
         t, tr = construct_theorem1(g)
-        seen = []
-        assert _descend(g, _theorem(g, 1), tr.root, seen)[0] == t
+        again, _, graphs = _descent_graphs(g, _theorem(g, 1), tr.root)
+        assert again == t
         stack = {}
-        for depth, sub in seen:
+        for depth, sub in zip(_depths(tr.root), graphs, strict=True):
             if depth > 0:
                 parent = stack[depth - 1]
                 assert (sub.v, sub.e) < (parent.v, parent.e), g.sorted_edges
@@ -224,10 +256,10 @@ def test_theorem2_measure_strictly_decreases():
         g = random_connected(rng, rng.randint(3, 10))
         k, _ = _t2_params(g)
         t, tr = construct_theorem2(g, k)
-        seen = []
-        assert _descend(g, _theorem(g, 2, k), tr.root, seen)[0] == t
+        again, _, graphs = _descent_graphs(g, _theorem(g, 2, k), tr.root)
+        assert again == t
         stack = {}
-        for depth, sub in seen:
+        for depth, sub in zip(_depths(tr.root), graphs, strict=True):
             assert chain_metric(sub) <= k
             if depth > 0:
                 parent = stack[depth - 1]
@@ -378,32 +410,53 @@ def test_descent_depth_does_not_use_the_call_stack():
                 t, tr = construct_theorem1(g)
             else:
                 t, tr = construct_theorem2(g, k)
-            seen = []
-            assert _descend(g, _theorem(g, theorem, k), tr.root, seen)[0] == t
-            deepest = max(depth for depth, _ in seen)
+            assert _descend(g, _theorem(g, theorem, k), tr.root)[0] == t
+            deepest = max(_depths(tr.root))
             assert deepest == 1 if theorem == 2 else deepest > headroom + 10
     finally:
         sys.setrecursionlimit(old)
 
 
 def test_degree2_step_decomposes_no_blocks(monkeypatch):
-    # the cutpoint test at a degree-2 vertex is one search in g - a
+    # the cutpoint test at a degree-2 vertex is one search in g - a, so
+    # descents of degree-2 and base steps run no lowpoint pass
     import leafspan.constructive as constructive
 
     calls = []
-    real = constructive.decompose_blocks
+    real = constructive.lowpoint_blocks
 
-    def counted(g):
-        calls.append(g.v)
-        return real(g)
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
 
-    monkeypatch.setattr(constructive, "decompose_blocks", counted)
+    monkeypatch.setattr(constructive, "lowpoint_blocks", counted)
     # a cycle's vertex is no cutpoint, a chain's degree-2 vertices all are
     for g, op in ((Graph.cycle(400), "delete"), (_k4_chain(50), "contract")):
         t, tr = construct_theorem1(g)
         assert replay_trace(g, tr) == t
         assert {n.op for n in tr.preorder()} == {op, "base"}
     assert calls == []
+
+
+def test_core_cut_is_the_lowest_cutpoint_without_pendants():
+    # theorem 1 splits at the lowest cutpoint of its graph less the pendants,
+    # and takes a later case only when that graph has none
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges()) for a in nx.graph_atlas_g() if 2 <= len(a) <= 7 and nx.is_connected(a)]
+    splits = 0
+    for g in chain(_cut_cases(), atlas):
+        if g.v < 2:
+            continue
+        t, root, graphs = _descent_graphs(g, _theorem(g, 1))
+        for node, sub in zip(ConstructionTrace(root, t).preorder(), graphs, strict=True):
+            if node.case in ("2", "3", "4", "5"):
+                cuts = sorted(brute_cutpoints(sub.induced(x for x in sub.vertices if sub.degree(x) > 1)))
+                if node.case == "2":
+                    assert list(node.args) == cuts[:1], sub.sorted_edges
+                    splits += 1
+                else:
+                    assert not cuts, sub.sorted_edges
+    assert splits > 100
 
 
 def test_girth_chain_step_reads_one_decomposition(monkeypatch):
@@ -561,25 +614,14 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
     assert 0 < len(built) <= steps and rebuilt == []
 
 
-class _Seeded(list):
-    """A collect list that checks, as the descent enters each node, that a
-    child arrives with its adjacency already derived from its parent's."""
-
-    def append(self, node):
-        depth, sub = node
-        assert depth == 0 or "adjacency" in vars(sub), f"child at depth {depth} has no derived adjacency"
-        super().append(node)
-
-
 def _derived_descent_graphs(g, theorem):
     """Every graph a descent from g meets, in construction and on replay."""
     k = max(chain_metric(g), 1) if theorem == 2 else None
     request = _theorem(g, theorem, k)
-    built, replayed = _Seeded(), _Seeded()
-    t, root = _descend(g, request, collect=built)
-    assert _descend(g, request, root, replayed)[0] == t
-    assert len(built) == len(replayed)
-    return [sub for _, sub in built + replayed]
+    t, root, built = _descent_graphs(g, request)
+    again, _, replayed = _descent_graphs(g, request, root)
+    assert again == t and len(built) == len(replayed)
+    return built + replayed
 
 
 def _assert_checked(graphs):
@@ -861,12 +903,28 @@ def test_remove_large_blocks_valid_and_reference_no_larger():
         _check_lemma4_post(g, remove_large_blocks(g))
 
 
+def _chain_broken(g, f):
+    """The library's chain test on g less f, asked about the ends of f."""
+    reduced = g.without_edges(f)
+    ends = set(chain.from_iterable(f))
+    return _breaks_chain(index_adjacency(reduced), [i for i, x in enumerate(reduced.sorted_vertices) if x in ends])
+
+
 def test_chain_condition_helper():
     g = Graph.complete(4)
     # removing a path of edges creates adjacent new degree-2 vertices
-    bad = g.without_edges([(0, 1), (1, 2)])
-    assert not _chain_condition_holds(g, bad)
-    assert _chain_condition_holds(g, g)
+    assert _chain_broken(g, [(0, 1), (1, 2)])
+    assert not _chain_broken(g, [(0, 1)])
+    # asking only about the ends of the removed edges agrees with the
+    # whole-graph oracle on every removal set of these graphs
+    graphs = list(connected_graphs(4)) + [Graph.complete(5), Graph.cycle(5)]
+    checked = 0
+    for g in graphs:
+        for size in range(g.e + 1):
+            for f in combinations(g.sorted_edges, size):
+                assert _chain_broken(g, f) == (not _chain_condition_holds(g, g.without_edges(f))), (g.sorted_edges, f)
+                checked += 1
+    assert checked > 1000
 
 
 # -- the cases-exhausted structure -------------------------------------------

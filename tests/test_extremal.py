@@ -101,6 +101,16 @@ def test_family_spec_validation():
     assert from_spec(ok).v == 15
 
 
+@pytest.mark.parametrize("kw", [dict(k=1), dict(k=2), dict(g=3), dict(g=4, k=1)])
+def test_triangle_tree_rejects_g_and_k(kw):
+    # n alone fixes a triangle tree; a k would change how many bridges each
+    # junction of a chain folds, and build another graph than the spec names
+    for copies in (1, 2):
+        with pytest.raises(InvalidParamsError, match="takes no g or k"):
+            FamilySpec(kind=TRIANGLE_TREE, n=3, chain_count=copies, **kw)
+    assert from_spec(FamilySpec(kind=TRIANGLE_TREE, n=3, chain_count=2)).v == 26
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.5, True, "2", None])
 def test_chain_counts_must_be_ints(bad):
     base = FamilySpec(kind=TRIANGLE_TREE, n=2)
