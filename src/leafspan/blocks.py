@@ -64,7 +64,9 @@ def lowpoint_blocks(adj: list) -> tuple:
     Returns (blocks, cut): each block is a (vertices, edge ids) pair of
     lists, and cut[x] is true when x is a cutpoint.  A lone vertex forms one
     block without edges.  The order of adj changes only the order in which
-    blocks and their members come back, never which blocks they are.
+    blocks and their members come back, never which blocks they are.  A
+    pendant other than vertex 0 closes its block when first reached, with
+    no frame of its own.
     """
     n = len(adj)
     disc = [0] * n  # discovery number from 1; 0 means not reached yet
@@ -72,7 +74,6 @@ def lowpoint_blocks(adj: list) -> tuple:
     cut = [False] * n
     disc[0] = low[0] = 1
     counter = 2
-    root_children = 0
     vstack: list = []
     estack: list = []
     blocks: list = []
@@ -84,11 +85,15 @@ def lowpoint_blocks(adj: list) -> tuple:
         for nb, eid in it:
             d = disc[nb]
             if not d:
+                disc[nb] = low[nb] = counter
+                counter += 1
+                if len(adj[nb]) == 1:
+                    blocks.append(([nb, cur], [eid]))
+                    cut[cur] = True
+                    continue
                 stack.append((nb, eid, iter(adj[nb]), len(estack), len(vstack)))
                 estack.append(eid)
                 vstack.append(nb)
-                disc[nb] = low[nb] = counter
-                counter += 1
                 break
             if d < dcur and eid != into:
                 estack.append(eid)
@@ -105,13 +110,10 @@ def lowpoint_blocks(adj: list) -> tuple:
                 epos, vpos = frame[3], frame[4]
                 blocks.append((vstack[vpos:] + [up], estack[epos:]))
                 del estack[epos:], vstack[vpos:]
-                if up:
-                    cut[up] = True
-                else:
-                    root_children += 1
-                    cut[0] = root_children > 1
+                cut[up] = True
     if counter - 1 < n:
         raise NotConnectedError("block decomposition requires a connected graph")
+    cut[0] = sum(vs[-1] == 0 for vs, _ in blocks) > 1  # a block ends with the vertex it closed at
     if estack:
         raise AssertionError("edge stack not drained; decomposition bug")
     if n == 1:

@@ -162,13 +162,11 @@ class _Theorem(NamedTuple):
     """A checked certification request.  Case functions case(g, rec), rec the node's
     TraceNode on replay else None, tried in order until one returns a _Step; need(g,
     case): the leaves its tree must reach; bound(): the root's report, evaluated when
-    asked for under theorem 1; girth: the root's measured girth under theorem 2, None
-    when acyclic or under theorem 1."""
+    asked for under theorem 1."""
 
     cases: tuple
     need: Callable
     bound: Callable
-    girth: Optional[int] = None
 
 
 class _Frame(NamedTuple):
@@ -314,36 +312,55 @@ def _base_tree(g: Graph, rec):
 # -- degree-structure descent ----------------------------------------------
 
 
+def _separates(nbrs: dict, a, b, c) -> bool:
+    """Whether a separates b from c in the graph with adjacency nbrs.  Two
+    searches of the graph less a, from b and from c, take turns until they
+    meet or one runs out, so the cost is about that of the smaller side."""
+    seen, todo = ({b}, {c}), ([b], [c])
+    while todo[0] and todo[1]:
+        for mine, other, stack in zip(seen, seen[::-1], todo):
+            for nb in nbrs[stack.pop()]:
+                if nb in other:
+                    return False
+                if nb != a and nb not in mine:
+                    mine.add(nb)
+                    stack.append(nb)
+    return True
+
+
 def _t1_degree2(g: Graph, rec):
     adj = g.adjacency
     a = min(compress(adj, map((2).__eq__, map(len, adj.values()))), default=None)  # lowest of degree 2
     if a is None:
         return None
     b, c = sorted(adj[a])
-    # a has degree 2, so it is a cutpoint exactly when ab is a bridge, that
-    # is when g - a separates b from c
-    if b in _side(adj, a, c):
+    # a has degree 2, so it is a cutpoint exactly when ab is a bridge
+    if not _separates(adj, a, b, c):
         return _Step("1", "delete", (a, b), (g.without_edge(a, b),), _keep_edges(g))
-    # a cycle through an edge of a's run of degree-2 vertices would pass a,
-    # so every run edge is a bridge: the run lies in every spanning tree, and
-    # its ends x and y are distinct and not adjacent
-    run, run_edges, ends = {a}, [], []
-    for prev, x in ((a, b), (a, c)):
-        run_edges.append(_edge(prev, x))
-        while len(adj[x]) == 2:
-            run.add(x)
-            prev, x = x, next(nb for nb in adj[x] if nb != prev)
-            run_edges.append(_edge(prev, x))
-        ends.append(x)
-    x, y = sorted(ends)
-    child = g._derive(run, run_edges, [(x, y)])
+    # contract every maximal run of degree-2 cutpoints, read off one pass, to
+    # the edge between its ends.  Both edges at a degree-2 cutpoint are
+    # bridges, so a run's ends are distinct and not adjacent, no two runs
+    # share both ends, and each new edge is a bridge: it lies in every
+    # spanning tree.  The lift puts the run back and keeps every degree, so
+    # s, the leaves and the bound do not change
+    verts, index = g.sorted_vertices, index_adjacency(g)
+    inner = {verts[i] for i in compress(range(g.v), lowpoint_blocks(index)[1]) if len(index[i]) == 2}
+    run_edges, pairs = {_edge(x, y) for x in inner for y in adj[x]}, set()
+    for y in {y for x in inner for y in adj[x]} - inner:  # walk each run from both its ends
+        for x in adj[y] & inner:
+            prev = y
+            while x in inner:
+                prev, x = x, min(adj[x] - {prev})
+            pairs.add(_edge(y, x))
+    pairs = sorted(pairs)
+    child = g._derive(inner, run_edges, pairs)
 
     def build(t_sub: SpanningTree) -> SpanningTree:
-        t = _pack(g, (t_sub.tree_edges - {(x, y)}).union(run_edges))
+        t = _pack(g, t_sub.tree_edges.difference(pairs).union(run_edges))
         assert t.leaf_count == t_sub.leaf_count, "leaf count drifted"
         return t
 
-    return _Step("1", "contract", (x, y), (child,), build)
+    return _Step("1", "contract", tuple(chain.from_iterable(pairs)), (child,), build)
 
 
 def _t1_base_core(g: Graph, rec):
@@ -365,30 +382,47 @@ def _t1_base_core(g: Graph, rec):
     return _base("base-core-greedy", greedy_leafy(g))
 
 
-def _cutpoints(h: Graph) -> list:
-    """The cutpoints of a connected graph in ascending order, from one lowpoint pass."""
-    return list(compress(h.sorted_vertices, lowpoint_blocks(index_adjacency(h))[1]))
+def _block_arms(g: Graph, index: list, blocks: list, cut: list):
+    """For each cutpoint a of g, ascending, from a lowpoint pass on index:
+    a and the lists of its neighbours in each of its blocks, ordered by the
+    block's lowest vertex other than a."""
+    verts = g.sorted_vertices
+    block_of = {eid: i for i, (_, es) in enumerate(blocks) for eid in es}
+    lows = [sorted(vs)[:2] for vs, _ in blocks]
+    for i in compress(range(g.v), cut):
+        arms = {}
+        for j, eid in index[i]:
+            arms.setdefault(block_of[eid], []).append(verts[j])
+        yield verts[i], [arms[b] for b in sorted(arms, key=lambda b: lows[b][lows[b][0] == i])]
 
 
 def _t1_core_cut(g: Graph, rec):
-    # a core cutpoint, one of g without its pendants, is a cutpoint of g in
-    # two or more blocks that are not pendant edges: g - a has one component
-    # per block at a, and dropping the pendants empties only the components
-    # that are a lone pendant of a
-    index = index_adjacency(g)
+    """Split g in one step at every core cutpoint, read off one lowpoint
+    pass: a cutpoint in two or more blocks that are not pendant edges.
+
+    Each such cut a gets one group per non-pendant block, in _block_arms
+    order, the pendants at a with the last, and every group a one-vertex
+    probe.  The degree-2 case runs first, so a has degree d >= 3.  Say a
+    has m groups, D of them of two or more arms.  Then a, of degree other
+    than 2, gives way to m probe tips and to D copies of degree 3 or more,
+    so the m pieces have s - 1 + m + D such vertices, and the rejoin loses
+    the m tips.  Under the bound (s - 2)/4 + 2, the pieces' bounds less m
+    exceed the parent's by (3m + D - 7)/4 >= 0: m >= 3, or m = 2 and the
+    arms sum to d >= 3, so D >= 1.  A cut's arms and degree do not change
+    when the other cuts split, so the sum over cuts holds as well.
+    """
+    adj, index = g.adjacency, index_adjacency(g)
     blocks, cut = lowpoint_blocks(index)
-    cores = Counter(x for vs, _ in blocks if len(vs) > 2 or all(len(index[y]) > 1 for y in vs) for x in vs if cut[x])
-    i = min((x for x, n in cores.items() if n > 1), default=None)
-    if i is None:
+    groups = {}
+    for a, arm_lists in _block_arms(g, index, blocks, cut):
+        core = [ys for ys in arm_lists if len(adj[ys[0]]) > 1]  # an arm of degree 1 is a pendant
+        if len(core) > 1:
+            core[-1] = core[-1] + [ys[0] for ys in arm_lists if len(adj[ys[0]]) == 1]
+            groups[a] = core
+    if not groups:
         return None
-    # the first half is the lowest component of g - a with core vertices;
-    # the pendants at a travel with the second half
-    a = g.sorted_vertices[i]
-    pendants = {x for x in g.adjacency[a] if g.degree(x) == 1}
-    side1 = _side(g.adjacency, a, min(g.vertices - pendants - {a}))
-    assert g.v > len(side1) + 1 + len(pendants), "split vertex is not a core cutpoint"
-    pieces, build = _split(g, {a: [g.adjacency[a] & side1, g.adjacency[a] - side1]}, lambda d: 1)
-    return _Step("2", "split", (a,), pieces, build)
+    pieces, build = _split(g, groups, lambda d: 1)
+    return _Step("2", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
 
 
 def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
@@ -439,7 +473,7 @@ def _t1_extend(g: Graph, rec):
             h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
             if h is None:
                 h = g.induced(_side(g.adjacency, a, b))
-                cuts = _cutpoints(h)
+                cuts = set(compress(h.sorted_vertices, lowpoint_blocks(index_adjacency(h))[1]))
                 comps.append((h, cuts))
             if b in cuts:
                 return _Step("3", "extend", (a, b), (h,), _lemma3(g, a, b, h))
@@ -630,16 +664,11 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     verts, adj, index = g.sorted_vertices, g.adjacency, index_adjacency(g)
     blocks, cut = lowpoint_blocks(index)
     spines = find_spines(g)
-    block_of = {eid: i for i, (_, es) in enumerate(blocks) for eid in es}
-    lows = [sorted(vs)[:2] for vs, _ in blocks]  # to order a's groups by their block's lowest vertex but a
     spiny = {(s.base, s.path[0]) for s in spines}  # (cut, arm) of spines and of runs to taken cuts
     groups = {}
-    for i in compress(range(g.v), cut):
-        a, arms = verts[i], {}
-        for j, eid in index[i]:
-            arms.setdefault(block_of[eid], []).append(verts[j])
-        own = [arms[b] for b in sorted(arms, key=lambda b: lows[b][lows[b][0] == i]) if (a, arms[b][0]) not in spiny]
-        spider = [ys[0] for ys in arms.values() if (a, ys[0]) in spiny]
+    for a, arm_lists in _block_arms(g, index, blocks, cut):
+        own = [ys for ys in arm_lists if (a, ys[0]) not in spiny]
+        spider = [ys[0] for ys in arm_lists if (a, ys[0]) in spiny]
         if len(adj[a]) < 3 or len(own) + (len(spider) > 1) < 2:
             continue
         groups[a] = grouped = own + [spider] * bool(spider) if len(own) > 1 else [spider] + own
@@ -719,7 +748,7 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
         return value
 
     cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
-    return _Theorem(cases, need, lambda: rep, measured)
+    return _Theorem(cases, need, lambda: rep)
 
 
 def _certify(g: Graph, request: _Theorem):

@@ -175,6 +175,92 @@ class Graph:
     def min_degree(self) -> int:
         return min(map(len, self.adjacency.values()))
 
+    @cached_property
+    def _girth(self) -> Optional[int]:
+        """Length of a shortest cycle, or None when the graph is acyclic.
+
+        Every cycle lies in the 2-core, the graph left after repeatedly
+        deleting vertices of degree at most 1.  A component of the core whose
+        vertices all have degree 2 is a single cycle.  Any other cycle passes
+        through a core vertex of degree at least 3, so a breadth-first search
+        runs from each of those only: a non-tree edge seen at depth d closes a
+        walk of length at most 2d + 1 that contains a cycle, and for roots on a
+        shortest cycle the detection is exact.
+        """
+        core = {x: set(nbrs) for x, nbrs in self.adjacency.items()}
+        peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
+        while peel:
+            x = peel.pop()
+            for nb in core.pop(x):
+                core[nb].discard(x)
+                if len(core[nb]) == 1:
+                    peel.append(nb)
+        best = None
+        seen = set()
+        for start in core:
+            if start in seen or len(core[start]) != 2:
+                continue
+            run = {start}  # the degree-2 vertices reachable through degree-2 ones
+            todo = [start]
+            closed = True
+            while todo:
+                for nb in core[todo.pop()]:
+                    if len(core[nb]) != 2:
+                        closed = False
+                    elif nb not in run:
+                        run.add(nb)
+                        todo.append(nb)
+            seen |= run
+            if closed and (best is None or len(run) < best):
+                best = len(run)
+        for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
+            dist = {root: 0}
+            parent = {root: None}
+            queue = deque([root])
+            while queue:
+                cur = queue.popleft()
+                if best is not None and dist[cur] * 2 >= best:
+                    continue
+                for nb in core[cur]:
+                    if nb not in dist:
+                        dist[nb] = dist[cur] + 1
+                        parent[nb] = cur
+                        queue.append(nb)
+                    elif nb != parent[cur]:
+                        cand = dist[cur] + dist[nb] + 1
+                        if best is None or cand < best:
+                            best = cand
+            if best == 3:
+                return 3
+        return best
+
+    @cached_property
+    def _chain_metric(self) -> int:
+        """Most vertices in a maximal run of successively adjacent degree-2 vertices.
+
+        A graph that is itself a cycle is one single run, so the metric equals the
+        vertex count there.  Graphs with no degree-2 vertex score 0.
+        """
+        deg2 = {x for x in self.vertices if self.degree(x) == 2}
+        if not deg2:
+            return 0
+        best = 0
+        seen = set()
+        for start in sorted(deg2):
+            if start in seen:
+                continue
+            comp = {start}
+            queue = deque([start])
+            while queue:
+                cur = queue.popleft()
+                for nb in self.adjacency[cur]:
+                    if nb in deg2 and nb not in comp:
+                        comp.add(nb)
+                        queue.append(nb)
+            seen |= comp
+            best = max(best, len(comp))
+        return best
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether uv is an edge.  A loop never is; a non-int id raises."""
         _require_int(u)
@@ -301,89 +387,13 @@ class Graph:
 
 
 def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None when the graph is acyclic.
-
-    Every cycle lies in the 2-core, the graph left after repeatedly
-    deleting vertices of degree at most 1.  A component of the core whose
-    vertices all have degree 2 is a single cycle.  Any other cycle passes
-    through a core vertex of degree at least 3, so a breadth-first search
-    runs from each of those only: a non-tree edge seen at depth d closes a
-    walk of length at most 2d + 1 that contains a cycle, and for roots on a
-    shortest cycle the detection is exact.
-    """
-    core = {x: set(nbrs) for x, nbrs in g.adjacency.items()}
-    peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
-    while peel:
-        x = peel.pop()
-        for nb in core.pop(x):
-            core[nb].discard(x)
-            if len(core[nb]) == 1:
-                peel.append(nb)
-    best = None
-    seen = set()
-    for start in core:
-        if start in seen or len(core[start]) != 2:
-            continue
-        run = {start}  # the degree-2 vertices reachable through degree-2 ones
-        todo = [start]
-        closed = True
-        while todo:
-            for nb in core[todo.pop()]:
-                if len(core[nb]) != 2:
-                    closed = False
-                elif nb not in run:
-                    run.add(nb)
-                    todo.append(nb)
-        seen |= run
-        if closed and (best is None or len(run) < best):
-            best = len(run)
-    for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            if best is not None and dist[cur] * 2 >= best:
-                continue
-            for nb in core[cur]:
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    parent[nb] = cur
-                    queue.append(nb)
-                elif nb != parent[cur]:
-                    cand = dist[cur] + dist[nb] + 1
-                    if best is None or cand < best:
-                        best = cand
-        if best == 3:
-            return 3
-    return best
+    """Length of a shortest cycle, or None when the graph is acyclic; cached on g."""
+    return g._girth
 
 
 def chain_metric(g: Graph) -> int:
-    """Most vertices in a maximal run of successively adjacent degree-2 vertices.
-
-    A graph that is itself a cycle is one single run, so the metric equals the
-    vertex count there.  Graphs with no degree-2 vertex score 0.
-    """
-    deg2 = {x for x in g.vertices if g.degree(x) == 2}
-    if not deg2:
-        return 0
-    best = 0
-    seen = set()
-    for start in sorted(deg2):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in g.adjacency[cur]:
-                if nb in deg2 and nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        seen |= comp
-        best = max(best, len(comp))
-    return best
+    """Most vertices in a run of adjacent degree-2 vertices (a cycle is one); cached on g."""
+    return g._chain_metric
 
 
 def s_count(g: Graph) -> int:

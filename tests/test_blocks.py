@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafspan import (
     CYCLE_SPINE_DENSE,
@@ -13,7 +14,8 @@ from leafspan import (
     gen_triangle_tree,
     glue_extremal_chain,
 )
-from conftest import brute_bridges, brute_cutpoints, connected_graphs, random_connected
+from leafspan.blocks import index_adjacency, lowpoint_blocks
+from conftest import brute_bridges, brute_cutpoints, connected_graphs, lowpoint_blocks_reference, random_connected
 
 
 def test_requires_connected():
@@ -83,6 +85,31 @@ def test_cutpoints_and_bridges_against_brute_force():
         d = decompose_blocks(g)
         assert set(d.cutpoints) == brute_cutpoints(g), g.sorted_edges
         assert set(d.bridges) == brute_bridges(g), g.sorted_edges
+
+
+def test_pendant_shortcut_keeps_the_lowpoint_pass_output():
+    # a pendant closes its block without a frame; blocks, their order and
+    # cut stay those of the pass that gave every pendant a frame
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)]
+    assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+    for g in atlas:
+        adj = index_adjacency(g)
+        assert lowpoint_blocks(adj) == lowpoint_blocks_reference(adj), g.sorted_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 12), st.booleans())
+def test_pendant_shortcut_keeps_the_lowpoint_pass_output_hypothesis(seed, v, pendants, low):
+    # pendants numbered below the rest make vertex 0 a pendant, the root
+    rng = random.Random(seed)
+    g = Graph.build([(0, 1)]) if v == 1 else random_connected(rng, v)
+    shift = pendants if low else 0
+    first = 0 if low else g.v
+    edges = [(x + shift, y + shift) for x, y in g.edges]
+    edges += [(first + i, rng.randrange(g.v) + shift) for i in range(pendants)]
+    adj = index_adjacency(Graph.build(edges))
+    assert lowpoint_blocks(adj) == lowpoint_blocks_reference(adj)
 
 
 def _against_networkx(nx, g):

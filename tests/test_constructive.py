@@ -395,12 +395,23 @@ def _k4_run(n):
     return Graph.build(k4 + [(x + 4, y + 4) for x, y in k4] + list(zip(path, path[1:])))
 
 
+def _spider():
+    # four legs of 10 vertices at 0, a vertex of the K4 on 0 and 41..43
+    legs = [(0 if i % 10 == 1 else i - 1, i) for i in range(1, 41)]
+    return Graph.build(legs + [(0, 41), (0, 42), (0, 43), (41, 42), (41, 43), (42, 43)])
+
+
+def _fan(n):
+    # a path on 1..n and a hub 0 joined to every path vertex: one block
+    return Graph.build([(i, i + 1) for i in range(1, n)] + [(0, i) for i in range(1, n + 1)])
+
+
 def test_descent_depth_does_not_use_the_call_stack():
-    # trace depth is 298 on the ladder and 99 on the chain of K4s, beyond the
+    # trace depth is 149 on the ladder and 199 on the fan, beyond the
     # recursion headroom allowed here; the girth/chain descent splits the
     # triangle tree at every cut in one step, so there it is 1
     headroom = 60
-    cases = [(_ladder(150), 1), (_k4_chain(100), 1), (gen_triangle_tree(80), 2)]
+    cases = [(_ladder(150), 1), (_fan(200), 1), (gen_triangle_tree(80), 2)]
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
     try:
@@ -417,46 +428,67 @@ def test_descent_depth_does_not_use_the_call_stack():
         sys.setrecursionlimit(old)
 
 
-def test_degree2_step_decomposes_no_blocks(monkeypatch):
-    # the cutpoint test at a degree-2 vertex is one search in g - a, so
-    # descents of degree-2 and base steps run no lowpoint pass
+def test_degree2_step_runs_a_pass_only_to_contract(monkeypatch):
+    # the cutpoint test at a degree-2 vertex is two searches in g - a that
+    # take turns, so a delete step runs no lowpoint pass; a contract step
+    # reads every run of degree-2 cutpoints off exactly one
     import leafspan.constructive as constructive
 
-    calls = []
-    real = constructive.lowpoint_blocks
+    calls, steps = [], Counter()
+    real_pass, real_step = constructive.lowpoint_blocks, constructive._t1_degree2
 
     def counted(adj):
         calls.append(len(adj))
-        return real(adj)
+        return real_pass(adj)
+
+    def degree2(g, rec):
+        before = len(calls)
+        step = real_step(g, rec)
+        if step is not None:
+            steps[step.op, len(calls) - before] += 1
+        return step
 
     monkeypatch.setattr(constructive, "lowpoint_blocks", counted)
-    # a cycle's vertex is no cutpoint, a chain's degree-2 vertices all are
-    for g, op in ((Graph.cycle(400), "delete"), (_k4_chain(50), "contract")):
+    monkeypatch.setattr(constructive, "_T1_CASES", tuple(degree2 if c is real_step else c for c in constructive._T1_CASES))
+    # a cycle's vertex is no cutpoint, a chain's degree-2 vertices all are;
+    # the chain's base is a greedy core, which runs no pass either
+    for g, op, passes in ((Graph.cycle(400), "delete", 0), (_k4_chain(50), "contract", 1)):
+        calls.clear()
         t, tr = construct_theorem1(g)
         assert replay_trace(g, tr) == t
         assert {n.op for n in tr.preorder()} == {op, "base"}
-    assert calls == []
+        assert len(calls) == 2 * passes
+    rng = random.Random(4242)
+    for g in [_ladder(30), _fan(40)] + [random_sparse(rng, 150, 15) for _ in range(4)]:
+        t, tr = construct_theorem1(g)
+        assert replay_trace(g, tr) == t
+    assert set(steps) == {("delete", 0), ("contract", 1)}
 
 
-def test_core_cut_is_the_lowest_cutpoint_without_pendants():
-    # theorem 1 splits at the lowest cutpoint of its graph less the pendants,
+def test_core_cut_splits_at_every_cutpoint_without_pendants():
+    # theorem 1 splits at once at every cutpoint x of its graph less the
+    # pendants, listing x once for each of its blocks there after the first,
     # and takes a later case only when that graph has none
     nx = pytest.importorskip("networkx")
     atlas = [Graph.build(a.edges()) for a in nx.graph_atlas_g() if 2 <= len(a) <= 7 and nx.is_connected(a)]
-    splits = 0
+    splits = multi = 0
     for g in chain(_cut_cases(), atlas):
         if g.v < 2:
             continue
         t, root, graphs = _descent_graphs(g, _theorem(g, 1))
         for node, sub in zip(ConstructionTrace(root, t).preorder(), graphs, strict=True):
             if node.case in ("2", "3", "4", "5"):
-                cuts = sorted(brute_cutpoints(sub.induced(x for x in sub.vertices if sub.degree(x) > 1)))
+                core = sub.induced(x for x in sub.vertices if sub.degree(x) > 1)
+                cuts = sorted(brute_cutpoints(core))
                 if node.case == "2":
-                    assert list(node.args) == cuts[:1], sub.sorted_edges
+                    blocks = {x: len(core.without_vertex(x).components) for x in cuts}
+                    assert list(node.args) == [x for x in cuts for _ in range(blocks[x] - 1)], sub.sorted_edges
+                    assert len(node.children) == len(node.args) + 1
                     splits += 1
+                    multi += len(node.args) > 1
                 else:
                     assert not cuts, sub.sorted_edges
-    assert splits > 100
+    assert splits > 100 and multi > 10
 
 
 def test_girth_chain_step_reads_one_decomposition(monkeypatch):
@@ -601,14 +633,15 @@ def test_tree_base_builds_no_graph(monkeypatch):
 
 def test_descent_builds_one_graph_per_step(monkeypatch):
     # each non-base step builds only the graph it hands to its child, and
-    # derives that graph's adjacency from its own; every step of the chain
-    # contracts one run between two blocks
+    # derives that graph's adjacency from its own; one step contracts all 99
+    # runs of the chain, each between two blocks
     g = _k4_chain(100)
     assert g.adjacency
     built, rebuilt = _count_builds(monkeypatch)
     t, tr = construct_theorem1(g)
     steps = sum(1 for n in tr.preorder() if n.op != "base")
-    assert steps == 99 and 0 < len(built) <= steps and rebuilt == []
+    assert steps == 1 and len(tr.root.args) == 2 * 99
+    assert len(built) == steps and rebuilt == []
     built.clear()
     assert replay_trace(g, tr) == t
     assert 0 < len(built) <= steps and rebuilt == []
@@ -690,11 +723,11 @@ def test_barbell_and_spider_collapse_each_run_once():
     ]
     assert t.leaf_count >= bound_theorem1(s_count(barbell)).value
     assert replay_trace(barbell, tr) == t
-    # four legs of 10 vertices at 0, a vertex of a K4: each leg is one run
-    legs = [(0 if i % 10 == 1 else i - 1, i) for i in range(1, 41)]
-    spider = Graph.build(legs + [(0, 41), (0, 42), (0, 43), (41, 42), (41, 43), (42, 43)])
+    # each of the spider's four legs is one run, and one step contracts all four
+    spider = _spider()
     t, tr = construct_theorem1(spider)
-    assert tr.lines() == [f"case=1 op=contract args=0,{tip}" for tip in (10, 20, 30, 40)] + [
+    assert tr.lines() == [
+        "case=1 op=contract args=0,10,0,20,0,30,0,40",
         "case=3 op=extend args=10,0",
         "case=3 op=extend args=20,0",
         "case=3 op=extend args=30,0",
@@ -737,6 +770,59 @@ def test_replay_rejects_altered_run_ends():
         bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=args))
         with pytest.raises(InvalidParamsError, match="trace mismatch"):
             replay_trace(g, bad)
+
+
+def _runs_of_degree2_cutpoints(g):
+    """The ends (x, y), x < y, of every maximal run of degree-2 cutpoints of
+    g, and the vertices of all the runs, by brute force."""
+    inner = {x for x in brute_cutpoints(g) if g.degree(x) == 2}
+    runs = g.induced(inner).components if inner else ()
+    ends = [tuple(sorted(y for x in run for y in g.adjacency[x] if y not in run)) for run in runs]
+    return sorted(ends), inner
+
+
+def test_contract_step_lists_every_run_of_degree2_cutpoints():
+    # a contract step replaces every run at once, each by the edge between
+    # its two ends, and its child is exactly that graph
+    rng = random.Random(3141)
+    graphs = _golden_graphs() + [random_sparse(rng, rng.randint(20, 60), rng.randint(2, 8)) for _ in range(40)]
+    graphs += [_k4_chain(6), _k4_run(5), _spider()]
+    contracts = multi = 0
+    for g in graphs:
+        t, root, graphs_seen = _descent_graphs(g, _theorem(g, 1))
+        nodes = list(ConstructionTrace(root, t).preorder())
+        for i, (node, sub) in enumerate(zip(nodes, graphs_seen, strict=True)):
+            if node.op != "contract":
+                continue
+            ends, inner = _runs_of_degree2_cutpoints(sub)
+            assert len(ends) == len(set(ends)) and all(len(e) == 2 for e in ends), sub.sorted_edges
+            assert list(node.args) == [x for e in ends for x in e], sub.sorted_edges
+            child = Graph.build(
+                [e for e in sub.edges if inner.isdisjoint(e)] + ends, isolated=sub.vertices - inner
+            )
+            assert graphs_seen[i + 1] == child
+            contracts += 1
+            multi += len(ends) > 1
+    assert contracts > 40 and multi > 10
+
+
+def test_replay_rejects_altered_theorem1_split_and_contract():
+    # three K4s chained at 3 and 6, with a pendant at 1, split at 3 and 6 in
+    # one step; the spider's four legs contract in one step
+    import dataclasses
+
+    k4s = Graph.build([(x + o, y + o) for o in (0, 3, 6) for x in range(4) for y in range(x + 1, 4)] + [(1, 10)])
+    legs = (0, 10, 0, 20, 0, 30, 0, 40)
+    for g, line, altered in (
+        (k4s, "case=2 op=split args=3,6", [(3,), (6,), (3, 3, 6), (3, 6, 6), (1, 3, 6), (6, 3)]),
+        (_spider(), "case=1 op=contract args=0,10,0,20,0,30,0,40", [legs[2:], legs[:-2], legs + (0, 50)]),
+    ):
+        t, tr = construct_theorem1(g)
+        assert tr.root.line() == line and replay_trace(g, tr) == t
+        for args in altered:
+            bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=args))
+            with pytest.raises(InvalidParamsError, match=f"trace mismatch: recorded {line.split(' args')[0]}"):
+                replay_trace(g, bad)
 
 
 def test_every_case_runs():

@@ -1,8 +1,11 @@
 import re
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from leafspan import (
+    Graph,
     InfeasibleError,
     InvalidParamsError,
     chain_metric,
@@ -120,6 +123,25 @@ def test_verify_corpus_construct_mode():
     assert rep.failures == []
     rep2 = verify_corpus(2, count=15, max_v=9, seed=7, mode="construct")
     assert rep2.failures == []
+
+
+def test_construct_corpus_measures_each_graph_once(monkeypatch):
+    # the generator, the request checks of verify_corpus, construct and
+    # replay, and the descent's need all read the measures cached on a graph
+    measured = {"_girth": [], "_chain_metric": []}
+    for name, graphs in measured.items():
+
+        def counted(self, real=Graph.__dict__[name].func, graphs=graphs):
+            graphs.append(self)  # held, so no id is reused
+            return real(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Graph, name)
+        monkeypatch.setattr(Graph, name, prop)
+    rep = verify_corpus(2, 20, 12, mode="construct")
+    assert len(rep.records) == 20 and not rep.failures
+    for graphs in measured.values():
+        assert graphs and max(Counter(map(id, graphs)).values()) == 1
 
 
 def test_verify_corpus_reproducible():

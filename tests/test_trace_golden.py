@@ -24,7 +24,7 @@ from leafspan import (
     serialize_tree,
 )
 
-DIGEST = "31f6e7baf3c14d9e8164999c1c867217498a8aa2d33a418fb36269fae3ff7c15"
+DIGEST = "9041770e1dc1cd352700821de07afa3336b49ac31a27ed13678ccaa99a2bf21b"
 
 
 def _golden_graphs():
