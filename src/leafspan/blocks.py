@@ -3,7 +3,6 @@ bridges, large blocks and pendant spines."""
 
 from __future__ import annotations
 
-from itertools import compress
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
@@ -40,114 +39,104 @@ class BlockDecomposition:
     bridges: frozenset
 
 
-def index_adjacency(g: Graph) -> list:
-    """g relabelled to 0..n-1 in sorted-id order, as adjacency lists.
+def lowpoint_blocks(adj) -> tuple:
+    """Blocks and cutpoints of a connected graph.
 
-    adj[x] lists (y, edge id) for every edge xy, where edge ids index
-    g.sorted_edges.  The relabelling is monotone, so edge tuples and sorted
-    vertex lists compare as they do on g's own ids.
+    adj maps each vertex to its neighbours, as Graph.adjacency does; any
+    mapping whose values iterate and size as neighbour sets serves.  One
+    iterative depth-first lowpoint pass from the first key of adj (Hopcroft
+    and Tarjan, CACM 16(6), 1973).  Returns (blocks, cuts): each block is a
+    list of its vertices, ending with the one it closed at, and cuts is the
+    set of cutpoints.  A lone vertex forms one block.  The order of adj
+    changes only the order in which blocks and their members come back,
+    never which blocks they are.  A pendant other than the root closes its
+    block when first reached, with no frame of its own.  A simple graph has
+    one edge to a vertex's parent, so parent tracking by vertex tells tree
+    edges from back edges.
     """
-    idx = {x: i for i, x in enumerate(g.sorted_vertices)}
-    adj: list = [[] for _ in idx]
-    for eid, (u, v) in enumerate(g.sorted_edges):
-        a, b = idx[u], idx[v]
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    return adj
-
-
-def lowpoint_blocks(adj: list) -> tuple:
-    """Blocks and cutpoints of a connected graph on vertices 0..n-1.
-
-    adj[x] lists (y, edge id) for every edge xy.  One iterative depth-first
-    lowpoint pass from vertex 0 (Hopcroft and Tarjan, CACM 16(6), 1973).
-    Returns (blocks, cut): each block is a (vertices, edge ids) pair of
-    lists, and cut[x] is true when x is a cutpoint.  A lone vertex forms one
-    block without edges.  The order of adj changes only the order in which
-    blocks and their members come back, never which blocks they are.  A
-    pendant other than vertex 0 closes its block when first reached, with
-    no frame of its own.
-    """
-    n = len(adj)
-    disc = [0] * n  # discovery number from 1; 0 means not reached yet
-    low = [0] * n
-    cut = [False] * n
-    disc[0] = low[0] = 1
-    counter = 2
+    # a graph's adjacency follows the order it was built in, so no output
+    # may rest on block order: every caller orders what it reads or reads
+    # only cuts.  _block_arms sorts by each block's lowest other vertex and
+    # sorts the arms; _t2_blocks asserts one core; the removal search sorts
+    # large blocks by (-interior, sorted vertices) and edges by rank, which
+    # holds the edge id; decompose_blocks sorts its blocks
+    root = next(iter(adj))
+    disc = {root: 1}  # discovery number from 1
+    seen = disc.get
+    cuts: set = set()
     vstack: list = []
-    estack: list = []
     blocks: list = []
-    # frame: vertex, tree edge in, neighbor iterator, stack heights at entry
-    stack = [(0, -1, iter(adj[0]), 0, 0)]
+    counter = 2
+    # frame: vertex, parent, neighbour iterator, low, vertex stack height at entry
+    stack = [[root, None, iter(adj[root]), 1, 0]]
     while stack:
-        cur, into, it, _, _ = frame = stack[-1]
-        dcur = disc[cur]
-        for nb, eid in it:
-            d = disc[nb]
-            if not d:
-                disc[nb] = low[nb] = counter
+        frame = stack[-1]
+        cur, parent, it, low, _ = frame
+        for nb in it:
+            d = seen(nb)
+            if d is None:
+                disc[nb] = d = counter
                 counter += 1
                 if len(adj[nb]) == 1:
-                    blocks.append(([nb, cur], [eid]))
-                    cut[cur] = True
+                    blocks.append([nb, cur])
+                    cuts.add(cur)
                     continue
-                stack.append((nb, eid, iter(adj[nb]), len(estack), len(vstack)))
-                estack.append(eid)
+                frame[3] = low
+                stack.append([nb, cur, iter(adj[nb]), d, len(vstack)])
                 vstack.append(nb)
                 break
-            if d < dcur and eid != into:
-                estack.append(eid)
-                if d < low[cur]:
-                    low[cur] = d
+            if d < low and nb != parent:
+                low = d
         else:
             stack.pop()
             if not stack:
                 break
-            up = stack[-1][0]
-            if low[cur] < low[up]:
-                low[up] = low[cur]
-            if low[cur] >= disc[up]:
-                epos, vpos = frame[3], frame[4]
-                blocks.append((vstack[vpos:] + [up], estack[epos:]))
-                del estack[epos:], vstack[vpos:]
-                cut[up] = True
-    if counter - 1 < n:
+            up = stack[-1]
+            if low < up[3]:
+                up[3] = low
+            if low >= disc[parent]:
+                vpos = frame[4]
+                blocks.append(vstack[vpos:] + [parent])
+                del vstack[vpos:]
+                cuts.add(parent)
+    if counter - 1 < len(adj):
         raise NotConnectedError("block decomposition requires a connected graph")
-    cut[0] = sum(vs[-1] == 0 for vs, _ in blocks) > 1  # a block ends with the vertex it closed at
-    if estack:
-        raise AssertionError("edge stack not drained; decomposition bug")
-    if n == 1:
-        blocks.append(([0], []))
-    return blocks, cut
+    if sum(vs[-1] == root for vs in blocks) < 2:  # a block ends with the vertex it closed at
+        cuts.discard(root)
+    if not blocks:
+        blocks.append([root])
+    return blocks, cuts
 
 
-def large_blocks(blocks: list, cut: list) -> list:
+def large_blocks(blocks: list, cuts: set) -> list:
     """The large blocks of a lowpoint_blocks result, as (interior size,
-    vertices, edge ids) in the order given: those whose interior, the
-    vertices that are not cutpoints, outnumbers their cutpoints."""
+    vertices) in the order given: those whose interior, the vertices that
+    are not cutpoints, outnumbers their cutpoints."""
     out = []
-    for vs, es in blocks:
-        inner = len(vs) - sum(cut[x] for x in vs)
+    for vs in blocks:
+        inner = len(vs) - len(cuts.intersection(vs))
         if inner + inner > len(vs):
-            out.append((inner, vs, es))
+            out.append((inner, vs))
     return out
 
 
 def decompose_blocks(g: Graph) -> BlockDecomposition:
     """Split a connected graph into blocks with cutpoints and bridges.
 
-    Packs the result of lowpoint_blocks on index_adjacency(g) into Blocks.  Every edge lands in exactly one block; two
+    Packs the result of lowpoint_blocks on g's adjacency into Blocks.  Every
+    edge lands in exactly one block, the one holding both its ends; two
     blocks share at most one vertex and any shared vertex is a cutpoint.
     """
-    verts, edges = g.sorted_vertices, g.sorted_edges
-    raw_blocks, cut = lowpoint_blocks(index_adjacency(g))
-    cutpoints = frozenset(compress(verts, cut))
+    adj = g.adjacency
+    raw_blocks, cuts = lowpoint_blocks(adj)
+    cutpoints = frozenset(cuts)
     blocks = []
-    for vs, es in raw_blocks:
-        vs = frozenset(verts[i] for i in vs)
-        blocks.append(Block(vs, frozenset(edges[e] for e in es), vs & cutpoints, vs - cutpoints))
+    for vs in raw_blocks:
+        vs = frozenset(vs)
+        es = frozenset((x, y) for x in vs for y in adj[x] & vs if x < y)
+        blocks.append(Block(vs, es, vs & cutpoints, vs - cutpoints))
     blocks.sort(key=lambda b: tuple(sorted(b.vertices)))
-    bridges = frozenset(edges[es[0]] for _, es in raw_blocks if len(es) == 1)
+    bridges = frozenset(e for b in blocks if len(b.vertices) == 2 for e in b.edges)
     return BlockDecomposition(tuple(blocks), cutpoints, bridges)
 
 

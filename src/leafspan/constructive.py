@@ -19,7 +19,7 @@ from functools import partial
 from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import find_spines, index_adjacency, large_blocks, lowpoint_blocks
+from .blocks import find_spines, large_blocks, lowpoint_blocks
 from .bounds import _check_int, alpha, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
@@ -343,8 +343,7 @@ def _t1_degree2(g: Graph, rec):
     # share both ends, and each new edge is a bridge: it lies in every
     # spanning tree.  The lift puts the run back and keeps every degree, so
     # s, the leaves and the bound do not change
-    verts, index = g.sorted_vertices, index_adjacency(g)
-    inner = {verts[i] for i in compress(range(g.v), lowpoint_blocks(index)[1]) if len(index[i]) == 2}
+    inner = {x for x in lowpoint_blocks(adj)[1] if len(adj[x]) == 2}
     run_edges, pairs = {_edge(x, y) for x in inner for y in adj[x]}, set()
     for y in {y for x in inner for y in adj[x]} - inner:  # walk each run from both its ends
         for x in adj[y] & inner:
@@ -382,18 +381,21 @@ def _t1_base_core(g: Graph, rec):
     return _base("base-core-greedy", greedy_leafy(g))
 
 
-def _block_arms(g: Graph, index: list, blocks: list, cut: list):
-    """For each cutpoint a of g, ascending, from a lowpoint pass on index:
-    a and the lists of its neighbours in each of its blocks, ordered by the
-    block's lowest vertex other than a."""
-    verts = g.sorted_vertices
-    block_of = {eid: i for i, (_, es) in enumerate(blocks) for eid in es}
-    lows = [sorted(vs)[:2] for vs, _ in blocks]
-    for i in compress(range(g.v), cut):
-        arms = {}
-        for j, eid in index[i]:
-            arms.setdefault(block_of[eid], []).append(verts[j])
-        yield verts[i], [arms[b] for b in sorted(arms, key=lambda b: lows[b][lows[b][0] == i])]
+def _block_arms(g: Graph, blocks: list, cuts: set):
+    """For each cutpoint a of g, ascending, from a lowpoint pass of g: a and
+    the sorted lists of its neighbours in each of its blocks, ordered by the
+    block's lowest vertex other than a.  Two blocks at a share only a, so
+    the order is total; the lowest vertex of a block is taken once, and the
+    next one only for the cut that is the lowest, so the cost is linear in
+    the total block size."""
+    adj, at = g.adjacency, {a: [] for a in cuts}
+    for vs in blocks:
+        low, members = min(vs), set(vs)
+        for a in members.intersection(cuts):
+            key = low if a != low else min(members - {a})
+            at[a].append((key, sorted(adj[a] & members)))
+    for a in sorted(at):
+        yield a, [arms for _, arms in sorted(at[a])]
 
 
 def _t1_core_cut(g: Graph, rec):
@@ -411,10 +413,9 @@ def _t1_core_cut(g: Graph, rec):
     arms sum to d >= 3, so D >= 1.  A cut's arms and degree do not change
     when the other cuts split, so the sum over cuts holds as well.
     """
-    adj, index = g.adjacency, index_adjacency(g)
-    blocks, cut = lowpoint_blocks(index)
+    adj = g.adjacency
     groups = {}
-    for a, arm_lists in _block_arms(g, index, blocks, cut):
+    for a, arm_lists in _block_arms(g, *lowpoint_blocks(adj)):
         core = [ys for ys in arm_lists if len(adj[ys[0]]) > 1]  # an arm of degree 1 is a pendant
         if len(core) > 1:
             core[-1] = core[-1] + [ys[0] for ys in arm_lists if len(adj[ys[0]]) == 1]
@@ -473,7 +474,7 @@ def _t1_extend(g: Graph, rec):
             h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
             if h is None:
                 h = g.induced(_side(g.adjacency, a, b))
-                cuts = set(compress(h.sorted_vertices, lowpoint_blocks(index_adjacency(h))[1]))
+                cuts = lowpoint_blocks(h.adjacency)[1]
                 comps.append((h, cuts))
             if b in cuts:
                 return _Step("3", "extend", (a, b), (h,), _lemma3(g, a, b, h))
@@ -515,28 +516,27 @@ def construct_theorem1(g: Graph):
 # -- large-block elimination ------------------------------------------------
 
 
-def _breaks_chain(adj: list, touched) -> bool:
-    """Whether removing edges from an index graph, adj after the removal, made
-    an adjacent pair of degree-2 vertices that was not there before.
+def _breaks_chain(adj, touched) -> bool:
+    """Whether removing edges from a graph, adj its neighbours after the
+    removal, made an adjacent pair of degree-2 vertices that was not there
+    before.
 
     touched holds the ends of the removed edges.  Degrees only fall, so a
     vertex is newly of degree 2 exactly when it lost a removed edge.
     """
-    return any(len(adj[x]) == 2 and any(len(adj[y]) == 2 for y, _ in adj[x]) for x in touched)
+    return any(len(adj[x]) == 2 and any(len(adj[y]) == 2 for y in adj[x]) for x in touched)
 
 
 def _removal_fault(reduced: Graph, f) -> Optional[str]:
     """The first postcondition of removal that reduced, a graph less the edge set f, breaks, or None."""
-    adj = index_adjacency(reduced)
+    adj = reduced.adjacency
     try:
-        blocks, cut = lowpoint_blocks(adj)
+        blocks, cuts = lowpoint_blocks(adj)
     except NotConnectedError:
         return "disconnects the graph"
-    if large_blocks(blocks, cut):
+    if large_blocks(blocks, cuts):
         return "leaves a large block"
-    ends = set(chain.from_iterable(f))
-    touched = [i for i, x in enumerate(reduced.sorted_vertices) if x in ends]
-    return "breaks the chain condition" if _breaks_chain(adj, touched) else None
+    return "breaks the chain condition" if _breaks_chain(adj, set(chain.from_iterable(f))) else None
 
 
 def remove_large_blocks(g: Graph) -> frozenset:
@@ -552,23 +552,30 @@ def remove_large_blocks(g: Graph) -> frozenset:
     at its turn, so this loses no solutions.  Candidates come block by
     block, large blocks first and the biggest of them first; within a block,
     edges with both ends of degree 2 go first, then edges whose ends keep
-    degree above 3, which is a heuristic only.  The search runs on g
-    relabelled to 0..n-1 in sorted-id order, one lowpoint_blocks pass per
-    node, each removed set a bitmask over the sorted edges; the monotone
-    relabelling breaks every tie as g's own ids would.
+    degree above 3, which is a heuristic only.  The search runs one
+    lowpoint_blocks pass per node on a working copy of g's adjacency that
+    maps each neighbour to its edge id, the edge's index in g's sorted
+    edges; each removed set is a bitmask over those ids, and a block's
+    candidates are the edges between its vertices, ordered by id within
+    each class, so every tie breaks as g's own ids would.
     """
     require_connected(g, "remove_large_blocks")
     if g.v <= 2:
         raise InvalidParamsError("need more than two vertices")
     edges = g.sorted_edges
     m = len(edges)
-    adj = index_adjacency(g)
-    ends = {eid: (a, b) for a, nbrs in enumerate(adj) for b, eid in nbrs if a < b}
+    adj: dict = {x: {} for x in g.adjacency}
+    for eid, (a, b) in enumerate(edges):
+        adj[a][b] = adj[b][a] = eid
     touched: list = []  # endpoints of the removed edges
 
     def rank(eid):
-        da, db = (len(adj[x]) for x in ends[eid])
+        da, db = (len(adj[x]) for x in edges[eid])
         return eid + m * (0 if da == db == 2 else 1 if da > 3 and db > 3 else 2)
+
+    def block_edges(vs):
+        members = set(vs)
+        return [eid for x in vs for y, eid in adj[x].items() if x < y and y in members]
 
     # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic
     # number; a set's budget left is that less its size, however it is reached
@@ -584,25 +591,23 @@ def remove_large_blocks(g: Graph) -> frozenset:
         chain_ok = not _breaks_chain(adj, touched)
         if budget == 0 and not chain_ok:
             return None
-        blocks, cut = lowpoint_blocks(adj)
-        large = large_blocks(blocks, cut)
+        blocks, cuts = lowpoint_blocks(adj)
+        large = large_blocks(blocks, cuts)
         if not large and chain_ok:
             return removed
         if budget == 0:
             return None
         large.sort(key=lambda b: (-b[0], sorted(b[1])))
-        order = [eid for _, _, es in large for eid in sorted(es, key=rank)]
-        big = {id(es) for _, _, es in large}
-        order += sorted((eid for _, es in blocks if len(es) > 1 and id(es) not in big for eid in es), key=rank)
+        order = [eid for _, vs in large for eid in sorted(block_edges(vs), key=rank)]
+        big = {id(vs) for _, vs in large}
+        order += sorted((eid for vs in blocks if len(vs) > 2 and id(vs) not in big for eid in block_edges(vs)), key=rank)
         for eid in order:
-            a, b = ends[eid]
-            adj[a].remove((b, eid))
-            adj[b].remove((a, eid))
+            a, b = edges[eid]
+            del adj[a][b], adj[b][a]
             touched.extend((a, b))
             got = search(removed | 1 << eid, budget - 1)
             del touched[-2:]
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
+            adj[a][b] = adj[b][a] = eid
             if got is not None:
                 return got
         failed.add(removed)
@@ -661,12 +666,12 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     and the base tree keeps the paths and spans the core with one of its
     interior vertices, if it has any, a leaf.
     """
-    verts, adj, index = g.sorted_vertices, g.adjacency, index_adjacency(g)
-    blocks, cut = lowpoint_blocks(index)
+    adj = g.adjacency
+    blocks, cuts = lowpoint_blocks(adj)
     spines = find_spines(g)
     spiny = {(s.base, s.path[0]) for s in spines}  # (cut, arm) of spines and of runs to taken cuts
     groups = {}
-    for a, arm_lists in _block_arms(g, index, blocks, cut):
+    for a, arm_lists in _block_arms(g, blocks, cuts):
         own = [ys for ys in arm_lists if (a, ys[0]) not in spiny]
         spider = [ys[0] for ys in arm_lists if (a, ys[0]) in spiny]
         if len(adj[a]) < 3 or len(own) + (len(spider) > 1) < 2:
@@ -683,16 +688,16 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
         pieces, build = _split(g, groups, lambda d: k + 1 if d >= 2 else 0)
         return _Step("1.1", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
     # a large block means a non-empty removal set; replay checks the recorded one
-    if large_blocks(blocks, cut):
+    if large_blocks(blocks, cuts):
         f, reduced = _removal(g, rec)
         return _Step("1.2", "delete", tuple(x for e in sorted(f) for x in e), (reduced,), _keep_edges(g))
     on_spine = frozenset(x for s in spines for x in s.path)
-    cores = [vs for vs, _ in blocks if on_spine.isdisjoint(verts[x] for x in vs)]
+    cores = [vs for vs in blocks if on_spine.isdisjoint(vs)]
     assert len(cores) == 1 and 3 <= len(cores[0]) == g.v - len(on_spine), "core is not one block"
     # every cutpoint in the core block is a spine base, so the core's
     # interior is the block's
-    core = g.induced(verts[x] for x in cores[0])
-    interior = sorted(verts[x] for x in cores[0] if not cut[x])
+    core = g.induced(cores[0])
+    interior = sorted(x for x in cores[0] if x not in cuts)
     rest = core.without_vertex(interior[0]) if interior else core
     edges = set(rest.bfs_tree(min(rest.vertices)))
     edges.update(_edge(u0, min(core.adjacency[u0])) for u0 in interior[:1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import BoundReport, _check_int
-from .constructive import _theorem, construct_theorem1, construct_theorem2, replay_trace
+from .constructive import _certify, _theorem, replay_trace
 from .errors import InfeasibleError, InvalidParamsError
 from .exact import exact_mlst
 from .graph import Graph, chain_metric, girth, s_count
@@ -185,7 +185,7 @@ def verify_corpus(
         if mode == "exact":
             achieved = exact_mlst(g).u_value
         else:
-            _, trace = construct_theorem2(g, k) if theorem == 2 else construct_theorem1(g)
+            _, trace = _certify(g, request)
             achieved = replay_trace(g, trace, theorem, k).leaf_count
         records.append(
             InstanceRecord(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .blocks import index_adjacency, lowpoint_blocks
+from .blocks import lowpoint_blocks
 from .bounds import _check_int
 from .errors import InvalidParamsError, NotConnectedError
 from .graph import Graph
@@ -114,10 +114,11 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     verts = g.sorted_vertices
     n = len(verts)
     full = (1 << n) - 1
-    lists = index_adjacency(g)  # vertex i is verts[i]
-    adj = [sum(1 << y for y, _ in nbrs) for nbrs in lists]
-    deg = [len(nbrs) for nbrs in lists]
-    cut = sum(1 << i for i, c in enumerate(lowpoint_blocks(lists)[1]) if c)
+    nbrs = g.adjacency
+    bit = {x: 1 << i for i, x in enumerate(verts)}  # vertex verts[i] is bit i
+    adj = [sum(map(bit.__getitem__, nbrs[x])) for x in verts]
+    deg = [len(nbrs[x]) for x in verts]
+    cut = sum(map(bit.__getitem__, lowpoint_blocks(nbrs)[1]))
     if cut:
         roots = [max(_bits(cut), key=lambda i: (deg[i], -i))]
     else:

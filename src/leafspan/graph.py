@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     EdgeNotFoundError,
@@ -367,20 +367,6 @@ class Graph:
     def with_edge(self, u: int, v: int) -> "Graph":
         e = norm_edge(u, v)
         return self._derive(add=(e,))
-
-    def relabel(self, mapping: Mapping[int, int]) -> "Graph":
-        """Apply a partial id mapping (identity elsewhere); must stay injective."""
-        full = {x: mapping.get(x, x) for x in self.vertices}
-        if len(set(full.values())) != len(full):
-            raise InvalidParamsError("relabeling collides ids")
-        return Graph(
-            frozenset(full.values()),
-            frozenset(norm_edge(full[u], full[v]) for u, v in self.edges),
-        )
-
-    def fresh_id(self) -> int:
-        """One more than the largest existing id."""
-        return max(self.vertices) + 1
 
 
 # -- metrics ---------------------------------------------------------------

@@ -269,8 +269,25 @@ def remove_large_blocks_reference(g: Graph) -> frozenset:
 
 
 # The lowpoint pass as it stood before pendants closed their blocks without a
-# frame of their own, kept verbatim: the library's blocks, their order and
-# cut must equal its output.
+# frame of their own and before it read a graph's own adjacency, kept
+# verbatim with the index build it ran on: the library's blocks and
+# cutpoints, read back to ids, must equal its output.
+
+
+def index_adjacency(g: Graph) -> list:
+    """g relabelled to 0..n-1 in sorted-id order, as adjacency lists.
+
+    adj[x] lists (y, edge id) for every edge xy, where edge ids index
+    g.sorted_edges.  The relabelling is monotone, so edge tuples and sorted
+    vertex lists compare as they do on g's own ids.
+    """
+    idx = {x: i for i, x in enumerate(g.sorted_vertices)}
+    adj: list = [[] for _ in idx]
+    for eid, (u, v) in enumerate(g.sorted_edges):
+        a, b = idx[u], idx[v]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    return adj
 
 
 def lowpoint_blocks_reference(adj: list) -> tuple:

@@ -14,8 +14,15 @@ from leafspan import (
     gen_triangle_tree,
     glue_extremal_chain,
 )
-from leafspan.blocks import index_adjacency, lowpoint_blocks
-from conftest import brute_bridges, brute_cutpoints, connected_graphs, lowpoint_blocks_reference, random_connected
+from leafspan.blocks import lowpoint_blocks
+from conftest import (
+    brute_bridges,
+    brute_cutpoints,
+    connected_graphs,
+    index_adjacency,
+    lowpoint_blocks_reference,
+    random_connected,
+)
 
 
 def test_requires_connected():
@@ -87,29 +94,61 @@ def test_cutpoints_and_bridges_against_brute_force():
         assert set(d.bridges) == brute_bridges(g), g.sorted_edges
 
 
+def _same_blocks_as_reference(g, adj):
+    # the reference runs on g relabelled to 0..n-1; its blocks and cut are
+    # read back to g's ids.  Every block and every cut is compared; their
+    # order is not, as no caller reads it
+    verts = g.sorted_vertices
+    ref_blocks, ref_cut = lowpoint_blocks_reference(index_adjacency(g))
+    blocks, cuts = lowpoint_blocks(adj)
+    assert sorted(map(sorted, blocks)) == sorted(sorted(verts[i] for i in vs) for vs, _ in ref_blocks), g.sorted_edges
+    assert cuts == {x for x, c in zip(verts, ref_cut) if c}, g.sorted_edges
+
+
 def test_pendant_shortcut_keeps_the_lowpoint_pass_output():
-    # a pendant closes its block without a frame; blocks, their order and
-    # cut stay those of the pass that gave every pendant a frame
+    # a pendant closes its block without a frame; blocks and cutpoints stay
+    # those of the pass that gave every pendant a frame
     nx = pytest.importorskip("networkx")
     atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)]
     assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
     for g in atlas:
-        adj = index_adjacency(g)
-        assert lowpoint_blocks(adj) == lowpoint_blocks_reference(adj), g.sorted_edges
+        _same_blocks_as_reference(g, g.adjacency)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 12), st.booleans())
 def test_pendant_shortcut_keeps_the_lowpoint_pass_output_hypothesis(seed, v, pendants, low):
-    # pendants numbered below the rest make vertex 0 a pendant, the root
+    # pendants numbered below the rest make vertex 0 a pendant, the root of
+    # both passes when the adjacency lists it first
     rng = random.Random(seed)
     g = Graph.build([(0, 1)]) if v == 1 else random_connected(rng, v)
     shift = pendants if low else 0
     first = 0 if low else g.v
     edges = [(x + shift, y + shift) for x, y in g.edges]
     edges += [(first + i, rng.randrange(g.v) + shift) for i in range(pendants)]
-    adj = index_adjacency(Graph.build(edges))
-    assert lowpoint_blocks(adj) == lowpoint_blocks_reference(adj)
+    h = Graph.build(edges)
+    _same_blocks_as_reference(h, {x: h.adjacency[x] for x in h.sorted_vertices})
+    _same_blocks_as_reference(h, h.adjacency)
+
+
+def test_pass_reads_neighbour_sets_and_edge_id_maps_alike():
+    # the removal search runs the pass on {x: {y: edge id}}, in whatever
+    # order its removals and restorations leave; the blocks and cuts are
+    # those of the graph's own neighbour sets
+    rng = random.Random(2020)
+    graphs = list(connected_graphs(5)) + [random_connected(rng, rng.randint(2, 30)) for _ in range(200)]
+    for g in graphs:
+        ids = {x: {} for x in g.adjacency}
+        for eid, (a, b) in enumerate(g.sorted_edges):
+            ids[a][b] = ids[b][a] = eid
+        keys = list(ids)
+        rng.shuffle(keys)
+        shuffled = {x: dict(rng.sample(sorted(ids[x].items()), len(ids[x]))) for x in keys}
+        want_blocks, want_cuts = lowpoint_blocks(g.adjacency)
+        for adj in (ids, shuffled):
+            blocks, cuts = lowpoint_blocks(adj)
+            assert sorted(map(sorted, blocks)) == sorted(map(sorted, want_blocks)), g.sorted_edges
+            assert cuts == want_cuts, g.sorted_edges
 
 
 def _against_networkx(nx, g):

@@ -182,25 +182,11 @@ def test_derived_graphs_equal_their_checked_builds():
             g.without_edge(*rng.choice(es)),
             g.without_edges(rng.sample(es, rng.randint(0, len(es)))),
             g.with_edge(*rng.sample(vs, 2)),
-            g.with_edge(vs[0], g.fresh_id()),
+            g.with_edge(vs[0], max(g.vertices) + 1),
         ]
         for h in derived:
             checked = Graph(h.vertices, h.edges)
             assert h == checked and h.adjacency == checked.adjacency
-
-
-def test_relabel_partial_and_injective():
-    g = Graph.build([(0, 1), (1, 2)])
-    h = g.relabel({0: 9})
-    assert 9 in h.vertices and 0 not in h.vertices
-    assert h.has_edge(9, 1)
-    with pytest.raises(InvalidParamsError):
-        g.relabel({0: 2})  # collides with an unmapped id
-
-
-def test_fresh_id():
-    g = Graph.build([(0, 5)])
-    assert g.fresh_id() == 6
 
 
 def test_girth_against_brute_force_small():

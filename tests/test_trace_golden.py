@@ -9,6 +9,8 @@ in CHANGES.md.
 import hashlib
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from leafspan import (
     CYCLE_SPINE_DENSE,
     CYCLE_SPINE_SPARSE,
@@ -21,8 +23,10 @@ from leafspan import (
     gen_triangle_tree,
     glue_extremal_chain,
     random_constrained_graph,
+    replay_trace,
     serialize_tree,
 )
+from conftest import random_connected
 
 DIGEST = "9041770e1dc1cd352700821de07afa3336b49ac31a27ed13678ccaa99a2bf21b"
 
@@ -66,3 +70,61 @@ def test_trace_and_tree_digest():
             h.update("\n".join(trace.lines()).encode())
             h.update(serialize_tree(tree).encode())
     assert h.hexdigest() == DIGEST
+
+
+def _same_graph_other_ways(g, rng):
+    """g on ids spread 1024 apart, so that hashing collides and the order of
+    its vertex and neighbour sets follows the order they were filled in,
+    and that graph again: built from its edges shuffled, reached by
+    without_edge from a build with one more edge, and given its adjacency in
+    a shuffled order."""
+    edges = [(1024 * x, 1024 * y) for x, y in g.edges]
+    base = Graph.build(edges, isolated=[1024 * x for x in g.vertices])
+    rng.shuffle(edges)
+    others = [Graph.build(edges, isolated=base.vertices)]
+    vs = sorted(base.vertices)
+    extra = next(((x, y) for x in vs for y in vs if x < y and not base.has_edge(x, y)), None)
+    if extra is not None:
+        others.append(Graph.build(edges + [extra]).without_edge(*extra))
+    keys = list(base.adjacency)
+    rng.shuffle(keys)
+    adj = {x: frozenset(rng.sample(sorted(base.adjacency[x]), len(base.adjacency[x]))) for x in keys}
+    others.append(Graph._derived(base.vertices, base.edges, adj))
+    return base, others
+
+
+def _order(g):
+    return list(g.adjacency), [list(nbs) for nbs in g.adjacency.values()]
+
+
+def _runs(g):
+    k = max(chain_metric(g), 1)
+    out = []
+    for theorem, (tree, trace) in ((1, construct_theorem1(g)), (2, construct_theorem2(g, k))):
+        assert replay_trace(g, trace, theorem, k) == tree
+        out.append((trace.lines(), serialize_tree(tree)))
+    return out
+
+
+def _check_build_order(g, rng):
+    base, others = _same_graph_other_ways(g, rng)
+    want = _runs(base)
+    for h in others:
+        assert h == base
+        assert _runs(h) == want, g.sorted_edges
+    return any(_order(h) != _order(base) for h in others)
+
+
+def test_build_order_changes_no_tree_or_trace():
+    # the descents read blocks off a graph's own adjacency, whose order
+    # depends on how the graph was built; no tree and no trace line may
+    rng = random.Random(99)
+    reordered = sum(_check_build_order(g, rng) for g in _golden_graphs())
+    assert reordered > 150  # the forms really differ in order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 16))
+def test_build_order_changes_no_tree_or_trace_hypothesis(seed, v):
+    rng = random.Random(seed)
+    _check_build_order(random_connected(rng, v), rng)
