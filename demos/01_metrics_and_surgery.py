@@ -11,7 +11,6 @@ from leafspan import (
     find_spines,
     girth,
     glue,
-    partition_uwxy,
     s_count,
 )
 
@@ -31,10 +30,6 @@ for b in dec.blocks:
 # the tail 3-4 is a spine based at the cutpoint 0
 for s in find_spines(g):
     print("spine", s.path, "base", s.base, "pendant", s.pendant)
-
-# role partition by distance from the pendant
-p = partition_uwxy(g)
-print("U =", sorted(p.U), " W =", sorted(p.W), " X =", sorted(p.X), " Y =", sorted(p.Y))
 
 # gluing two graphs at one vertex each
 star = Graph.star(3)

@@ -36,8 +36,8 @@ b2 = bound_theorem2(g.v, 5, k).value
 print("girth/chain construction:", tree2.leaf_count, "leaves, bound", b2)
 print("base cases used:", trace2.base_kinds)
 
-# block removal: smallest edge set leaving no block with more interior
-# vertices than boundary cutpoints, connectivity preserved
+# block removal: an edge set, not always the smallest, leaving no block
+# with more interior vertices than boundary cutpoints, connectivity preserved
 k4 = Graph.complete(4)
 f = remove_large_blocks(k4)
 print("K4 removal set:", sorted(f), " remainder:", k4.without_edges(f).sorted_edges)

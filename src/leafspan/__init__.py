@@ -29,10 +29,8 @@ from .bounds import (
 from .constructive import (
     ConstructionTrace,
     TraceNode,
-    check_lemma5_structure,
     construct_theorem1,
     construct_theorem2,
-    partition_uwxy,
     remove_large_blocks,
     replay_trace,
 )
@@ -134,7 +132,6 @@ __all__ = [
     "bound_theorem1",
     "bound_theorem2",
     "chain_metric",
-    "check_lemma5_structure",
     "construct_theorem1",
     "construct_theorem2",
     "contract_edge",
@@ -152,7 +149,6 @@ __all__ = [
     "graph_hash",
     "greedy_leafy",
     "parse_graph",
-    "partition_uwxy",
     "random_constrained_graph",
     "remove_large_blocks",
     "replay_trace",

@@ -1,10 +1,11 @@
 """Constructive spanning-tree builders that certify the lower bounds.
 
-One iterative descent engine runs two case tables.  The first produces a
-tree whose leaf count is certified against the degree-structure bound (the
-s-count form); the second certifies the girth/chain bound.  Both record
-every reduction step in a ConstructionTrace that can be replayed and
-audited, and neither uses the Python call stack for the descent itself.
+One iterative descent engine runs two case tables.  The first certifies
+the degree-structure bound (the s-count form) with one base step, a greedy
+tree proved to meet it; the second descends to certify the girth/chain
+bound.  Both record every step in a ConstructionTrace that can be replayed
+and audited, and the engine does not use the Python call stack for the
+descent itself.
 
 Every recombination step asserts its exact leaf arithmetic, and every node
 asserts the bound it is responsible for.  A BoundNotMet escaping from here
@@ -13,10 +14,10 @@ means the implementation (not the input) is wrong.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, count
 from typing import Callable, NamedTuple, Optional
 
 from .blocks import find_spines, large_blocks, lowpoint_blocks
@@ -29,77 +30,9 @@ from .errors import (
     NotConnectedError,
     SearchExhaustedError,
 )
-from .exact import exact_mlst, greedy_leafy
+from .exact import greedy_leafy
 from .graph import Graph, _edge, chain_metric, girth, require_connected, s_count
-from .trees import SpanningTree, _pack, check_valid
-
-EXACT_BASE_LIMIT = 26  # largest mindeg-3 core solved exactly; cubic worst case < 100 ms
-
-
-# -- partition and structure checks ----------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionUWXY:
-    """Partition of the vertex set by distance-from-pendant role.
-
-    U holds the pendant vertices, W their attachment vertices, X the other
-    neighbors of W, and Y everything else.
-    """
-
-    U: frozenset
-    W: frozenset
-    X: frozenset
-    Y: frozenset
-
-
-def partition_uwxy(g: Graph) -> PartitionUWXY:
-    u = frozenset(x for x in g.vertices if g.degree(x) == 1)
-    w = frozenset(
-        x for x in g.vertices - u if any(nb in u for nb in g.adjacency[x])
-    )
-    x_set = frozenset(
-        x
-        for x in g.vertices - u - w
-        if any(nb in w for nb in g.adjacency[x])
-    )
-    y = g.vertices - u - w - x_set
-    return PartitionUWXY(U=u, W=w, X=x_set, Y=y)
-
-
-def check_lemma5_structure(g: Graph, p: PartitionUWXY) -> Optional[str]:
-    """Verify the end-of-descent structure around pendant attachments.
-
-    Returns None when the structure holds, otherwise a short string naming
-    the first violated property.  Applies only to graphs with pendants that
-    survived the earlier reduction cases; with no pendants at all the check
-    does not apply.
-    """
-    if not p.U:
-        return "not applicable: no pendant vertices"
-    for w in sorted(p.W):
-        for nb in g.neighbors(w):
-            if nb in p.W:
-                return f"independence: attachment vertices {w} and {nb} adjacent"
-    for w in sorted(p.W):
-        if g.degree(w) != 3:
-            return f"degree: attachment vertex {w} has degree {g.degree(w)}"
-    if not p.X:
-        return "support: no branch vertices beyond the attachments"
-    for x in sorted(p.X):
-        if g.degree(x) <= 3:
-            return f"support: branch vertex {x} has degree {g.degree(x)}"
-    for w in sorted(p.W):
-        nbs = g.neighbors(w)
-        pend = [nb for nb in nbs if nb in p.U]
-        branch = [nb for nb in nbs if nb in p.X]
-        if len(pend) != 1 or len(branch) != 2:
-            return (
-                f"wiring: attachment vertex {w} sees {len(pend)} pendants "
-                f"and {len(branch)} branch vertices"
-            )
-    return None
-
+from .trees import SpanningTree, _pack
 
 # -- traces -----------------------------------------------------------------
 
@@ -111,7 +44,7 @@ class TraceNode:
     m - 1 times, so a split line has len(args) + 1 children."""
 
     case: str
-    op: str  # contract | delete | split | extend | base
+    op: str  # delete | split | base
     args: tuple
     v: int
     e: int
@@ -303,209 +236,38 @@ def _split(g: Graph, groups: dict, probe: Callable) -> tuple:
 
 def _base_tree(g: Graph, rec):
     # a descent node is connected, so with v - 1 edges it is its own only
-    # spanning tree.  Its L leaves and T3 vertices of degree 3 or more have
-    # L >= T3 + 2, so L meets the s-count bound (L + T3 - 2)/4 + 2
+    # spanning tree; need holds it to the girth-3 rate
     if g.e == g.v - 1:
         return _base("base-tree", _pack(g, g.edges))
 
 
-# -- degree-structure descent ----------------------------------------------
+# -- degree-structure base ------------------------------------------------
 
 
-def _separates(nbrs: dict, a, b, c) -> bool:
-    """Whether a separates b from c in the graph with adjacency nbrs.  Two
-    searches of the graph less a, from b and from c, take turns until they
-    meet or one runs out, so the cost is about that of the smaller side."""
-    seen, todo = ({b}, {c}), ([b], [c])
-    while todo[0] and todo[1]:
-        for mine, other, stack in zip(seen, seen[::-1], todo):
-            for nb in nbrs[stack.pop()]:
-                if nb in other:
-                    return False
-                if nb != a and nb not in mine:
-                    mine.add(nb)
-                    stack.append(nb)
-    return True
-
-
-def _t1_degree2(g: Graph, rec):
-    adj = g.adjacency
-    a = min(compress(adj, map((2).__eq__, map(len, adj.values()))), default=None)  # lowest of degree 2
-    if a is None:
-        return None
-    b, c = sorted(adj[a])
-    # a has degree 2, so it is a cutpoint exactly when ab is a bridge
-    if not _separates(adj, a, b, c):
-        return _Step("1", "delete", (a, b), (g.without_edge(a, b),), _keep_edges(g))
-    # contract every maximal run of degree-2 cutpoints, read off one pass, to
-    # the edge between its ends.  Both edges at a degree-2 cutpoint are
-    # bridges, so a run's ends are distinct and not adjacent, no two runs
-    # share both ends, and each new edge is a bridge: it lies in every
-    # spanning tree.  The lift puts the run back and keeps every degree, so
-    # s, the leaves and the bound do not change
-    inner = {x for x in lowpoint_blocks(adj)[1] if len(adj[x]) == 2}
-    run_edges, pairs = {_edge(x, y) for x in inner for y in adj[x]}, set()
-    for y in {y for x in inner for y in adj[x]} - inner:  # walk each run from both its ends
-        for x in adj[y] & inner:
-            prev = y
-            while x in inner:
-                prev, x = x, min(adj[x] - {prev})
-            pairs.add(_edge(y, x))
-    pairs = sorted(pairs)
-    child = g._derive(inner, run_edges, pairs)
-
-    def build(t_sub: SpanningTree) -> SpanningTree:
-        t = _pack(g, t_sub.tree_edges.difference(pairs).union(run_edges))
-        assert t.leaf_count == t_sub.leaf_count, "leaf count drifted"
-        return t
-
-    return _Step("1", "contract", tuple(chain.from_iterable(pairs)), (child,), build)
-
-
-def _t1_base_core(g: Graph, rec):
-    # with no degree-2 vertex left, no pendant means a mindeg-3 core, whose
-    # tree needs (v - 2)/4 + 2 leaves as s = v.  greedy_leafy, which seeds
-    # exact_mlst, has them.  It only expands leaves, and with N tree vertices,
-    # L leaves and D dead ones (no neighbour outside the tree), 3L + D - N
-    # never falls: an expansion onto k >= 2 vertices adds k - 1 leaves.  One
-    # onto a single y makes y or another leaf at y dead when y has at most one
-    # outside neighbour (no leaf had two, and y has degree 3 or more); else y
-    # is the unique maximum, expanded next, and the pair adds k_y - 1 leaves
-    # for k_y + 1 vertices.  The root, of maximum degree d, starts the sum at
-    # 2d - 1 or more and it ends at 4L - v: so 4L >= v + 7 when d >= 4, and a
-    # cubic core has v even and 4L >= v + 6.
-    if g.min_degree < 3:
-        return None
-    if g.v <= EXACT_BASE_LIMIT:
-        return _base("base-core-exact", exact_mlst(g).witness)
-    return _base("base-core-greedy", greedy_leafy(g))
-
-
-def _block_arms(g: Graph, blocks: list, cuts: set):
-    """For each cutpoint a of g, ascending, from a lowpoint pass of g: a and
-    the sorted lists of its neighbours in each of its blocks, ordered by the
-    block's lowest vertex other than a.  Two blocks at a share only a, so
-    the order is total; the lowest vertex of a block is taken once, and the
-    next one only for the cut that is the lowest, so the cost is linear in
-    the total block size."""
-    adj, at = g.adjacency, {a: [] for a in cuts}
-    for vs in blocks:
-        low, members = min(vs), set(vs)
-        for a in members.intersection(cuts):
-            key = low if a != low else min(members - {a})
-            at[a].append((key, sorted(adj[a] & members)))
-    for a in sorted(at):
-        yield a, [arms for _, arms in sorted(at[a])]
-
-
-def _t1_core_cut(g: Graph, rec):
-    """Split g in one step at every core cutpoint, read off one lowpoint
-    pass: a cutpoint in two or more blocks that are not pendant edges.
-
-    Each such cut a gets one group per non-pendant block, in _block_arms
-    order, the pendants at a with the last, and every group a one-vertex
-    probe.  The degree-2 case runs first, so a has degree d >= 3.  Say a
-    has m groups, D of them of two or more arms.  Then a, of degree other
-    than 2, gives way to m probe tips and to D copies of degree 3 or more,
-    so the m pieces have s - 1 + m + D such vertices, and the rejoin loses
-    the m tips.  Under the bound (s - 2)/4 + 2, the pieces' bounds less m
-    exceed the parent's by (3m + D - 7)/4 >= 0: m >= 3, or m = 2 and the
-    arms sum to d >= 3, so D >= 1.  A cut's arms and degree do not change
-    when the other cuts split, so the sum over cuts holds as well.
-    """
-    adj = g.adjacency
-    groups = {}
-    for a, arm_lists in _block_arms(g, *lowpoint_blocks(adj)):
-        core = [ys for ys in arm_lists if len(adj[ys[0]]) > 1]  # an arm of degree 1 is a pendant
-        if len(core) > 1:
-            core[-1] = core[-1] + [ys[0] for ys in arm_lists if len(adj[ys[0]]) == 1]
-            groups[a] = core
-    if not groups:
-        return None
-    pieces, build = _split(g, groups, lambda d: 1)
-    return _Step("2", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
-
-
-def _lemma3(g: Graph, a: int, b: int, h: Graph) -> Callable:
-    """Build of a lemma-3 step: lift a tree of h, the component of g - a
-    that holds a's neighbour b, to g.
-
-    The edge ab joins a to the tree, and every other component of g - a
-    hangs below a from its lowest neighbour of a by a breadth-first tree.
-    b is a cutpoint of h, so it is internal in h's tree and the lift gains
-    a leaf: either a ends up pendant, or each other component brings one.
-    """
-
-    def build(t_sub: SpanningTree) -> SpanningTree:
-        check_valid(t_sub, "lemma 3")
-        es = set(t_sub.tree_edges)
-        es.add(_edge(a, b))
-        seen = set(h.vertices) | {a}
-        for x in g.neighbors(a):
-            if x in seen:
-                continue
-            # x is the lowest neighbour of a in a new component of g - a
-            es.add(_edge(a, x))
-            seen.add(x)
-            queue = deque([x])
-            while queue:
-                cur = queue.popleft()
-                for nb in g.neighbors(cur):
-                    if nb not in seen:
-                        seen.add(nb)
-                        es.add(_edge(cur, nb))
-                        queue.append(nb)
-        t = _pack(g, es)
-        assert t.leaf_count >= t_sub.leaf_count + 1, "extension failed to gain a leaf"
-        return t
-
-    return build
-
-
-def _t1_extend(g: Graph, rec):
-    # the core is biconnected from here on.  A vertex a of degree at most 3
-    # with a neighbour b that is a cutpoint of its component h of g - a
-    # reduces g to h, and lemma 3 lifts h's tree back with one more leaf
-    for a in g.sorted_vertices:
-        if g.degree(a) > 3:
-            continue
-        comps = []  # (graph, cutpoints) of each component of g - a met so far
-        for b in g.neighbors(a):
-            h, cuts = next((c for c in comps if b in c[0].vertices), (None, None))
-            if h is None:
-                h = g.induced(_side(g.adjacency, a, b))
-                cuts = lowpoint_blocks(h.adjacency)[1]
-                comps.append((h, cuts))
-            if b in cuts:
-                return _Step("3", "extend", (a, b), (h,), _lemma3(g, a, b, h))
-
-
-def _t1_heavy_edge(g: Graph, rec):
-    for x, y in g.sorted_edges:
-        if g.degree(x) >= 4 and g.degree(y) >= 4:
-            sub = g.without_edge(x, y)
-            require_connected(sub, "heavy edge removal")
-            assert s_count(sub) == s_count(g)
-            return _Step("4", "delete", (x, y), (sub,), _keep_edges(g))
-
-
-def _t1_lemma5(g: Graph, rec):
-    part = partition_uwxy(g)
-    violation = check_lemma5_structure(g, part)
-    assert violation is None, f"descent exhausted cases yet {violation}"
-    w = min(part.W)
-    x, x_other = sorted(nb for nb in g.neighbors(w) if nb in part.X)
-    a = min(nb for nb in g.neighbors(x) if nb != w)
-    assert g.degree(a) == 3
-    # dropping w x_other leaves x a cutpoint of the component h of g* - a
-    # that holds w, so lemma 3 lifts h's tree to g*, whose tree spans g too
-    g_star = g.without_edge(w, x_other)
-    h = g_star.induced(_side(g_star.adjacency, a, w))
-    keep, lift = _keep_edges(g), _lemma3(g_star, a, x, h)
-    return _Step("5", "extend", (w, x, x_other, a), (h,), lambda t_sub: keep(lift(t_sub)))
-
-
-_T1_CASES = (_base_tree, _t1_degree2, _t1_base_core, _t1_core_cut, _t1_extend, _t1_heavy_edge, _t1_lemma5)
+def _t1_greedy(g: Graph, rec):
+    # greedy_leafy's tree meets the s-count bound (s - 2)/4 + 2 on every
+    # connected g, so theorem 1 is this one base (a tree is its own greedy
+    # tree).  Let L count the tree's leaves, D its dead leaves (no neighbour
+    # outside the tree) and N_s its vertices whose degree in g is not 2.
+    # Greedy only expands leaves, and P = 3L + D - N_s never falls; D never
+    # falls, as a dead leaf stays dead.
+    # - An expansion onto k >= 2 vertices adds k - 1 leaves and at most k
+    #   to N_s.
+    # - An expansion onto one y happens only when every tree vertex has at
+    #   most one outside neighbour.  y of degree 2 changes neither L nor
+    #   N_s.  y of degree 1 is dead, so D and N_s both rise by 1.  y of
+    #   degree 3 or more with at most one outside neighbour is dead, or has
+    #   another tree neighbour w, a leaf whose only outside neighbour was y
+    #   and which is now dead.  Otherwise y is the unique maximum and is
+    #   expanded next: the pair adds k_y - 1 leaves for at most k_y + 1
+    #   vertices of N_s.
+    # The root has maximum degree d, so P >= 3d - (d + 1) = 2d - 1 after its
+    # expansion.  At the end D = L and N_s = s, so 4L - s >= 2d - 1.  d >= 4
+    # gives 4L >= s + 7.  For d = 3, s counts exactly the vertices of odd
+    # degree, so s is even by the handshake lemma and 4L >= s + 6.  Either
+    # way L >= (s + 6)/4 = (s - 2)/4 + 2.  With d <= 2, g is K2 or a path
+    # (L = s = 2) or a cycle (L = 2, s = 0), which meet the bound directly.
+    return _base("base-greedy", greedy_leafy(g))
 
 
 def construct_theorem1(g: Graph):
@@ -641,6 +403,23 @@ def _t2_base_short(g: Graph, rec, k: int):
         return _base("base-short", _pack(g, g.bfs_tree(min(g.vertices))))
 
 
+def _block_arms(g: Graph, blocks: list, cuts: set):
+    """For each cutpoint a of g, ascending, from a lowpoint pass of g: a and
+    the sorted lists of its neighbours in each of its blocks, ordered by the
+    block's lowest vertex other than a.  Two blocks at a share only a, so
+    the order is total; the lowest vertex of a block is taken once, and the
+    next one only for the cut that is the lowest, so the cost is linear in
+    the total block size."""
+    adj, at = g.adjacency, {a: [] for a in cuts}
+    for vs in blocks:
+        low, members = min(vs), set(vs)
+        for a in members.intersection(cuts):
+            key = low if a != low else min(members - {a})
+            at[a].append((key, sorted(adj[a] & members)))
+    for a in sorted(at):
+        yield a, [arms for _, arms in sorted(at[a])]
+
+
 def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     """Split, removal or base of the girth/chain descent, read off one
     lowpoint pass and one spine search of g.
@@ -728,7 +507,7 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
         raise InvalidParamsError("need at least two vertices")
     if theorem == 1:
         return _Theorem(
-            _T1_CASES, lambda h, case: bound_theorem1(s_count(h)).value, lambda: bound_theorem1(s_count(g))
+            (_t1_greedy,), lambda h, case: bound_theorem1(s_count(h)).value, lambda: bound_theorem1(s_count(g))
         )
     _check_int("k", k, 1)
     if girth_floor is not None:

@@ -53,7 +53,10 @@ class ExactResult:
 
 
 def greedy_leafy(g: Graph) -> SpanningTree:
-    """Leafy spanning tree heuristic; valid but not optimal in general.
+    """Greedy leafy spanning tree: not optimal in general, but always at
+    least (s - 2)/4 + 2 leaves, s the vertices of degree other than 2, which
+    is how construct_theorem1 certifies that bound (the proof sits beside
+    constructive._t1_greedy).
 
     Starts from a maximum-degree vertex and repeatedly expands the tree
     vertex with the most neighbors outside the tree, claiming all of them at

@@ -107,11 +107,12 @@ def random_sparse(rng: random.Random, v: int, chords: int) -> Graph:
     return Graph.build(have)
 
 
-def greedy_leafy_reference(g: Graph):
+def greedy_leafy_reference(g: Graph, fewest: bool = False):
     """Tree edges of the original quadratic greedy_leafy, kept as a reference.
 
     Start at a maximum-degree vertex, then expand the tree vertex with the
-    most outside neighbors (lowest id on ties), claiming all of them.
+    most outside neighbors (lowest id on ties), claiming all of them.  With
+    fewest, a mutant expands the one with the fewest instead, at least one.
     """
     if g.v == 1:
         return frozenset()
@@ -122,7 +123,8 @@ def greedy_leafy_reference(g: Graph):
         best_x, best_new = None, ()
         for x in sorted(in_tree):
             new = tuple(nb for nb in g.neighbors(x) if nb not in in_tree)
-            if len(new) > len(best_new):
+            better = len(new) < len(best_new) if fewest else len(new) > len(best_new)
+            if new and (better or not best_new):
                 best_x, best_new = x, new
         for nb in best_new:
             edges.append((min(best_x, nb), max(best_x, nb)))

@@ -9,11 +9,12 @@ from leafspan import (
     NotConnectedError,
     bound_kw,
     bound_theorem1,
+    construct_theorem1,
     exact_mlst,
     greedy_leafy,
     s_count,
 )
-from leafspan.trees import validate
+from leafspan.trees import spanning_tree, validate
 from conftest import (
     brute_u,
     connected_graphs,
@@ -137,7 +138,7 @@ def test_greedy_is_a_valid_lower_bound():
 
 
 def test_greedy_meets_the_leaf_potential_on_mindeg3_graphs():
-    # 3L + D - N never falls along greedy's expansions (see _t1_base_core in
+    # 3L + D - N_s never falls along greedy's expansions (see _t1_greedy in
     # constructive.py), so minimum degree 3 and maximum degree d give
     # 4L - v >= 2d - 1, and so the s-count bound (v - 2)/4 + 2
     nx = pytest.importorskip("networkx")
@@ -157,6 +158,53 @@ def test_greedy_meets_the_leaf_potential_on_mindeg3_graphs():
         d = max(g.degree(x) for x in g.vertices)
         assert 4 * t.leaf_count - g.v >= 2 * d - 1, g.sorted_edges
         assert t.leaf_count >= bound_theorem1(s_count(g)).value
+
+
+def _proof_holds(g, leaves):
+    """What the proof beside constructive._t1_greedy gives a greedy tree of
+    g: 4L >= s + 6 when g has maximum degree 3 or more, and on K2, paths
+    and cycles the s-count bound L >= (s - 2)/4 + 2, checked directly."""
+    s = s_count(g)
+    if max(map(g.degree, g.vertices)) >= 3:
+        return 4 * leaves >= s + 6
+    return leaves >= bound_theorem1(s).value
+
+
+def test_greedy_meets_the_s_count_proof():
+    # on the connected atlas graphs, random cubic graphs, K2, paths and
+    # cycles; construct_theorem1's tree is the greedy tree
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph.build(a.edges()) for a in nx.graph_atlas_g() if len(a) >= 2 and nx.is_connected(a)]
+    assert len(graphs) == 995
+    rng = random.Random(5003)
+    graphs += [random_cubic(rng, v) for v in range(4, 61, 2) for _ in range(4)]
+    graphs += [Graph.path(n) for n in range(2, 40)] + [Graph.cycle(n) for n in range(3, 40)]
+    for g in graphs:
+        t = greedy_leafy(g)
+        assert _proof_holds(g, t.leaf_count), g.sorted_edges
+        assert construct_theorem1(g)[0] == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 40))
+def test_greedy_meets_the_s_count_proof_hypothesis(seed, v):
+    g = random_connected(random.Random(seed), v)
+    assert _proof_holds(g, greedy_leafy(g).leaf_count), g.sorted_edges
+
+
+def test_greedy_that_expands_the_fewest_fails_the_proof():
+    # the proof needs the most outside neighbours: a mutant that expands the
+    # fewest passes every atlas graph and sparse graph tried, but not cubic
+    # graphs, where the true greedy always passes
+    rng = random.Random(6007)
+    graphs = [random_cubic(rng, v) for v in range(8, 41, 2) for _ in range(6)]
+    failed = 0
+    for g in graphs:
+        assert _proof_holds(g, greedy_leafy(g).leaf_count)
+        mutant = spanning_tree(g, greedy_leafy_reference(g, fewest=True))
+        assert validate(mutant) is None
+        failed += not _proof_holds(g, mutant.leaf_count)
+    assert failed > len(graphs) // 4
 
 
 def test_greedy_deterministic():

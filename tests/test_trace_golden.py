@@ -28,7 +28,7 @@ from leafspan import (
 )
 from conftest import random_connected
 
-DIGEST = "9041770e1dc1cd352700821de07afa3336b49ac31a27ed13678ccaa99a2bf21b"
+DIGEST = "9189200775b6d22e72e7e5371ae7e50524c1f2ab5b3ae29b339e91cafa9c12d5"
 
 
 def _golden_graphs():
