@@ -403,6 +403,13 @@ def _t2_base_short(g: Graph, rec, k: int):
         return _base("base-short", _pack(g, g.bfs_tree(min(g.vertices))))
 
 
+def _t2_greedy(g: Graph, rec, need: Callable):
+    # greedy meets the s-count bound (s - 2)/4 + 2 (proof beside _t1_greedy);
+    # where that bound covers need, greedy meets need
+    if bound_theorem1(s_count(g)).value >= need(g, "base-greedy"):
+        return _t1_greedy(g, rec)
+
+
 def _block_arms(g: Graph, blocks: list, cuts: set):
     """For each cutpoint a of g, ascending, from a lowpoint pass of g: a and
     the sorted lists of its neighbours in each of its blocks, ordered by the
@@ -531,7 +538,7 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
         assert h is not g or value == rep.value, "root need differs from the request's bound"
         return value
 
-    cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_blocks, k=k))
+    cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_greedy, need=need), partial(_t2_blocks, k=k))
     return _Theorem(cases, need, lambda: rep)
 
 

@@ -160,6 +160,13 @@ def random_cubic_plus(rng: random.Random, n: int, chords: int) -> Graph:
     return Graph.build(have)
 
 
+def subdivided(g: Graph) -> Graph:
+    """g with every edge split by a fresh vertex of degree 2, the vertex on
+    the i-th of g's sorted edges numbered max(g.vertices) + 1 + i."""
+    n = max(g.vertices) + 1
+    return Graph.build([e for i, (u, v) in enumerate(g.sorted_edges) for e in ((u, n + i), (n + i, v))])
+
+
 def brute_girth(g: Graph):
     """Shortest cycle length: for each edge uv, the shortest u-v path without uv, plus 1."""
     adj = {x: set() for x in g.vertices}

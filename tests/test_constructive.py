@@ -41,7 +41,10 @@ from leafspan.cli import main
 from leafspan.constructive import (
     _breaks_chain,
     _descend,
+    _removal_fault,
     _Step,
+    _t1_greedy,
+    _t2_greedy,
     _theorem,
 )
 from leafspan.graph import _edge
@@ -54,6 +57,7 @@ from conftest import (
     random_cubic_plus,
     random_sparse,
     remove_large_blocks_reference,
+    subdivided,
 )
 from test_trace_golden import _golden_graphs
 
@@ -224,29 +228,20 @@ def test_trace_preorder_matches_children():
     assert all(n.v >= 2 for n in nodes)
 
 
-def test_theorem1_measure_strictly_decreases():
-    rng = random.Random(5150)
-    for _ in range(40):
-        g = random_connected(rng, rng.randint(3, 10))
-        t, tr = construct_theorem1(g)
-        again, _, graphs = _descent_graphs(g, _theorem(g, 1), tr.root)
-        assert again == t
-        stack = {}
-        for depth, sub in zip(_depths(tr.root), graphs, strict=True):
-            if depth > 0:
-                parent = stack[depth - 1]
-                assert (sub.v, sub.e) < (parent.v, parent.e), g.sorted_edges
-            stack[depth] = sub
-
-
 def test_theorem2_measure_strictly_decreases():
+    # most random graphs take the greedy base at the root; subdividing every
+    # edge often leaves the s-count bound short of need, so those descend
     rng = random.Random(6001)
-    for _ in range(40):
-        g = random_connected(rng, rng.randint(3, 10))
+    inputs = [random_connected(rng, rng.randint(3, 10)) for _ in range(40)]
+    rng = random.Random(6002)
+    inputs += [subdivided(random_connected(rng, rng.randint(3, 8))) for _ in range(40)]
+    descended = 0
+    for g in inputs:
         k, _ = _t2_params(g)
         t, tr = construct_theorem2(g, k)
         again, _, graphs = _descent_graphs(g, _theorem(g, 2, k), tr.root)
         assert again == t
+        descended += len(graphs) > 1
         stack = {}
         for depth, sub in zip(_depths(tr.root), graphs, strict=True):
             assert chain_metric(sub) <= k
@@ -256,6 +251,7 @@ def test_theorem2_measure_strictly_decreases():
                 mu_c = exact_mlst(sub).u_value
                 assert (mu_c, sub.e) < (mu_p, parent.e), g.sorted_edges
             stack[depth] = sub
+    assert descended >= 32
 
 
 def test_replay_rejects_corrupt_trace():
@@ -405,23 +401,27 @@ def _peel(g, rec):
 
 
 def test_descent_depth_does_not_use_the_call_stack():
-    # the girth/chain descent splits the triangle tree at every cut in one
-    # step, and theorem 1 is one greedy step, so their traces are shallow.
-    # Run first under either theorem's request, _peel makes a 200-vertex
-    # path's descent 198 deep, beyond the recursion headroom allowed here,
-    # and every node's need is checked
+    # the girth/chain descent splits an extremal chain at every cut in one
+    # step, and the greedy base is one step under either theorem, so their
+    # traces are shallow.  Run first under either theorem's request, _peel
+    # makes a 200-vertex path's descent 198 deep, beyond the recursion
+    # headroom allowed here, and every node's need is checked
     headroom = 60
     path = Graph.path(200)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
     try:
-        g = gen_triangle_tree(80)
-        t, tr = construct_theorem2(g, 1)
-        assert _descend(g, _theorem(g, 2, 1), tr.root)[0] == t
+        g = glue_extremal_chain(_LADDER_SPECS[0], 80)
+        t, tr = construct_theorem2(g, 2)
+        assert _descend(g, _theorem(g, 2, 2), tr.root)[0] == t
         assert max(_depths(tr.root)) == 1
-        for g in (_ladder(150), _fan(200)):
+        for g in (_ladder(150), _fan(200), gen_triangle_tree(80)):
             t, tr = construct_theorem1(g)
             assert _descend(g, _theorem(g, 1), tr.root)[0] == t and len(tr.lines()) == 1
+            k = max(chain_metric(g), 1)
+            t, tr = construct_theorem2(g, k)
+            assert _descend(g, _theorem(g, 2, k), tr.root)[0] == t
+            assert tr.lines() == ["case=base-greedy op=base args="]
         for theorem, k in ((1, None), (2, chain_metric(path))):
             request = _theorem(path, theorem, k)
             peeled = request._replace(cases=(_peel,) + request.cases)
@@ -451,13 +451,18 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
             return out
 
         monkeypatch.setattr(constructive, name, counted)
+    # the triangle tree and the Petersen graph take the greedy base, which
+    # reads no pass; the chain splits and the subdivided graphs remove
     chain = glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 5)
-    for g in (gen_triangle_tree(10), chain, Graph.petersen()):
+    subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
+    seen = Counter()
+    for g in (gen_triangle_tree(10), Graph.petersen(), chain, subdivided(Graph.petersen()), subdivided_cubic):
         k, _ = _t2_params(g)
         calls.clear()
         t, tr = construct_theorem2(g, k)
         cases = Counter(n.case for n in tr.preorder())
-        blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"]
+        seen += cases
+        blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"] - cases["base-greedy"]
         expected = Counter(
             lowpoint_blocks=blocked + cases["1.2"],
             find_spines=blocked,
@@ -468,7 +473,7 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
         assert replay_trace(g, tr, theorem=2, k=k) == t
         assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
         assert calls["remove_large_blocks"] == 0
-    assert cases["1.2"] > 0  # the Petersen graph removes large blocks
+    assert seen["base-greedy"] == 2 and seen["1.1"] > 0 and seen["1.2"] > 0
 
 
 # the chained specs of the benchmark's ladder
@@ -481,7 +486,7 @@ _LADDER_SPECS = (
 
 @pytest.mark.parametrize(
     "g",
-    [gen_triangle_tree(n) for n in (3, 10, 50)]
+    [glue_extremal_chain(_LADDER_SPECS[0], copies) for copies in (3, 10, 50)]
     + [glue_extremal_chain(spec, copies) for spec in _LADDER_SPECS for copies in (5, 20)],
 )
 def test_girth_chain_descent_splits_at_every_cut_in_one_step(g):
@@ -495,7 +500,7 @@ def test_girth_chain_descent_splits_at_every_cut_in_one_step(g):
     assert replay_trace(g, tr, theorem=2, k=k) == t
 
 
-def test_triangle_tree_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
+def test_chain_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
     import leafspan.blocks as blocks
     import leafspan.constructive as constructive
 
@@ -507,26 +512,27 @@ def test_triangle_tree_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
 
     monkeypatch.setattr(blocks, "lowpoint_blocks", counted)
     monkeypatch.setattr(constructive, "lowpoint_blocks", counted)
-    _, tr = construct_theorem2(gen_triangle_tree(200), 1)
-    assert tr.root.op == "split" and len(calls) <= len(tr.root.children) + 2
+    _, tr = construct_theorem2(glue_extremal_chain(_LADDER_SPECS[0], 70), 2)
+    assert tr.root.op == "split" and len(tr.root.children) == 70
+    assert len(calls) <= len(tr.root.children) + 2
 
 
 def test_replay_rejects_altered_split():
     import dataclasses
 
-    g = gen_triangle_tree(10)
-    _, tr = construct_theorem2(g, 1)
+    g = glue_extremal_chain(_LADDER_SPECS[0], 5)
+    _, tr = construct_theorem2(g, 2)
     root, a = tr.root, tr.root.args
     assert root.case == "1.1" and len(a) >= 3
     # a dropped, a swapped and a repeated cut
     for args in (a[1:], (a[1], a[0]) + a[2:], a[:1] + a):
         bad = dataclasses.replace(tr, root=dataclasses.replace(root, args=args))
         with pytest.raises(InvalidParamsError, match="trace mismatch: recorded case=1.1"):
-            replay_trace(g, bad, theorem=2, k=1)
+            replay_trace(g, bad, theorem=2, k=2)
     for children, why in ((root.children[1:], "missing"), (root.children + root.children[:1], "extra")):
         bad = dataclasses.replace(tr, root=dataclasses.replace(root, children=children))
         with pytest.raises(InvalidParamsError, match=f"{why} child step"):
-            replay_trace(g, bad, theorem=2, k=1)
+            replay_trace(g, bad, theorem=2, k=2)
 
 
 def _count_builds(monkeypatch):
@@ -580,8 +586,11 @@ def test_tree_base_builds_no_graph(monkeypatch):
 def test_descent_builds_one_graph_per_step(monkeypatch):
     # each non-base step builds only the graphs it hands to its children,
     # and derives their adjacency from its own, in construction and on
-    # replay; one step splits the ladder into 26 pieces
+    # replay; one step splits the chain of 26 copies into 26 pieces.  The
+    # ladder, the K4 chain and the triangle tree take the greedy base
     graphs = [_ladder(30), _k4_chain(8), gen_triangle_tree(20), glue_extremal_chain(_LADDER_SPECS[1], 5)]
+    graphs += [glue_extremal_chain(_LADDER_SPECS[0], 26), subdivided(Graph.petersen())]
+    graphs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(6)]
     assert all(g.adjacency for g in graphs)
     built, rebuilt = _count_builds(monkeypatch)
     steps = []  # (graphs built, children) of each non-base step
@@ -605,10 +614,10 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
     assert len(steps) > 8 and max(c for _, c in steps) == 26
 
 
-def _derived_descent_graphs(g, theorem):
-    """Every graph a descent from g meets, in construction and on replay."""
-    k = max(chain_metric(g), 1) if theorem == 2 else None
-    request = _theorem(g, theorem, k)
+def _derived_descent_graphs(g):
+    """Every graph a theorem-2 descent from g meets, in construction and on
+    replay; theorem 1 is one base step and derives no graph."""
+    request = _theorem(g, 2, max(chain_metric(g), 1))
     t, root, built = _descent_graphs(g, request)
     again, _, replayed = _descent_graphs(g, request, root)
     assert again == t and len(built) == len(replayed)
@@ -632,18 +641,17 @@ def test_descent_children_equal_their_checked_builds():
         glue_extremal_chain(FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2), 6),
         _k4_chain(8),
         _ladder(12),
+        subdivided(Graph.petersen()),
     ]
+    graphs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(6)]
     for g in graphs:
-        for theorem in (1, 2):
-            _assert_checked(_derived_descent_graphs(g, theorem))
+        _assert_checked(_derived_descent_graphs(g))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 14))
 def test_descent_children_equal_their_checked_builds_hypothesis(seed, v):
-    g = random_connected(random.Random(seed), v)
-    for theorem in (1, 2):
-        _assert_checked(_derived_descent_graphs(g, theorem))
+    _assert_checked(_derived_descent_graphs(random_connected(random.Random(seed), v)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 50, 10**5])
@@ -738,21 +746,24 @@ def test_every_case_runs():
         seen1 |= {n.case for n in tr.preorder()}
     assert seen1 == {"base-greedy"}
 
-    # the cubic graph stays out: its removal search is the known slow case
+    # the cubic graph stays out: its removal search is the known slow case.
+    # The Petersen graph and the triangle tree take the greedy base, and the
+    # subdivided cubic graph removes, splits and reaches both block bases
     seen2 = set()
-    for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2)]:
+    subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
+    for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2), subdivided_cubic]:
         k, gg = _t2_params(g)
         t, tr = construct_theorem2(g, k)
         assert validate(t) is None and t.leaf_count >= bound_theorem2(g.v, gg, k).value
         assert replay_trace(g, tr, theorem=2, k=k) == t
         seen2 |= {n.case for n in tr.preorder()}
-    assert seen2 == {"base-tree", "base-short", "base-spines", "1.1", "1.2"}
+    assert seen2 == {"base-tree", "base-short", "base-greedy", "base-spines", "1.1", "1.2"}
 
 
 @pytest.mark.parametrize(
     "alter, why",
     [
-        (lambda a: a[2:], "large block"),  # drop the pair (0, 1)
+        (lambda a: a[2:], "large block"),  # drop the pair (0, 10)
         (lambda a: a[:2] + (0, 2) + a[2:], "edge list"),  # (0, 2) is no edge
         (lambda a: a[:-1], "edge list"),  # odd arity
         (lambda a: sum(reversed(list(zip(a[::2], a[1::2]))), ()), "edge list"),  # reordered
@@ -763,9 +774,9 @@ def test_replay_checks_recorded_removal_set(alter, why):
     # a bad F is a trace mismatch, never a failed edge lookup or assertion
     import dataclasses
 
-    g = Graph.petersen()
+    g = subdivided(Graph.petersen())
     _, tr = construct_theorem2(g, 1)
-    assert tr.root.case == "1.2" and tr.root.args == (0, 1, 0, 4, 1, 2, 2, 3, 3, 4)
+    assert tr.root.case == "1.2" and tr.root.args == (0, 10, 0, 11, 2, 13, 2, 15, 8, 18, 8, 21)
     bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=alter(tr.root.args)))
     with pytest.raises(InvalidParamsError, match=f"trace mismatch.*{why}") as info:
         replay_trace(g, bad, theorem=2, k=1)
@@ -929,3 +940,32 @@ def test_all_trees_small_meet_triangle_rate():
         t, _ = construct_theorem2(g, k)
         assert t.tree_edges == g.edges
         assert t.leaf_count >= bound_theorem2(g.v, 3, k).value
+
+
+def test_greedy_base_needs_its_gate():
+    # greedy meets the s-count bound, not the girth/chain bound: a theorem-2
+    # table whose greedy case skips the gate hands out trees that the
+    # engine's need check refuses on some subdivided cubic graphs, and on
+    # each of those the gate declines the root.  The gated table certifies
+    # every graph of up to 10 cubic vertices and every refused one of up to
+    # 14, and each tree replays; larger ones wait on the removal search
+    graphs = [(n, subdivided(random_cubic(random.Random(seed), n))) for n in range(8, 31, 2) for seed in range(25)]
+    refused = []
+    for n, g in graphs:
+        request = _theorem(g, 2, 1)
+        gated = request.cases[2]
+        assert gated.func is _t2_greedy
+        ungated = request._replace(cases=request.cases[:2] + (_t1_greedy,) + request.cases[3:])
+        try:
+            t, _ = _descend(g, ungated)
+        except BoundNotMetError:
+            refused.append((n, g))
+            assert gated(g, None) is None
+        else:
+            assert t.leaf_count >= request.bound().value
+    assert refused
+    for n, g in [(n, g) for n, g in graphs if n <= 10] + [(n, g) for n, g in refused if n <= 14]:
+        t, tr = construct_theorem2(g, 1)
+        assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
+        assert replay_trace(g, tr, theorem=2, k=1) == t
+

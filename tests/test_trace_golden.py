@@ -28,7 +28,7 @@ from leafspan import (
 )
 from conftest import random_connected
 
-DIGEST = "9189200775b6d22e72e7e5371ae7e50524c1f2ab5b3ae29b339e91cafa9c12d5"
+DIGEST = "668eacf43a3b5f6d39bedb5a82a5f211a466142c3f5ff115f799f5ff50c9b6c6"
 
 
 def _golden_graphs():
