@@ -339,11 +339,11 @@ def remove_large_blocks(g: Graph) -> frozenset:
         members = set(vs)
         return [eid for x in vs for y, eid in adj[x].items() if x < y and y in members]
 
-    # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic
-    # number; a set's budget left is that less its size, however it is reached
     failed: set = set()  # removed bitmasks searched in vain
 
-    def search(removed: int, budget: int):
+    def expand(removed: int, budget: int):
+        """True when the node that removed is an answer, else an iterator over
+        the edges to try from it, in order, or None at a dead end."""
         # a set in failed was checked below and found wanting, so looking
         # it up first answers as checking it again would
         if removed in failed:
@@ -356,29 +356,40 @@ def remove_large_blocks(g: Graph) -> frozenset:
         blocks, cuts = lowpoint_blocks(adj)
         large = large_blocks(blocks, cuts)
         if not large and chain_ok:
-            return removed
+            return True
         if budget == 0:
             return None
         large.sort(key=lambda b: (-b[0], sorted(b[1])))
         order = [eid for _, vs in large for eid in sorted(block_edges(vs), key=rank)]
         big = {id(vs) for _, vs in large}
         order += sorted((eid for vs in blocks if len(vs) > 2 and id(vs) not in big for eid in block_edges(vs)), key=rank)
-        for eid in order:
+        return iter(order)
+
+    # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic
+    # number; a set's budget left is that less its size, however it is reached.
+    # The search runs on an explicit stack: path holds, for each node above
+    # the current one, its removed set, its untried edges and the edge taken
+    budget = g.e - g.v + 1
+    removed, todo, path = 0, expand(0, budget), []
+    while todo is not True:
+        eid = None if todo is None else next(todo, None)
+        if eid is not None:
             a, b = edges[eid]
             del adj[a][b], adj[b][a]
             touched.extend((a, b))
-            got = search(removed | 1 << eid, budget - 1)
-            del touched[-2:]
-            adj[a][b] = adj[b][a] = eid
-            if got is not None:
-                return got
-        failed.add(removed)
-        return None
-
-    got = search(0, g.e - g.v + 1)
-    if got is None:
-        raise SearchExhaustedError("no valid removal set; this should be impossible")
-    return frozenset(edges[eid] for eid in range(m) if got >> eid & 1)
+            path.append((removed, todo, eid))
+            removed |= 1 << eid
+            todo = expand(removed, budget - len(path))
+            continue
+        if todo is not None:
+            failed.add(removed)
+        if not path:
+            raise SearchExhaustedError("no valid removal set; this should be impossible")
+        removed, todo, eid = path.pop()
+        a, b = edges[eid]
+        del touched[-2:]
+        adj[a][b] = adj[b][a] = eid
+    return frozenset(edges[eid] for eid in range(m) if removed >> eid & 1)
 
 
 def _removal(g: Graph, rec: Optional[TraceNode]) -> tuple:

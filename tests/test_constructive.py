@@ -969,3 +969,18 @@ def test_greedy_base_needs_its_gate():
         assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
         assert replay_trace(g, tr, theorem=2, k=1) == t
 
+
+
+def test_removal_search_does_not_use_the_call_stack():
+    # the 150-rung ladder's removal set has 147 edges, one search node each,
+    # beyond the recursion headroom allowed here
+    headroom = 60
+    g = _ladder(150)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        f = remove_large_blocks(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(f) == 147 > headroom + 10
+    assert _removal_fault(g.without_edges(f), f) is None
