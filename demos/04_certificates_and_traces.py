@@ -29,12 +29,23 @@ for line in trace.lines():
 again = replay_trace(g, trace, theorem=1)
 print("replay identical:", again.tree_edges == tree.tree_edges)
 
-# the girth-aware construction needs the chain cap k
+# the girth-aware construction needs the chain cap k.  On the Petersen
+# graph the s-count bound already covers it, so the greedy tree certifies
 k = max(chain_metric(g), 1)
 tree2, trace2 = construct_theorem2(g, k)
 b2 = bound_theorem2(g.v, 5, k).value
 print("girth/chain construction:", tree2.leaf_count, "leaves, bound", b2)
 print("base cases used:", trace2.base_kinds)
+
+# with every edge subdivided it does not, and the girth/chain descent
+# removes large blocks first (case 1.2); subdividing doubles the girth to 10
+n = max(g.vertices) + 1
+sub = Graph.build([e for i, (u, v) in enumerate(g.sorted_edges) for e in ((u, n + i), (n + i, v))])
+tree3, trace3 = construct_theorem2(sub, 1)
+print("subdivided Petersen:", tree3.leaf_count, "leaves, bound", bound_theorem2(sub.v, 10, 1).value)
+for line in trace3.lines():
+    print("  ", line)
+print("replay identical:", replay_trace(sub, trace3, theorem=2, k=1) == tree3)
 
 # block removal: an edge set, not always the smallest, leaving no block
 # with more interior vertices than boundary cutpoints, connectivity preserved

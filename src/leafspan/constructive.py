@@ -2,10 +2,11 @@
 
 One iterative descent engine runs two case tables.  The first certifies
 the degree-structure bound (the s-count form) with one base step, a greedy
-tree proved to meet it; the second descends to certify the girth/chain
-bound.  Both record every step in a ConstructionTrace that can be replayed
-and audited, and the engine does not use the Python call stack for the
-descent itself.
+tree proved to meet it; the second certifies the girth/chain bound, with
+that same greedy base at every node where the s-count bound covers its
+need, and descends elsewhere.  Both record every step in a
+ConstructionTrace that can be replayed and audited, and the engine does
+not use the Python call stack for the descent itself.
 
 Every recombination step asserts its exact leaf arithmetic, and every node
 asserts the bound it is responsible for.  A BoundNotMet escaping from here

