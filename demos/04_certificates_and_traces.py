@@ -30,7 +30,8 @@ again = replay_trace(g, trace, theorem=1)
 print("replay identical:", again.tree_edges == tree.tree_edges)
 
 # the girth-aware construction needs the chain cap k.  On the Petersen
-# graph the s-count bound already covers it, so the greedy tree certifies
+# graph greedy's proved leaf count, ceil((s + 2d - 1)/4) for maximum
+# degree d, already covers it, so the greedy tree certifies
 k = max(chain_metric(g), 1)
 tree2, trace2 = construct_theorem2(g, k)
 b2 = bound_theorem2(g.v, 5, k).value

@@ -3,8 +3,9 @@
 One iterative descent engine runs two case tables.  The first certifies
 the degree-structure bound (the s-count form) with one base step, a greedy
 tree proved to meet it; the second certifies the girth/chain bound, with
-that same greedy base at every node where the s-count bound covers its
-need, and descends elsewhere.  Both record every step in a
+that same greedy base at every node where the leaf count its proof gives,
+ceil((s + 2d - 1)/4) for maximum degree d, covers the node's need, and
+descends elsewhere.  Both record every step in a
 ConstructionTrace that can be replayed and audited, and the engine does
 not use the Python call stack for the descent itself.
 
@@ -416,9 +417,12 @@ def _t2_base_short(g: Graph, rec, k: int):
 
 
 def _t2_greedy(g: Graph, rec, need: Callable):
-    # greedy meets the s-count bound (s - 2)/4 + 2 (proof beside _t1_greedy);
-    # where that bound covers need, greedy meets need
-    if bound_theorem1(s_count(g)).value >= need(g, "base-greedy"):
+    # the proof beside _t1_greedy ends at 4L - s >= 2d - 1, d the maximum
+    # degree, and L is an integer, so greedy has at least
+    # ceil((s + 2d - 1)/4) = (s + 2d + 2) // 4 leaves; with d <= 2, g is K2,
+    # a path or a cycle, with L = 2.  Where that covers need, greedy meets it
+    d = max(map(len, g.adjacency.values()))
+    if (2 if d <= 2 else (s_count(g) + 2 * d + 2) // 4) >= need(g, "base-greedy"):
         return _t1_greedy(g, rec)
 
 

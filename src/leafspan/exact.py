@@ -54,8 +54,11 @@ class ExactResult:
 
 def greedy_leafy(g: Graph) -> SpanningTree:
     """Greedy leafy spanning tree: not optimal in general, but always at
-    least (s - 2)/4 + 2 leaves, s the vertices of degree other than 2, which
-    is how construct_theorem1 certifies that bound (the proof sits beside
+    least ceil((s + 2d - 1)/4) leaves, s the vertices of degree other than
+    2 and d >= 3 the maximum degree (2 leaves on K2, paths and cycles).
+    That is at least (s - 2)/4 + 2, which is how construct_theorem1
+    certifies that bound, and construct_theorem2 takes this tree wherever
+    the count covers a node's need (the proof sits beside
     constructive._t1_greedy).
 
     Starts from a maximum-degree vertex and repeatedly expands the tree

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -230,11 +231,13 @@ def test_trace_preorder_matches_children():
 
 def test_theorem2_measure_strictly_decreases():
     # most random graphs take the greedy base at the root; subdividing every
-    # edge often leaves the s-count bound short of need, so those descend
+    # edge often leaves greedy's proved leaf count short of need, so those
+    # descend, and subdivided cubic graphs always do
     rng = random.Random(6001)
     inputs = [random_connected(rng, rng.randint(3, 10)) for _ in range(40)]
     rng = random.Random(6002)
     inputs += [subdivided(random_connected(rng, rng.randint(3, 8))) for _ in range(40)]
+    inputs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(4)]
     descended = 0
     for g in inputs:
         k, _ = _t2_params(g)
@@ -452,7 +455,9 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
 
         monkeypatch.setattr(constructive, name, counted)
     # the triangle tree and the Petersen graph take the greedy base, which
-    # reads no pass; the chain splits and the subdivided graphs remove
+    # reads no pass; the chain splits, and its five pieces take the greedy
+    # base too, as the count greedy's proof gives covers their need; the
+    # subdivided graphs remove
     chain = glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 5)
     subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
     seen = Counter()
@@ -473,7 +478,7 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
         assert replay_trace(g, tr, theorem=2, k=k) == t
         assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
         assert calls["remove_large_blocks"] == 0
-    assert seen["base-greedy"] == 2 and seen["1.1"] > 0 and seen["1.2"] > 0
+    assert seen["base-greedy"] == 7 and seen["1.1"] > 0 and seen["1.2"] > 0
 
 
 # the chained specs of the benchmark's ladder
@@ -966,6 +971,66 @@ def test_greedy_base_needs_its_gate():
         t, tr = construct_theorem2(g, 1)
         assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
         assert replay_trace(g, tr, theorem=2, k=1) == t
+
+
+def _s_count_gate(need):
+    """Theorem 2's greedy case gated by the s-count bound alone, which the
+    wider gate replaced: it takes greedy where (s - 2)/4 + 2 covers need."""
+
+    def case(h, rec):
+        if bound_theorem1(s_count(h)).value >= need(h, "base-greedy"):
+            return _t1_greedy(h, rec)
+
+    return case
+
+
+def _check_gate_widens(g):
+    # every node of g's theorem-2 descent, under the s-count gate and under
+    # the wider one: where the former takes greedy, so does the latter, and
+    # the wider table's tree meets need everywhere and replays
+    k = max(chain_metric(g), 1)
+    request = _theorem(g, 2, k)
+    narrow = request._replace(cases=request.cases[:2] + (_s_count_gate(request.need),) + request.cases[3:])
+    t, tr = construct_theorem2(g, k)
+    again, _, graphs = _descent_graphs(g, request, tr.root)
+    assert again == t
+    graphs += _descent_graphs(g, narrow)[2]
+    for h in graphs:
+        if narrow.cases[2](h, None) is not None:
+            assert request.cases[2](h, None) is not None, h.sorted_edges
+
+
+def test_greedy_gate_accepts_wherever_the_s_count_gate_did():
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges()) for a in nx.graph_atlas_g() if len(a) >= 2 and nx.is_connected(a)]
+    for g in atlas:
+        _check_gate_widens(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 14))
+def test_greedy_gate_accepts_wherever_the_s_count_gate_did_hypothesis(seed, v):
+    # subdivisions of graphs of more than 8 vertices reach the removal
+    # search's slow cases, seconds to minutes each
+    g = random_connected(random.Random(seed), v)
+    _check_gate_widens(g)
+    if v <= 8:
+        _check_gate_widens(subdivided(g))
+
+
+def test_greedy_gate_takes_the_proved_count_with_max_degree():
+    # s = 3 gives (s - 2)/4 + 2 = 9/4, short of need 7/3, so the s-count gate
+    # declines this root; maximum degree 4 gives ceil((3 + 8 - 1)/4) = 3, so
+    # greedy is proved enough, and it finds 4 leaves
+    g = Graph.build([(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    request = _theorem(g, 2, 1)
+    need = request.need(g, "base-greedy")
+    assert need == bound_theorem2(g.v, girth(g), 1).value == Fraction(7, 3)
+    assert bound_theorem1(s_count(g)).value == Fraction(9, 4) < need
+    assert _s_count_gate(request.need)(g, None) is None
+    t, tr = construct_theorem2(g, 1)
+    assert tr.lines() == ["case=base-greedy op=base args="] and t.leaf_count == 4
+    assert replay_trace(g, tr, theorem=2, k=1) == t
 
 
 def test_removal_search_does_not_use_the_call_stack():

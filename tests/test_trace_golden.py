@@ -28,7 +28,7 @@ from leafspan import (
 )
 from conftest import random_connected
 
-DIGEST = "668eacf43a3b5f6d39bedb5a82a5f211a466142c3f5ff115f799f5ff50c9b6c6"
+DIGEST = "c20e50d4b1ca1475f4a3f0fbff822d32532cd374ed4d4419bef8cf3d01b683bb"
 
 
 def _golden_graphs():
