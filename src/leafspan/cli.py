@@ -83,7 +83,7 @@ def _cmd_bound(args) -> int:
     if args.theorem == "2" and args.k is None:
         raise InvalidParamsError("bound --theorem 2 needs --k")
     # the v/4 rate takes the graphs a theorem-1 request takes, of minimum degree 3
-    rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound()
+    rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound
     if args.theorem == "kw":
         if g.min_degree < 3:
             raise InvalidParamsError("the v/4 rate needs minimum degree 3")
@@ -99,7 +99,7 @@ def _cmd_construct(args) -> int:
         k = max(chain_metric(g), 1)
     request = _theorem(g, theorem, k, args.g)
     tree, trace = _certify(g, request)
-    rep = request.bound()
+    rep = request.bound
     ok = tree.leaf_count >= rep.value
     out = [
         f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} "

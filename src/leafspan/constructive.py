@@ -23,7 +23,7 @@ from itertools import chain, count
 from typing import Callable, NamedTuple, Optional
 
 from .blocks import find_spines, large_blocks, lowpoint_blocks
-from .bounds import _check_int, alpha, bound_theorem1, bound_theorem2
+from .bounds import BoundReport, _check_int, alpha, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
@@ -95,20 +95,18 @@ class _Step(NamedTuple):
 
 class _Theorem(NamedTuple):
     """A checked certification request.  Case functions case(g, rec), rec the node's
-    TraceNode on replay else None, tried in order until one returns a _Step; need(g,
-    case): the leaves its tree must reach; bound(): the root's report, evaluated when
-    asked for under theorem 1."""
+    TraceNode on replay else None, tried in order until one returns a _Step;
+    need(g): the leaves g's tree must reach; bound: the root's BoundReport."""
 
     cases: tuple
     need: Callable
-    bound: Callable
+    bound: BoundReport
 
 
 class _Frame(NamedTuple):
     g: Graph
     step: _Step
     record: Optional[TraceNode]
-    depth: int
     done: list  # (tree, trace node) of each finished child
 
 
@@ -129,7 +127,7 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None)
     recorded one.
     """
 
-    def enter(g: Graph, rec: Optional[TraceNode], depth: int) -> _Frame:
+    def enter(g: Graph, rec: Optional[TraceNode]) -> _Frame:
         for case in theorem.cases:
             step = case(g, rec)
             if step is not None:
@@ -140,9 +138,9 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None)
                 f"trace mismatch: recorded {rec.line()}, "
                 f"replay derived case={step.case} op={step.op} args={step.args}"
             )
-        return _Frame(g, step, rec, depth, [])
+        return _Frame(g, step, rec, [])
 
-    stack = [enter(root, record, 0)]
+    stack = [enter(root, record)]
     while True:
         top = stack[-1]
         i = len(top.done)
@@ -152,14 +150,14 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None)
                 if i >= len(top.record.children):
                     raise InvalidParamsError("trace mismatch: missing child step")
                 rec = top.record.children[i]
-            stack.append(enter(top.step.children[i], rec, top.depth + 1))
+            stack.append(enter(top.step.children[i], rec))
             continue
         stack.pop()
         g, step = top.g, top.step
         if top.record is not None and len(top.record.children) != i:
             raise InvalidParamsError("trace mismatch: extra child step")
         t = step.build(*(tree for tree, _ in top.done))
-        need = theorem.need(g, step.case)
+        need = theorem.need(g)
         if t.leaf_count < need:
             raise BoundNotMetError(f"case {step.case}: {t.leaf_count} leaves < {need} at v={g.v}")
         node = TraceNode(step.case, step.op, step.args, g.v, g.e, tuple(n for _, n in top.done))
@@ -168,26 +166,26 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None)
         stack[-1].done.append((t, node))
 
 
-def _side(nbrs: dict, a, start: int) -> frozenset:
-    """The component that contains start of the graph with adjacency nbrs, less a."""
+def _side(nbrs: dict, start: int) -> frozenset:
+    """The component that contains start of the graph with adjacency nbrs."""
     seen = {start}
     todo = [start]
     while todo:
         for nb in nbrs[todo.pop()]:
-            if nb != a and nb not in seen:
+            if nb not in seen:
                 seen.add(nb)
                 todo.append(nb)
     return frozenset(seen)
 
 
-def _split(g: Graph, groups: dict, probe: Callable) -> tuple:
+def _split(g: Graph, groups: dict, k: int) -> tuple:
     """Split g at every cut in groups at once; return (pieces, build).
 
     groups maps each cut a, ascending, to its groups: a partition of a's
     neighbours into unions of components of g - a.  The first group keeps
-    a, every other one gets a fresh copy of it, and each gets a probe path
-    of probe(d) fresh vertices at its copy, d its arm count; the group's tip
-    is its last probe vertex, or the copy itself.  Fresh ids come per cut,
+    a, every other one gets a fresh copy of it, and a group of two or more
+    arms gets a probe path of k + 1 fresh vertices at its copy; the group's
+    tip is its last probe vertex, or the copy itself.  Fresh ids come per cut,
     copies then probes.  The pieces, the components of what is left in the
     order of their first group, are built each from its own vertices.  build
     folds every fresh id back onto its cut: the tips must be leaves, and the
@@ -198,7 +196,7 @@ def _split(g: Graph, groups: dict, probe: Callable) -> tuple:
     for a, arm_sets in groups.items():
         ids = [a] + [next(fresh) for _ in arm_sets[1:]]
         side.update(((a, y), c) for c, arms in zip(ids, arm_sets) for y in arms)
-        paths += [(a, arms, (c, *(next(fresh) for _ in range(probe(len(arms)))))) for c, arms in zip(ids, arm_sets)]
+        paths += [(a, arms, (c, *(next(fresh) for _ in range(k + 1 if len(arms) > 1 else 0)))) for c, arms in zip(ids, arm_sets)]
         assert any(len(path) > 1 for _, _, path in paths[-len(ids) :]), "no group at the cut has a probe"
     nbrs = dict(adj)  # each cut's entry is overwritten by its first group's
     for a, arms, path in paths:
@@ -209,7 +207,7 @@ def _split(g: Graph, groups: dict, probe: Callable) -> tuple:
     piece_of, pieces = {}, []
     for _, _, (c, *_) in paths:
         if c not in piece_of:
-            vs = _side(nbrs, None, c)
+            vs = _side(nbrs, c)
             piece_of.update(dict.fromkeys(vs, len(pieces)))
             es = frozenset((x, y) for x in vs for y in nbrs[x] if x < y)
             pieces.append(Graph._derived(vs, es, {x: nbrs[x] for x in vs}))
@@ -422,7 +420,7 @@ def _t2_greedy(g: Graph, rec, need: Callable):
     # ceil((s + 2d - 1)/4) = (s + 2d + 2) // 4 leaves; with d <= 2, g is K2,
     # a path or a cycle, with L = 2.  Where that covers need, greedy meets it
     d = max(map(len, g.adjacency.values()))
-    if (2 if d <= 2 else (s_count(g) + 2 * d + 2) // 4) >= need(g, "base-greedy"):
+    if (2 if d <= 2 else (s_count(g) + 2 * d + 2) // 4) >= need(g):
         return _t1_greedy(g, rec)
 
 
@@ -487,7 +485,7 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
                 prev, y = y, min(adj[y] - {prev})
             spiny.add((y, prev))
     if groups:
-        pieces, build = _split(g, groups, lambda d: k + 1 if d >= 2 else 0)
+        pieces, build = _split(g, groups, k)
         return _Step("1.1", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
     # a large block means a non-empty removal set; replay checks the recorded one
     if large_blocks(blocks, cuts):
@@ -497,12 +495,12 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     cores = [vs for vs in blocks if on_spine.isdisjoint(vs)]
     assert len(cores) == 1 and 3 <= len(cores[0]) == g.v - len(on_spine), "core is not one block"
     # every cutpoint in the core block is a spine base, so the core's
-    # interior is the block's
-    core = g.induced(cores[0])
+    # interior is the block's; an interior vertex is no cutpoint, so all of
+    # its neighbours lie in the core
     interior = sorted(x for x in cores[0] if x not in cuts)
-    rest = core.without_vertex(interior[0]) if interior else core
+    rest = g.induced(set(cores[0]).difference(interior[:1]))
     edges = set(rest.bfs_tree(min(rest.vertices)))
-    edges.update(_edge(u0, min(core.adjacency[u0])) for u0 in interior[:1])
+    edges.update(_edge(u0, min(g.adjacency[u0])) for u0 in interior[:1])
     edges.update(_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
     t = _pack(g, edges)
     assert t.leaf_count >= len(spines) + (1 if interior else 0)
@@ -529,9 +527,7 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     if g.v < 2:
         raise InvalidParamsError("need at least two vertices")
     if theorem == 1:
-        return _Theorem(
-            (_t1_greedy,), lambda h, case: bound_theorem1(s_count(h)).value, lambda: bound_theorem1(s_count(g))
-        )
+        return _Theorem((_t1_greedy,), lambda h: bound_theorem1(s_count(h)).value, bound_theorem1(s_count(g)))
     _check_int("k", k, 1)
     if girth_floor is not None:
         _check_int("girth_floor", girth_floor, 3)
@@ -546,16 +542,17 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     rep = bound_theorem2(g.v, gg, k)
     rate, tree_rate = rep.params["alpha"], alpha(3, k)
 
-    def need(h: Graph, case: str):
+    def need(h: Graph):
         # the request measured the root's chains.  Trees meet the girth-3 rate;
-        # larger declared girths need not hold on bare trees
+        # larger declared girths need not hold on bare trees.  A node is a tree
+        # exactly when _base_tree, first in the table, takes it
         assert h is g or chain_metric(h) <= k, "descent produced an overlong chain"
-        value = (tree_rate if case == "base-tree" else rate) * (h.v - k - 2) + 2
+        value = (tree_rate if h.e == h.v - 1 else rate) * (h.v - k - 2) + 2
         assert h is not g or value == rep.value, "root need differs from the request's bound"
         return value
 
     cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_greedy, need=need), partial(_t2_blocks, k=k))
-    return _Theorem(cases, need, lambda: rep)
+    return _Theorem(cases, need, rep)
 
 
 def _certify(g: Graph, request: _Theorem):

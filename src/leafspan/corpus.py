@@ -180,7 +180,7 @@ def verify_corpus(
         ell = chain_metric(g)
         k = max(ell, 1) if theorem == 2 else None
         request = _theorem(g, theorem, k)
-        rep = request.bound()
+        rep = request.bound
         gv = girth(g)
         if mode == "exact":
             achieved = exact_mlst(g).u_value

@@ -32,9 +32,9 @@ from typing import Iterator, Optional
 
 from .blocks import lowpoint_blocks
 from .bounds import _check_int
-from .errors import InvalidParamsError, NotConnectedError
-from .graph import Graph
-from .trees import SpanningTree, spanning_tree
+from .errors import InvalidParamsError
+from .graph import Graph, _edge, require_connected
+from .trees import SpanningTree, _pack
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,11 @@ def greedy_leafy(g: Graph) -> SpanningTree:
     once.  Ties break toward the lowest id.  A lazy heap keyed (-outside
     count, id) picks the vertex: counts only fall, so a current key is best.
     """
-    if not g.is_connected:
-        raise NotConnectedError("greedy_leafy requires a connected graph")
+    require_connected(g, "greedy_leafy")
     if g.v == 1:
-        return spanning_tree(g, ())
+        return _pack(g, ())
     adj = g.adjacency
-    start = max(g.sorted_vertices, key=lambda x: (len(adj[x]), -x))
+    start = max(adj, key=lambda x: (len(adj[x]), -x))
     outside = {x: len(nbs) for x, nbs in adj.items()}
     in_tree, edges = {start}, []
     for nb in adj[start]:
@@ -83,12 +82,12 @@ def greedy_leafy(g: Graph) -> SpanningTree:
             heapq.heappush(heap, (-outside[x], x))
             continue
         for nb in adj[x] - in_tree:
-            edges.append((x, nb))
+            edges.append(_edge(x, nb))
             in_tree.add(nb)
             for w in adj[nb]:
                 outside[w] -= 1
             heapq.heappush(heap, (-outside[nb], nb))
-    return spanning_tree(g, edges)
+    return _pack(g, edges)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -108,8 +107,7 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     """
     if node_budget is not None:
         _check_int("node_budget", node_budget, 1)
-    if not g.is_connected:
-        raise NotConnectedError("exact_mlst requires a connected graph")
+    require_connected(g, "exact_mlst")
     if g.v < 2:
         raise InvalidParamsError("exact_mlst requires at least two vertices")
     start_time = time.perf_counter()
@@ -184,10 +182,10 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
         for x in queue:
             for y in _bits(adj[x] & ~seen):
                 seen |= 1 << y
-                edges.append((verts[x], verts[y]))
+                edges.append(_edge(verts[x], verts[y]))
                 if best_set >> y & 1:
                     queue.append(y)
-        witness = spanning_tree(g, edges)
+        witness = _pack(g, edges)
     elapsed = time.perf_counter() - start_time
     return ExactResult(witness.leaf_count, witness, nodes, elapsed, not stack)
 

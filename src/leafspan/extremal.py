@@ -69,29 +69,13 @@ def gen_triangle_tree(n: int) -> Graph:
     leaf count to exactly n+2.
     """
     _check_int("n", n, 1)
-    edges = []
-    for i in range(n):
-        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        edges += [(a, b), (a, c), (b, c)]
-    for i in range(n - 1):
-        # right hook of triangle i meets the left hook of triangle i+1
-        right = 3 * i + 1 if i > 0 else 0
-        edges.append((right, 3 * (i + 1)))
-    pend = 3 * n
-    for i in range(n):
-        spots = []
-        if i == 0 and n == 1:
-            spots = [0, 1, 2]
-        elif i == 0:
-            spots = [1, 2]
-        elif i == n - 1:
-            spots = [3 * i + 1, 3 * i + 2]
-        else:
-            spots = [3 * i + 2]
-        for s in spots:
-            edges.append((s, pend))
-            pend += 1
-    g = Graph.build(edges)
+    edges = [e for a in range(0, 3 * n, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 2))]
+    # the right hook of triangle i meets the left hook of triangle i+1; every
+    # triangle vertex no hook uses gets one pendant, in ascending id order
+    hooks = [(3 * i + 1 if i else 0, 3 * i + 3) for i in range(n - 1)]
+    hooked = {x for hook in hooks for x in hook}
+    free = [x for x in range(3 * n) if x not in hooked]
+    g = Graph.build(edges + hooks + [(x, 3 * n + j) for j, x in enumerate(free)])
     assert g.v == 4 * n + 2
     assert sum(1 for x in g.vertices if g.degree(x) == 1) == n + 2
     return g

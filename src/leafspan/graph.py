@@ -1,5 +1,5 @@
-"""Immutable simple graphs over integer ids, plus the structural metrics and
-surgery operators (gluing, edge contraction) everything else builds on.
+"""Immutable simple graphs over integer ids, their structural metrics, and
+the surgery operators (gluing, edge contraction) that build extremal chains.
 
 Graphs are value objects: every operation returns a new graph and leaves its
 inputs untouched.  Vertex ids are plain ints and survive operations unchanged;

@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InvalidParamsError
 from .graph import Graph, norm_edge
 
 
@@ -27,15 +26,12 @@ class SpanningTree:
 
 def spanning_tree(host: Graph, edges) -> SpanningTree:
     """Package an edge set as a SpanningTree with its leaf count."""
-    es = frozenset(norm_edge(u, v) for u, v in edges)
-    deg = Counter(chain.from_iterable(es))
-    lc = 0 if host.v == 1 else sum(1 for x in host.vertices if deg[x] == 1)
-    return SpanningTree(host=host, tree_edges=es, leaf_count=lc)
+    return _pack(host, frozenset(norm_edge(u, v) for u, v in edges))
 
 
 def _pack(host: Graph, es) -> SpanningTree:
-    """spanning_tree for edges of host already in (low, high) form that span it;
-    the leaves are counted from the edges."""
+    """A SpanningTree of host from distinct edges in (low, high) form; its leaf
+    count, the vertices of degree 1 in the edges, is host's for edges of host."""
     return SpanningTree(host, frozenset(es), list(Counter(chain.from_iterable(es)).values()).count(1))
 
 
@@ -60,10 +56,4 @@ def validate(t: SpanningTree) -> str | None:
     if actual != t.leaf_count:
         return "leaf count"
     return None
-
-
-def check_valid(t: SpanningTree, context: str = "tree") -> None:
-    problem = validate(t)
-    if problem is not None:
-        raise InvalidParamsError(f"{context}: invalid spanning tree ({problem})")
 

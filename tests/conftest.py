@@ -360,3 +360,32 @@ def lowpoint_blocks_reference(adj: list) -> tuple:
     if n == 1:
         blocks.append(([0], []))
     return blocks, cut
+
+
+def gen_triangle_tree_reference(n: int) -> Graph:
+    """The edge list of the library's triangle tree as an earlier version
+    built it, case by case: triangle i, hooked to its neighbours, carries a
+    pendant at each of its spots."""
+    edges = []
+    for i in range(n):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (a, c), (b, c)]
+    for i in range(n - 1):
+        # right hook of triangle i meets the left hook of triangle i+1
+        right = 3 * i + 1 if i > 0 else 0
+        edges.append((right, 3 * (i + 1)))
+    pend = 3 * n
+    for i in range(n):
+        spots = []
+        if i == 0 and n == 1:
+            spots = [0, 1, 2]
+        elif i == 0:
+            spots = [1, 2]
+        elif i == n - 1:
+            spots = [3 * i + 1, 3 * i + 2]
+        else:
+            spots = [3 * i + 2]
+        for s in spots:
+            edges.append((s, pend))
+            pend += 1
+    return Graph.build(edges)

@@ -16,6 +16,7 @@ from leafspan import (
     CYCLE_SPINE_SPARSE,
     BoundNotMetError,
     ChainTooLongError,
+    ConstructionTrace,
     FamilySpec,
     Graph,
     InvalidParamsError,
@@ -765,6 +766,21 @@ def test_every_case_runs():
     assert seen2 == {"base-tree", "base-short", "base-greedy", "base-spines", "1.1", "1.2"}
 
 
+def test_need_holds_trees_to_the_girth_3_rate():
+    # need reads the girth-3 rate off a node with v - 1 edges, and those are
+    # exactly the nodes base-tree takes; every other node needs the rate of
+    # the request's girth, on the inputs of test_every_case_runs
+    subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
+    for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2), subdivided_cubic]:
+        k, gg = _t2_params(g)
+        request = _theorem(g, 2, k)
+        t, root, graphs = _descent_graphs(g, request)
+        for h, node in zip(graphs, ConstructionTrace(root, t).preorder(), strict=True):
+            tree = h.e == h.v - 1
+            assert tree == (node.case == "base-tree")
+            assert request.need(h) == bound_theorem2(h.v, 3 if tree else gg, k).value
+
+
 @pytest.mark.parametrize(
     "alter, why",
     [
@@ -978,7 +994,7 @@ def _s_count_gate(need):
     wider gate replaced: it takes greedy where (s - 2)/4 + 2 covers need."""
 
     def case(h, rec):
-        if bound_theorem1(s_count(h)).value >= need(h, "base-greedy"):
+        if bound_theorem1(s_count(h)).value >= need(h):
             return _t1_greedy(h, rec)
 
     return case
@@ -1024,7 +1040,7 @@ def test_greedy_gate_takes_the_proved_count_with_max_degree():
     # greedy is proved enough, and it finds 4 leaves
     g = Graph.build([(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
     request = _theorem(g, 2, 1)
-    need = request.need(g, "base-greedy")
+    need = request.need(g)
     assert need == bound_theorem2(g.v, girth(g), 1).value == Fraction(7, 3)
     assert bound_theorem1(s_count(g)).value == Fraction(9, 4) < need
     assert _s_count_gate(request.need)(g, None) is None

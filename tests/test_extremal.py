@@ -19,6 +19,7 @@ from leafspan import (
     glue_extremal_chain,
     s_count,
 )
+from conftest import gen_triangle_tree_reference
 
 
 def test_triangle_tree_shape():
@@ -34,6 +35,12 @@ def test_triangle_tree_shape():
         # every non-pendant vertex separates the graph
         cuts = decompose_blocks(g).cutpoints
         assert cuts == frozenset(x for x in g.vertices if g.degree(x) > 1)
+
+
+def test_triangle_tree_matches_its_case_by_case_build():
+    for n in range(1, 61):
+        g, ref = gen_triangle_tree(n), gen_triangle_tree_reference(n)
+        assert g == ref and list(g.edges) == list(ref.edges) and list(g.vertices) == list(ref.vertices)
 
 
 def test_triangle_tree_leaf_number():

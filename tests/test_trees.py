@@ -2,10 +2,10 @@ import pytest
 
 from leafspan import (
     Graph,
-    InvalidParamsError,
+    greedy_leafy,
     spanning_tree,
 )
-from leafspan.trees import check_valid, validate
+from leafspan.trees import _pack, validate
 
 
 def _bfs_spanning(g, root=None):
@@ -27,7 +27,6 @@ def test_validate_clauses():
     g = Graph.cycle(4)
     good = _bfs_spanning(g)
     assert validate(good) is None
-    check_valid(good)
 
     foreign = spanning_tree(g, [(0, 1), (1, 2), (0, 2)])
     assert validate(foreign) == "edge {} not in host".format((0, 2))
@@ -42,6 +41,17 @@ def test_validate_clauses():
     bad_count = spanning_tree(g, g.bfs_tree(0))
     object.__setattr__(bad_count, "leaf_count", 99)
     assert validate(bad_count) == "leaf count"
-    with pytest.raises(InvalidParamsError):
-        check_valid(bad_count)
+
+
+def test_spanning_tree_packs_host_edges_as_pack_does():
+    # spanning_tree normalizes its edges and hands them to _pack, whose leaf
+    # count, read off the edges alone, is the host's for host edges
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g() if len(a) and nx.is_connected(a)]
+    assert Graph.path(1) in atlas and Graph.path(2) in atlas
+    for g in atlas:
+        for es in (g.bfs_tree(min(g.vertices)), greedy_leafy(g).tree_edges):
+            t = spanning_tree(g, es)
+            assert t == _pack(g, frozenset(es)) and validate(t) is None
+            assert spanning_tree(g, [(b, a) for a, b in es]) == t
 
