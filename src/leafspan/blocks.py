@@ -160,26 +160,31 @@ class Spine:
         return len(self.path)
 
 
+def _run(adj, a: int, y: int) -> list:
+    """The walk from a through its neighbour y that goes on while it meets
+    vertices of degree 2: a, y, and each next vertex up to and including the
+    first one, y among them, whose degree is not 2.  adj maps each vertex to
+    its neighbours, as Graph.adjacency does.  The walk ends whenever a's
+    degree is not 2."""
+    run = [a, y]
+    while len(adj[y]) == 2:
+        u, v = adj[y]
+        y = v if u == run[-2] else u
+        run.append(y)
+    return run
+
+
 def find_spines(g: Graph) -> tuple:
     """All maximal pendant spines of a connected graph.
 
-    A graph that is itself a path has no base vertex to attach to, so it has
-    no spines at all.  Spines are pairwise vertex-disjoint and come back
-    sorted by (base, first path vertex).
+    A spine is the run from a vertex of degree 3 or more through one of its
+    neighbours that ends at a pendant.  A graph that is itself a path has no
+    such vertex, so it has no spines at all.  Spines are pairwise
+    vertex-disjoint and come back sorted by (base, first path vertex).
     """
-    spines = []
-    for p in g.sorted_vertices:
-        if g.degree(p) != 1:
-            continue
-        path = [p]
-        prev, cur = p, g.neighbors(p)[0]
-        while g.degree(cur) == 2:
-            path.append(cur)
-            a, b = g.adjacency[cur]
-            prev, cur = cur, (b if a == prev else a)
-        if g.degree(cur) == 1:
-            continue
-        path.reverse()
-        spines.append(Spine(path=tuple(path), base=cur))
-    spines.sort(key=lambda s: (s.base, s.path[0]))
+    adj, spines = g.adjacency, []
+    for a in g.sorted_vertices:
+        if len(adj[a]) >= 3:
+            runs = (_run(adj, a, y) for y in g.neighbors(a))
+            spines += [Spine(tuple(run[1:]), a) for run in runs if len(adj[run[-1]]) == 1]
     return tuple(spines)

@@ -22,7 +22,7 @@ from functools import partial
 from itertools import chain, count
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import find_spines, large_blocks, lowpoint_blocks
+from .blocks import _run, large_blocks, lowpoint_blocks
 from .bounds import BoundReport, _check_int, alpha, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
@@ -33,7 +33,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import greedy_leafy
-from .graph import Graph, _edge, chain_metric, girth, require_connected, s_count
+from .graph import Graph, _edge, _parts, chain_metric, girth, require_connected, s_count
 from .trees import SpanningTree, _pack
 
 # -- traces -----------------------------------------------------------------
@@ -166,18 +166,6 @@ def _descend(root: Graph, theorem: _Theorem, record: Optional[TraceNode] = None)
         stack[-1].done.append((t, node))
 
 
-def _side(nbrs: dict, start: int) -> frozenset:
-    """The component that contains start of the graph with adjacency nbrs."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        for nb in nbrs[todo.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return frozenset(seen)
-
-
 def _split(g: Graph, groups: dict, k: int) -> tuple:
     """Split g at every cut in groups at once; return (pieces, build).
 
@@ -205,12 +193,10 @@ def _split(g: Graph, groups: dict, k: int) -> tuple:
         nbrs.update((y, frozenset(side.get((z, y), z) for z in adj[y])) for y in arms if y not in groups)
     onto = {x: a for a, _, path in paths for x in path if x != a}  # fresh id -> its cut
     piece_of, pieces = {}, []
-    for _, _, (c, *_) in paths:
-        if c not in piece_of:
-            vs = _side(nbrs, c)
-            piece_of.update(dict.fromkeys(vs, len(pieces)))
-            es = frozenset((x, y) for x in vs for y in nbrs[x] if x < y)
-            pieces.append(Graph._derived(vs, es, {x: nbrs[x] for x in vs}))
+    for vs in _parts(nbrs, [path[0] for _, _, path in paths]):
+        piece_of.update(dict.fromkeys(vs, len(pieces)))
+        es = frozenset((x, y) for x in vs for y in nbrs[x] if x < y)
+        pieces.append(Graph._derived(vs, es, {x: nbrs[x] for x in vs}))
     assert len(pieces) == 1 + sum(len(s) - 1 for s in groups.values()), "a group is not a union of components"
 
     def build(*trees: SpanningTree) -> SpanningTree:
@@ -443,7 +429,8 @@ def _block_arms(g: Graph, blocks: list, cuts: set):
 
 def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     """Split, removal or base of the girth/chain descent, read off one
-    lowpoint pass and one spine search of g.
+    lowpoint pass of g.  A spine is a bridge arm at a cut of degree >= 3
+    whose run of degree-2 vertices ends at a pendant.
 
     Case 1.1 walks the cutpoints of degree >= 3 upwards and splits g at
     once at each one still essential in the piece the earlier ones leave
@@ -468,22 +455,24 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     """
     adj = g.adjacency
     blocks, cuts = lowpoint_blocks(adj)
-    spines = find_spines(g)
-    spiny = {(s.base, s.path[0]) for s in spines}  # (cut, arm) of spines and of runs to taken cuts
+    spines = []  # the run of each spine, from its base out to its pendant
+    spiny = set()  # (cut, arm) of spines and of runs to taken cuts
     groups = {}
     for a, arm_lists in _block_arms(g, blocks, cuts):
+        if len(adj[a]) < 3:
+            continue
+        runs = {ys[0]: _run(adj, a, ys[0]) for ys in arm_lists if len(ys) == 1}  # bridge arms
+        ends = [run for run in runs.values() if len(adj[run[-1]]) == 1]  # the spines at a
+        spines += ends
+        spiny.update((a, run[1]) for run in ends)
         own = [ys for ys in arm_lists if (a, ys[0]) not in spiny]
         spider = [ys[0] for ys in arm_lists if (a, ys[0]) in spiny]
-        if len(adj[a]) < 3 or len(own) + (len(spider) > 1) < 2:
+        if len(own) + (len(spider) > 1) < 2:
             continue
         groups[a] = grouped = own + [spider] * bool(spider) if len(own) > 1 else [spider] + own
         if all(len(ys) == 1 for ys in grouped):
             grouped[-2:] = [grouped[-2] + grouped[-1]]
-        for (y,) in (ys for ys in grouped if len(ys) == 1):
-            prev = a
-            while len(adj[y]) == 2:
-                prev, y = y, min(adj[y] - {prev})
-            spiny.add((y, prev))
+        spiny.update((runs[y][-1], runs[y][-2]) for (y,) in (ys for ys in grouped if len(ys) == 1))
     if groups:
         pieces, build = _split(g, groups, k)
         return _Step("1.1", "split", tuple(a for a, grouped in groups.items() for _ in grouped[1:]), pieces, build)
@@ -491,7 +480,7 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     if large_blocks(blocks, cuts):
         f, reduced = _removal(g, rec)
         return _Step("1.2", "delete", tuple(x for e in sorted(f) for x in e), (reduced,), _keep_edges(g))
-    on_spine = frozenset(x for s in spines for x in s.path)
+    on_spine = frozenset(x for run in spines for x in run[1:])
     cores = [vs for vs in blocks if on_spine.isdisjoint(vs)]
     assert len(cores) == 1 and 3 <= len(cores[0]) == g.v - len(on_spine), "core is not one block"
     # every cutpoint in the core block is a spine base, so the core's
@@ -501,7 +490,7 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
     rest = g.induced(set(cores[0]).difference(interior[:1]))
     edges = set(rest.bfs_tree(min(rest.vertices)))
     edges.update(_edge(u0, min(g.adjacency[u0])) for u0 in interior[:1])
-    edges.update(_edge(u, x) for s in spines for u, x in zip((s.base,) + s.path, s.path))
+    edges.update(_edge(u, x) for run in spines for u, x in zip(run, run[1:]))
     t = _pack(g, edges)
     assert t.leaf_count >= len(spines) + (1 if interior else 0)
     return _base("base-spines", t)

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .bounds import _check_int
 from .errors import InvalidParamsError
-from .graph import Graph, chain_metric, contract_edge, girth, glue
+from .graph import Graph, chain_metric, girth
 
 TRIANGLE_TREE = "TriangleTree"
 CYCLE_SPINE_SPARSE = "CycleSpineSparse"
@@ -116,10 +116,6 @@ def gen_cycle_spine(g: int, k: int) -> Graph:
     return out
 
 
-def _pendants(g: Graph):
-    return sorted(x for x in g.vertices if g.degree(x) == 1)
-
-
 def glue_extremal_chain(base: FamilySpec, copies: int) -> Graph:
     """Chain copies of a family instance, gluing pendant ends together.
 
@@ -129,24 +125,32 @@ def glue_extremal_chain(base: FamilySpec, copies: int) -> Graph:
     becomes a chain of at most k degree-2 vertices again.  Vertex counts
     drop by k+2 per junction relative to the disjoint union, and the bound
     stays exactly attained.
+
+    The chain is built in one pass on an edge list: each copy's ids are
+    shifted above the running graph's, and the copy's lowest pendant and
+    the k+1 vertices the contractions fold into it, walked inward, all map
+    onto the running graph's lowest pendant.  A junction takes one pendant
+    and adds the copy's others, all higher, so the running pendants stay
+    ascending and junction j takes the j-th of them.
     """
     _check_int("copies", copies, 1)
     piece = _gen_base(base)
     fold = (base.k + 1) if base.k is not None else 1
-    out = piece
-    for _ in range(copies - 1):
-        # glue shifts the copy's ids by off, so they all lie above out's
-        off = max(out.vertices) + 1 - min(piece.vertices)
-        glued = glue(out, _pendants(out)[0], piece, _pendants(piece)[0])
-        cur = glued.graph
-        joint = glued.merged
-        # walk into the fresh copy, folding bridges until the junction is short
-        for _ in range(fold):
-            nb = min(nb for nb in cur.neighbors(joint) if nb >= off + min(piece.vertices))
-            res = contract_edge(cur, joint, nb)
-            cur = res.graph
-            joint = res.merged
-        out = cur
+    adj, low = piece.adjacency, min(piece.vertices)
+    ends = sorted(x for x in piece.vertices if len(adj[x]) == 1)
+    walk = ends[:1]  # each step takes the lowest neighbour of the walk so far
+    for _ in range(fold):
+        walk.append(min(y for x in walk for y in adj[x] if y not in walk))
+    kept = sorted(piece.vertices.difference(walk))
+    edges, pendants, top = list(piece.edges), list(ends), max(piece.vertices)
+    for j in range(copies - 1):
+        off = top + 1 - low
+        onto = {x: x + off for x in kept}
+        onto.update(dict.fromkeys(walk, pendants[j]))
+        edges += [(onto[u], onto[v]) for u, v in piece.edges if onto[u] != onto[v]]
+        pendants += [onto[x] for x in ends if x not in walk]
+        top = kept[-1] + off
+    out = Graph.build(edges)
     if base.k is not None:
         assert chain_metric(out) == base.k
     return out

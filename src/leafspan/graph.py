@@ -1,5 +1,5 @@
 """Immutable simple graphs over integer ids, their structural metrics, and
-the surgery operators (gluing, edge contraction) that build extremal chains.
+two surgery operators: gluing two graphs at a vertex and contracting an edge.
 
 Graphs are value objects: every operation returns a new graph and leaves its
 inputs untouched.  Vertex ids are plain ints and survive operations unchanged;
@@ -39,6 +39,30 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 def _edge(u: int, v: int) -> tuple[int, int]:
     """norm_edge for two distinct int ids already known to be in a graph."""
     return (u, v) if u < v else (v, u)
+
+
+def _reach(nbrs, start: int, inside=None) -> frozenset:
+    """start and the vertices that paths from it reach in the graph with
+    adjacency nbrs, paths that pass only through inside when it is given."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nb in nbrs[todo.pop()]:
+            if nb not in seen and (inside is None or nb in inside):
+                seen.add(nb)
+                todo.append(nb)
+    return frozenset(seen)
+
+
+def _parts(nbrs, starts, inside=None):
+    """What _reach finds from each of starts, each part once, in the order of
+    its first start."""
+    seen: set = set()
+    for start in starts:
+        if start not in seen:
+            part = _reach(nbrs, start, inside)
+            seen |= part
+            yield part
 
 
 @dataclass(frozen=True)
@@ -195,24 +219,7 @@ class Graph:
                 core[nb].discard(x)
                 if len(core[nb]) == 1:
                     peel.append(nb)
-        best = None
-        seen = set()
-        for start in core:
-            if start in seen or len(core[start]) != 2:
-                continue
-            run = {start}  # the degree-2 vertices reachable through degree-2 ones
-            todo = [start]
-            closed = True
-            while todo:
-                for nb in core[todo.pop()]:
-                    if len(core[nb]) != 2:
-                        closed = False
-                    elif nb not in run:
-                        run.add(nb)
-                        todo.append(nb)
-            seen |= run
-            if closed and (best is None or len(run) < best):
-                best = len(run)
+        best = min((len(c) for c in _parts(core, core) if all(len(core[x]) == 2 for x in c)), default=None)
         for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
             dist = {root: 0}
             parent = {root: None}
@@ -241,25 +248,8 @@ class Graph:
         A graph that is itself a cycle is one single run, so the metric equals the
         vertex count there.  Graphs with no degree-2 vertex score 0.
         """
-        deg2 = {x for x in self.vertices if self.degree(x) == 2}
-        if not deg2:
-            return 0
-        best = 0
-        seen = set()
-        for start in sorted(deg2):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb in self.adjacency[cur]:
-                    if nb in deg2 and nb not in comp:
-                        comp.add(nb)
-                        queue.append(nb)
-            seen |= comp
-            best = max(best, len(comp))
-        return best
+        deg2 = {x for x, nbrs in self.adjacency.items() if len(nbrs) == 2}
+        return max(map(len, _parts(self.adjacency, deg2, deg2)), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether uv is an edge.  A loop never is; a non-int id raises."""
@@ -272,26 +262,11 @@ class Graph:
     @cached_property
     def components(self) -> tuple:
         """Connected components as frozensets, ordered by smallest member."""
-        seen = set()
-        comps = []
-        for start in self.sorted_vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb in self.adjacency[cur]:
-                    if nb not in comp:
-                        comp.add(nb)
-                        queue.append(nb)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
+        return tuple(_parts(self.adjacency, self.sorted_vertices))
 
-    @property
+    @cached_property
     def is_connected(self) -> bool:
-        return len(self.components) == 1
+        return len(_reach(self.adjacency, next(iter(self.vertices)))) == self.v
 
     @property
     def is_tree(self) -> bool:

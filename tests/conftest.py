@@ -167,6 +167,33 @@ def subdivided(g: Graph) -> Graph:
     return Graph.build([e for i, (u, v) in enumerate(g.sorted_edges) for e in ((u, n + i), (n + i, v))])
 
 
+def walk_test_graphs() -> list:
+    """Subdivided random cubic graphs of 8-14 vertices, bare and with pendant
+    paths of 1-3 vertices at four of their vertices, and the dense and sparse
+    extremal chains of 1, 2 and 5 copies."""
+    from leafspan import CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, FamilySpec, glue_extremal_chain
+
+    out = []
+    for n in (8, 10, 12, 14):
+        for seed in range(5):
+            rng = random.Random(1000 * n + seed)
+            g = subdivided(random_cubic(rng, n))
+            edges, top = list(g.sorted_edges), max(g.vertices)
+            for prev in rng.sample(g.sorted_vertices, 4):
+                for top in range(top + 1, top + 1 + rng.randint(1, 3)):
+                    edges.append((prev, top))
+                    prev = top
+            out += [g, Graph.build(edges)]
+    for spec in (
+        FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2),
+        FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2),
+        FamilySpec(CYCLE_SPINE_DENSE, g=5, k=3),
+        FamilySpec(CYCLE_SPINE_SPARSE, g=6, k=2),
+    ):
+        out += [glue_extremal_chain(spec, copies) for copies in (1, 2, 5)]
+    return out
+
+
 def brute_girth(g: Graph):
     """Shortest cycle length: for each edge uv, the shortest u-v path without uv, plus 1."""
     adj = {x: set() for x in g.vertices}
@@ -389,3 +416,165 @@ def gen_triangle_tree_reference(n: int) -> Graph:
             edges.append((s, pend))
             pend += 1
     return Graph.build(edges)
+
+
+# The graph walks as they stood before one flood fill and one degree-2 run
+# walk served them all, kept verbatim as functions of the graph: the
+# library's components, chain metric, girth, split sides and spines must
+# equal theirs.
+
+
+def components_reference(g: Graph) -> tuple:
+    """Connected components as frozensets, ordered by smallest member."""
+    seen = set()
+    comps = []
+    for start in g.sorted_vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nb in g.adjacency[cur]:
+                if nb not in comp:
+                    comp.add(nb)
+                    queue.append(nb)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def chain_metric_reference(g: Graph) -> int:
+    """Most vertices in a maximal run of successively adjacent degree-2 vertices."""
+    deg2 = {x for x in g.vertices if g.degree(x) == 2}
+    if not deg2:
+        return 0
+    best = 0
+    seen = set()
+    for start in sorted(deg2):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nb in g.adjacency[cur]:
+                if nb in deg2 and nb not in comp:
+                    comp.add(nb)
+                    queue.append(nb)
+        seen |= comp
+        best = max(best, len(comp))
+    return best
+
+
+def girth_reference(g: Graph):
+    """Length of a shortest cycle, or None: closed degree-2 runs of the
+    2-core, then a breadth-first search from each core vertex of degree 3
+    or more."""
+    core = {x: set(nbrs) for x, nbrs in g.adjacency.items()}
+    peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
+    while peel:
+        x = peel.pop()
+        for nb in core.pop(x):
+            core[nb].discard(x)
+            if len(core[nb]) == 1:
+                peel.append(nb)
+    best = None
+    seen = set()
+    for start in core:
+        if start in seen or len(core[start]) != 2:
+            continue
+        run = {start}  # the degree-2 vertices reachable through degree-2 ones
+        todo = [start]
+        closed = True
+        while todo:
+            for nb in core[todo.pop()]:
+                if len(core[nb]) != 2:
+                    closed = False
+                elif nb not in run:
+                    run.add(nb)
+                    todo.append(nb)
+        seen |= run
+        if closed and (best is None or len(run) < best):
+            best = len(run)
+    for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            if best is not None and dist[cur] * 2 >= best:
+                continue
+            for nb in core[cur]:
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    parent[nb] = cur
+                    queue.append(nb)
+                elif nb != parent[cur]:
+                    cand = dist[cur] + dist[nb] + 1
+                    if best is None or cand < best:
+                        best = cand
+        if best == 3:
+            return 3
+    return best
+
+
+def side_reference(nbrs: dict, start: int) -> frozenset:
+    """The component that contains start of the graph with adjacency nbrs."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nb in nbrs[todo.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return frozenset(seen)
+
+
+def find_spines_reference(g: Graph) -> tuple:
+    """(path, base) of every maximal pendant spine of a connected graph,
+    walked from each pendant inward, sorted by (base, first path vertex)."""
+    spines = []
+    for p in g.sorted_vertices:
+        if g.degree(p) != 1:
+            continue
+        path = [p]
+        prev, cur = p, g.neighbors(p)[0]
+        while g.degree(cur) == 2:
+            path.append(cur)
+            a, b = g.adjacency[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if g.degree(cur) == 1:
+            continue
+        path.reverse()
+        spines.append((tuple(path), cur))
+    spines.sort(key=lambda s: (s[1], s[0][0]))
+    return tuple(spines)
+
+
+def glue_extremal_chain_reference(base, copies: int) -> Graph:
+    """The library's extremal chain as an earlier version built it: each
+    junction glues the running graph's lowest pendant to a fresh copy's,
+    then contracts the junction's bridges one at a time, rebuilding the
+    whole graph at every step."""
+    from leafspan.extremal import _gen_base
+    from leafspan.graph import contract_edge, glue
+
+    def pendants(g):
+        return sorted(x for x in g.vertices if g.degree(x) == 1)
+
+    piece = _gen_base(base)
+    fold = (base.k + 1) if base.k is not None else 1
+    out = piece
+    for _ in range(copies - 1):
+        off = max(out.vertices) + 1 - min(piece.vertices)
+        glued = glue(out, pendants(out)[0], piece, pendants(piece)[0])
+        cur = glued.graph
+        joint = glued.merged
+        for _ in range(fold):
+            nb = min(nb for nb in cur.neighbors(joint) if nb >= off + min(piece.vertices))
+            res = contract_edge(cur, joint, nb)
+            cur = res.graph
+            joint = res.merged
+        out = cur
+    return out

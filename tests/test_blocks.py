@@ -19,9 +19,11 @@ from conftest import (
     brute_bridges,
     brute_cutpoints,
     connected_graphs,
+    find_spines_reference,
     index_adjacency,
     lowpoint_blocks_reference,
     random_connected,
+    walk_test_graphs,
 )
 
 
@@ -184,6 +186,19 @@ def test_find_spines_path_and_star():
     spines = find_spines(Graph.star(3))
     assert len(spines) == 3
     assert all(s.base == 0 and s.size == 1 for s in spines)
+
+
+def test_spines_match_the_walk_from_each_pendant():
+    import networkx as nx
+
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)]
+    graphs = atlas + walk_test_graphs()
+    spined = 0
+    for g in graphs:
+        spines = find_spines(g)
+        assert tuple((s.path, s.base) for s in spines) == find_spines_reference(g)
+        spined += bool(spines)
+    assert spined > len(graphs) // 4
 
 
 def test_spines_disjoint_random():

@@ -437,16 +437,18 @@ def test_descent_depth_does_not_use_the_call_stack():
 
 
 def test_girth_chain_step_reads_one_decomposition(monkeypatch):
-    # one lowpoint pass and one spine search answer a node's split,
-    # removal and base questions; the removal search runs at 1.2 steps of
-    # construction only, and one more lowpoint pass checks its result.
-    # Replay checks the recorded set with that pass instead of searching.
+    # one lowpoint pass answers a node's split, removal and base questions,
+    # spines included, so no spine search runs; the removal search runs at
+    # 1.2 steps of construction only, and one more lowpoint pass checks its
+    # result.  Replay checks the recorded set with that pass instead of
+    # searching.
+    import leafspan.blocks as blocks
     import leafspan.constructive as constructive
 
     calls = Counter()
-    for name in ("lowpoint_blocks", "find_spines", "remove_large_blocks"):
+    for module, name in ((constructive, "lowpoint_blocks"), (blocks, "find_spines"), (constructive, "remove_large_blocks")):
 
-        def counted(g, name=name, real=getattr(constructive, name)):
+        def counted(g, name=name, real=getattr(module, name)):
             calls[name] += 1
             before = calls["lowpoint_blocks"]
             out = real(g)
@@ -454,7 +456,7 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
                 calls["lowpoint_blocks"] = before  # the search's own passes are its nodes
             return out
 
-        monkeypatch.setattr(constructive, name, counted)
+        monkeypatch.setattr(module, name, counted)
     # the triangle tree and the Petersen graph take the greedy base, which
     # reads no pass; the chain splits, and its five pieces take the greedy
     # base too, as the count greedy's proof gives covers their need; the
@@ -471,14 +473,13 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
         blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"] - cases["base-greedy"]
         expected = Counter(
             lowpoint_blocks=blocked + cases["1.2"],
-            find_spines=blocked,
             remove_large_blocks=cases["1.2"],
         )
-        assert calls == expected
+        assert calls == expected and calls["find_spines"] == 0
         calls.clear()
         assert replay_trace(g, tr, theorem=2, k=k) == t
         assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
-        assert calls["remove_large_blocks"] == 0
+        assert calls["remove_large_blocks"] == 0 and calls["find_spines"] == 0
     assert seen["base-greedy"] == 7 and seen["1.1"] > 0 and seen["1.2"] > 0
 
 

@@ -19,7 +19,7 @@ from leafspan import (
     glue_extremal_chain,
     s_count,
 )
-from conftest import gen_triangle_tree_reference
+from conftest import gen_triangle_tree_reference, glue_extremal_chain_reference
 
 
 def test_triangle_tree_shape():
@@ -188,3 +188,17 @@ def test_chain_via_from_spec():
 def test_chain_of_one_is_base():
     base = FamilySpec(kind=TRIANGLE_TREE, n=2)
     assert glue_extremal_chain(base, 1) == gen_triangle_tree(2)
+
+
+def test_chain_matches_its_glue_and_contract_build():
+    # equal graphs whose vertex sets iterate in the same order; the order the
+    # edge set iterates in follows the history of the set operations that
+    # built it, so it differs, and test_build_order_changes_no_tree_or_trace
+    # shows that no tree or trace depends on it
+    specs = [FamilySpec(TRIANGLE_TREE, n=n) for n in range(1, 6)]
+    for g in range(3, 10):
+        specs += [FamilySpec(CYCLE_SPINE_DENSE if k >= g - 2 else CYCLE_SPINE_SPARSE, g=g, k=k) for k in range(1, 6)]
+    for spec in specs:
+        for copies in range(1, 12):
+            g, ref = glue_extremal_chain(spec, copies), glue_extremal_chain_reference(spec, copies)
+            assert g == ref and list(g.vertices) == list(ref.vertices)

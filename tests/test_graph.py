@@ -15,7 +15,17 @@ from leafspan import (
     glue,
     s_count,
 )
-from conftest import brute_girth, random_connected, random_cubic
+from leafspan.graph import _reach
+from conftest import (
+    brute_girth,
+    chain_metric_reference,
+    components_reference,
+    girth_reference,
+    random_connected,
+    random_cubic,
+    side_reference,
+    walk_test_graphs,
+)
 
 
 def test_build_rejects_self_loop():
@@ -304,3 +314,20 @@ def test_glue_counts(seed, v1, v2):
     assert res.graph.v == v1 + v2 - 1
     assert res.graph.e == g1.e + g2.e
     assert res.graph.is_connected
+
+
+def test_one_flood_fill_matches_the_walks_it_replaced():
+    # every atlas graph, the disconnected ones included, then subdivided
+    # cubic graphs with and without pendant paths and the extremal chains
+    import networkx as nx
+
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g() if len(a)]
+    assert sum(not g.is_connected for g in atlas) > 200
+    for g in atlas + walk_test_graphs():
+        comps = components_reference(g)
+        assert g.components == comps
+        assert Graph.build(g.edges, isolated=g.vertices).is_connected == (len(comps) == 1)
+        assert chain_metric(g) == chain_metric_reference(g)
+        assert girth(g) == girth_reference(g)
+        for x in g.vertices:
+            assert _reach(g.adjacency, x) == side_reference(g.adjacency, x)
