@@ -9,13 +9,6 @@ exact, and the corpus module batch-verifies everything on seeded random
 instances.
 """
 
-from .blocks import (
-    Block,
-    BlockDecomposition,
-    Spine,
-    decompose_blocks,
-    find_spines,
-)
 from .bounds import (
     BoundReport,
     alpha,
@@ -71,13 +64,9 @@ from .extremal import (
     glue_extremal_chain,
 )
 from .graph import (
-    ContractResult,
-    GlueResult,
     Graph,
     chain_metric,
-    contract_edge,
     girth,
-    glue,
     s_count,
 )
 from .graph_io import (
@@ -95,21 +84,17 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
-    "BlockDecomposition",
     "BoundNotMetError",
     "BoundReport",
     "CYCLE_SPINE_DENSE",
     "CYCLE_SPINE_SPARSE",
     "ChainTooLongError",
     "ConstructionTrace",
-    "ContractResult",
     "CorpusReport",
     "DuplicateEdgeError",
     "EdgeNotFoundError",
     "ExactResult",
     "FamilySpec",
-    "GlueResult",
     "Graph",
     "InfeasibleError",
     "InstanceRecord",
@@ -122,7 +107,6 @@ __all__ = [
     "SearchExhaustedError",
     "SelfLoopError",
     "SpanningTree",
-    "Spine",
     "TRIANGLE_TREE",
     "TraceNode",
     "alpha",
@@ -134,17 +118,13 @@ __all__ = [
     "chain_metric",
     "construct_theorem1",
     "construct_theorem2",
-    "contract_edge",
-    "decompose_blocks",
     "exact_mlst",
     "export_dot",
-    "find_spines",
     "from_spec",
     "gamma",
     "gen_cycle_spine",
     "gen_triangle_tree",
     "girth",
-    "glue",
     "glue_extremal_chain",
     "graph_hash",
     "greedy_leafy",

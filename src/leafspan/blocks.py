@@ -1,42 +1,10 @@
-"""Block structure of a connected graph: biconnected components, cutpoints,
-bridges, large blocks and pendant spines."""
+"""Block structure of a connected graph: one lowpoint pass for its blocks
+and cutpoints, the large-block rule, and the degree-2 run walk that pendant
+spines are read off."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotConnectedError
-from .graph import Graph
-
-
-@dataclass(frozen=True)
-class Block:
-    """One biconnected component.
-
-    boundary holds the cutpoints of the whole graph lying in this block,
-    interior the remaining block vertices.  A block is empty when it has no
-    interior vertex and large when the interior outnumbers the boundary.
-    """
-
-    vertices: frozenset
-    edges: frozenset
-    boundary: frozenset
-    interior: frozenset
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.interior
-
-    @property
-    def is_large(self) -> bool:
-        return len(self.interior) > len(self.boundary)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple
-    cutpoints: frozenset
-    bridges: frozenset
 
 
 def lowpoint_blocks(adj) -> tuple:
@@ -59,7 +27,7 @@ def lowpoint_blocks(adj) -> tuple:
     # only cuts.  _block_arms sorts by each block's lowest other vertex and
     # sorts the arms; _t2_blocks asserts one core; the removal search sorts
     # large blocks by (-interior, sorted vertices) and edges by rank, which
-    # holds the edge id; decompose_blocks sorts its blocks
+    # holds the edge id
     root = next(iter(adj))
     disc = {root: 1}  # discovery number from 1
     seen = disc.get
@@ -120,46 +88,6 @@ def large_blocks(blocks: list, cuts: set) -> list:
     return out
 
 
-def decompose_blocks(g: Graph) -> BlockDecomposition:
-    """Split a connected graph into blocks with cutpoints and bridges.
-
-    Packs the result of lowpoint_blocks on g's adjacency into Blocks.  Every
-    edge lands in exactly one block, the one holding both its ends; two
-    blocks share at most one vertex and any shared vertex is a cutpoint.
-    """
-    adj = g.adjacency
-    raw_blocks, cuts = lowpoint_blocks(adj)
-    cutpoints = frozenset(cuts)
-    blocks = []
-    for vs in raw_blocks:
-        vs = frozenset(vs)
-        es = frozenset((x, y) for x in vs for y in adj[x] & vs if x < y)
-        blocks.append(Block(vs, es, vs & cutpoints, vs - cutpoints))
-    blocks.sort(key=lambda b: tuple(sorted(b.vertices)))
-    bridges = frozenset(e for b in blocks if len(b.vertices) == 2 for e in b.edges)
-    return BlockDecomposition(tuple(blocks), cutpoints, bridges)
-
-
-@dataclass(frozen=True)
-class Spine:
-    """A pendant path hanging off a cutpoint.
-
-    path runs from the vertex adjacent to the base out to the pendant end;
-    every non-terminal path vertex has degree exactly 2 in the host graph.
-    """
-
-    path: tuple
-    base: int
-
-    @property
-    def pendant(self) -> int:
-        return self.path[-1]
-
-    @property
-    def size(self) -> int:
-        return len(self.path)
-
-
 def _run(adj, a: int, y: int) -> list:
     """The walk from a through its neighbour y that goes on while it meets
     vertices of degree 2: a, y, and each next vertex up to and including the
@@ -172,19 +100,3 @@ def _run(adj, a: int, y: int) -> list:
         y = v if u == run[-2] else u
         run.append(y)
     return run
-
-
-def find_spines(g: Graph) -> tuple:
-    """All maximal pendant spines of a connected graph.
-
-    A spine is the run from a vertex of degree 3 or more through one of its
-    neighbours that ends at a pendant.  A graph that is itself a path has no
-    such vertex, so it has no spines at all.  Spines are pairwise
-    vertex-disjoint and come back sorted by (base, first path vertex).
-    """
-    adj, spines = g.adjacency, []
-    for a in g.sorted_vertices:
-        if len(adj[a]) >= 3:
-            runs = (_run(adj, a, y) for y in g.neighbors(a))
-            spines += [Spine(tuple(run[1:]), a) for run in runs if len(adj[run[-1]]) == 1]
-    return tuple(spines)

@@ -1,10 +1,9 @@
-"""Immutable simple graphs over integer ids, their structural metrics, and
-two surgery operators: gluing two graphs at a vertex and contracting an edge.
+"""Immutable simple graphs over integer ids and their structural metrics.
 
 Graphs are value objects: every operation returns a new graph and leaves its
-inputs untouched.  Vertex ids are plain ints and survive operations unchanged;
-operators that must invent or merge ids return a result record carrying the
-old-to-new mapping so callers can translate trees back.
+inputs untouched.  Vertex ids are plain ints and survive operations unchanged:
+a derived graph, an induced subgraph or one with edges removed or added,
+keeps the ids of the graph it came from.
 """
 
 from __future__ import annotations
@@ -360,80 +359,6 @@ def chain_metric(g: Graph) -> int:
 def s_count(g: Graph) -> int:
     """Number of vertices whose degree differs from 2."""
     return g.v - list(map(len, g.adjacency.values())).count(2)
-
-
-# -- surgery operators -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlueResult:
-    """Outcome of gluing two graphs at one vertex each.
-
-    map1 and map2 send the original ids of each input onto ids of the glued
-    graph; both glue points land on the shared vertex `merged`.
-    """
-
-    graph: Graph
-    merged: int
-    map1: dict
-    map2: dict
-
-
-def glue(g1: Graph, x1: int, g2: Graph, x2: int) -> GlueResult:
-    """Identify vertex x1 of g1 with vertex x2 of g2.
-
-    Ids of g1 are kept.  Ids of g2 are kept too when the vertex sets are
-    disjoint, otherwise g2 is shifted above g1's largest id.  The merged
-    vertex always uses x1's id.
-    """
-    if x1 not in g1.vertices:
-        raise InvalidParamsError(f"vertex {x1} not in first graph")
-    if x2 not in g2.vertices:
-        raise InvalidParamsError(f"vertex {x2} not in second graph")
-    map1 = {x: x for x in g1.vertices}
-    if g1.vertices & g2.vertices:
-        offset = max(g1.vertices | g2.vertices) + 1 - min(g2.vertices)
-        map2 = {x: x + offset for x in g2.vertices}
-    else:
-        map2 = {x: x for x in g2.vertices}
-    map2[x2] = x1
-    vs = frozenset(map1.values()) | frozenset(map2.values())
-    es = frozenset(g1.edges) | frozenset(
-        norm_edge(map2[u], map2[v]) for u, v in g2.edges
-    )
-    return GlueResult(graph=Graph(vs, es), merged=x1, map1=map1, map2=map2)
-
-
-@dataclass(frozen=True)
-class ContractResult:
-    """Outcome of contracting one edge: the new graph plus the id mapping."""
-
-    graph: Graph
-    merged: int
-    vertex_map: dict
-
-
-def contract_edge(g: Graph, u: int, v: int) -> ContractResult:
-    """Contract edge uv into a single vertex keeping the lower id.
-
-    Parallel edges arising from a common neighbor collapse, and the loop the
-    contracted edge would form is dropped, so the result stays simple.
-    """
-    e = norm_edge(u, v)
-    if e not in g.edges:
-        raise EdgeNotFoundError(f"edge {e} not in graph")
-    lo, hi = e
-    vmap = {x: (lo if x == hi else x) for x in g.vertices}
-    es = set()
-    for a, b in g.edges:
-        na, nb = vmap[a], vmap[b]
-        if na != nb:
-            es.add(norm_edge(na, nb))
-    return ContractResult(
-        graph=Graph(frozenset(vmap.values()), frozenset(es)),
-        merged=lo,
-        vertex_map=vmap,
-    )
 
 
 def require_connected(g: Graph, what: str = "operation") -> None:

@@ -9,7 +9,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from leafspan import Graph, InvalidParamsError, NotConnectedError, SearchExhaustedError, decompose_blocks
+from leafspan import Graph, InvalidParamsError, NotConnectedError, SearchExhaustedError
 from leafspan.graph import norm_edge, require_connected
 
 
@@ -216,8 +216,9 @@ def brute_girth(g: Graph):
 
 
 # The Graph-level removal search that remove_large_blocks replaced with an
-# index kernel, kept verbatim.  It finds a smallest valid set; the library's
-# set may be larger, never smaller.
+# index kernel.  It reads its blocks off the reference lowpoint pass below,
+# not the library's.  It finds a smallest valid set; the library's set may
+# be larger, never smaller.
 
 
 def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
@@ -229,8 +230,11 @@ def _chain_condition_holds(g: Graph, reduced: Graph) -> bool:
     return True
 
 
-def _large_blocks(g: Graph):
-    return [b for b in decompose_blocks(g).blocks if b.is_large]
+def large_blocks_reference(g: Graph):
+    """(interior, vertices, edges) of each block of g whose interior, the
+    vertices that are not cutpoints, outnumbers its cutpoints."""
+    blocks, cuts = blocks_reference(g)
+    return [(vs - cuts, vs, es) for vs, es in blocks if len(vs - cuts) > len(vs & cuts)]
 
 
 def _removal_candidates(cur: Graph):
@@ -241,13 +245,12 @@ def _removal_candidates(cur: Graph):
     no solutions.  Ordering prefers edges of the biggest large block whose
     endpoints keep degree at least 3; that is a heuristic only.
     """
-    dec = decompose_blocks(cur)
-    bridges = dec.bridges
-    large = [b for b in dec.blocks if b.is_large]
-    large.sort(key=lambda b: (-len(b.interior), sorted(b.vertices)))
+    bridges = {e for vs, es in blocks_reference(cur)[0] if len(vs) == 2 for e in es}
+    large = large_blocks_reference(cur)
+    large.sort(key=lambda b: (-len(b[0]), sorted(b[1])))
     in_large = {}
-    for rank, b in enumerate(large):
-        for e in b.edges:
+    for rank, (_, _, es) in enumerate(large):
+        for e in es:
             in_large.setdefault(e, rank)
     out = [e for e in cur.sorted_edges if e not in bridges]
     out.sort(
@@ -271,14 +274,14 @@ def remove_large_blocks_reference(g: Graph) -> frozenset:
     require_connected(g, "remove_large_blocks")
     if g.v <= 2:
         raise InvalidParamsError("need more than two vertices")
-    if not _large_blocks(g):
+    if not large_blocks_reference(g):
         return frozenset()
 
     max_size = g.e - (g.v - 1)
     failed = {}  # frozenset(F) -> best budget that still failed
 
     def search(cur: Graph, removed: frozenset, budget: int):
-        if not _large_blocks(cur):
+        if not large_blocks_reference(cur):
             if _chain_condition_holds(g, cur):
                 return removed
             # structure is fine but the chain condition is not; removing
@@ -387,6 +390,17 @@ def lowpoint_blocks_reference(adj: list) -> tuple:
     if n == 1:
         blocks.append(([0], []))
     return blocks, cut
+
+
+def blocks_reference(g: Graph) -> tuple:
+    """lowpoint_blocks_reference on connected g, read back to g's ids:
+    (blocks, cuts), each block a (vertices, edges) pair of frozensets and
+    cuts the set of cutpoints.  The bridges are the edges of the blocks of
+    two vertices."""
+    verts, edges = g.sorted_vertices, g.sorted_edges
+    blocks, cut = lowpoint_blocks_reference(index_adjacency(g))
+    blocks = [(frozenset(verts[i] for i in vs), frozenset(edges[j] for j in es)) for vs, es in blocks]
+    return blocks, frozenset(x for x, c in zip(verts, cut) if c)
 
 
 def gen_triangle_tree_reference(n: int) -> Graph:
@@ -552,13 +566,27 @@ def find_spines_reference(g: Graph) -> tuple:
     return tuple(spines)
 
 
+def identify(g: Graph, x: int, y: int, h: Graph = None) -> Graph:
+    """g with its vertex y merged into x; given h, g beside a copy of h whose
+    ids are shifted above g's, with the copy of h's vertex y merged into g's
+    x.  The merged vertex keeps x's id, the loop the merge would make is
+    dropped and parallel edges collapse.  Gluing at two pendants and
+    contracting a bridge are both such a merge."""
+    edges = list(g.edges)
+    if h is not None:
+        off = max(g.vertices) + 1 - min(h.vertices)
+        edges += [(u + off, v + off) for u, v in h.edges]
+        y += off
+    merged = [(x if u == y else u, x if v == y else v) for u, v in edges]
+    return Graph.build([(u, v) for u, v in merged if u != v], isolated=(x,))
+
+
 def glue_extremal_chain_reference(base, copies: int) -> Graph:
     """The library's extremal chain as an earlier version built it: each
     junction glues the running graph's lowest pendant to a fresh copy's,
     then contracts the junction's bridges one at a time, rebuilding the
     whole graph at every step."""
     from leafspan.extremal import _gen_base
-    from leafspan.graph import contract_edge, glue
 
     def pendants(g):
         return sorted(x for x in g.vertices if g.degree(x) == 1)
@@ -568,13 +596,10 @@ def glue_extremal_chain_reference(base, copies: int) -> Graph:
     out = piece
     for _ in range(copies - 1):
         off = max(out.vertices) + 1 - min(piece.vertices)
-        glued = glue(out, pendants(out)[0], piece, pendants(piece)[0])
-        cur = glued.graph
-        joint = glued.merged
+        joint = pendants(out)[0]
+        cur = identify(out, joint, pendants(piece)[0], piece)
         for _ in range(fold):
             nb = min(nb for nb in cur.neighbors(joint) if nb >= off + min(piece.vertices))
-            res = contract_edge(cur, joint, nb)
-            cur = res.graph
-            joint = res.merged
+            cur = identify(cur, joint, nb)
         out = cur
     return out

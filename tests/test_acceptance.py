@@ -20,13 +20,10 @@ from leafspan import (
     chain_metric,
     construct_theorem1,
     construct_theorem2,
-    contract_edge,
-    decompose_blocks,
     exact_mlst,
     gen_cycle_spine,
     gen_triangle_tree,
     girth,
-    glue,
     random_constrained_graph,
     remove_large_blocks,
     replay_trace,
@@ -35,7 +32,7 @@ from leafspan import (
 )
 from leafspan.corpus import SEED_STRIDE
 from leafspan.trees import validate
-from conftest import random_connected
+from conftest import brute_bridges, identify, large_blocks_reference, random_connected
 
 
 def report(n, ok, detail):
@@ -96,7 +93,7 @@ def test_c04_glue_additivity():
         (g1, p1), (g2, p2) = parts
         u1 = exact_mlst(g1).u_value
         u2 = exact_mlst(g2).u_value
-        ug = exact_mlst(glue(g1, p1, g2, p2).graph).u_value
+        ug = exact_mlst(identify(g1, p1, p2, g2)).u_value
         if ug != u1 + u2 - 2:
             bad.append((j, u1, u2, ug))
     report(4, not bad, f"100 glued pairs, u = u1+u2-2 each time {bad}")
@@ -112,14 +109,14 @@ def test_c05_bridge_contraction_invariance():
         g = random_connected(rng, rng.randint(3, 9))
         clear = [
             (a, b)
-            for (a, b) in sorted(decompose_blocks(g).bridges)
+            for (a, b) in sorted(brute_bridges(g))
             if g.degree(a) > 1 and g.degree(b) > 1
         ]
         if not clear:
             continue
         found += 1
         before = exact_mlst(g).u_value
-        after = exact_mlst(contract_edge(g, *clear[0]).graph).u_value
+        after = exact_mlst(identify(g, *clear[0])).u_value
         if before != after:
             bad.append((attempts - 1, clear[0], before, after))
     report(5, found == 100 and not bad, f"{found} bridge contractions, u unchanged {bad}")
@@ -182,7 +179,7 @@ def test_c09_block_removal_postconditions():
         f = remove_large_blocks(g)
         red = g.without_edges(f)
         ok = f <= g.edges and red.is_connected
-        ok = ok and all(not b.is_large for b in decompose_blocks(red).blocks)
+        ok = ok and not large_blocks_reference(red)
         for a, b in red.sorted_edges:
             if red.degree(a) == 2 and red.degree(b) == 2:
                 ok = ok and g.degree(a) == 2 and g.degree(b) == 2

@@ -3,108 +3,131 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leafspan import (
-    CYCLE_SPINE_DENSE,
-    CYCLE_SPINE_SPARSE,
-    FamilySpec,
-    Graph,
-    NotConnectedError,
-    decompose_blocks,
-    find_spines,
-    gen_triangle_tree,
-    glue_extremal_chain,
-)
-from leafspan.blocks import lowpoint_blocks
+from leafspan import Graph, NotConnectedError
+from leafspan.blocks import _run, large_blocks, lowpoint_blocks
 from conftest import (
+    blocks_reference,
     brute_bridges,
     brute_cutpoints,
     connected_graphs,
     find_spines_reference,
-    index_adjacency,
-    lowpoint_blocks_reference,
+    large_blocks_reference,
     random_connected,
     walk_test_graphs,
 )
 
 
+def _packed(g):
+    """The pass on g as the tests read it: (blocks, cuts, bridges, large).
+    Each block is a (vertices, edges) pair, its edges those of g with both
+    ends in it.  The bridges are the edges of the blocks of two vertices,
+    and large maps the vertices of each block large_blocks returns to its
+    interior size."""
+    raw, cuts = lowpoint_blocks(g.adjacency)
+    blocks = [(vs, frozenset(e for e in g.edges if e[0] in vs and e[1] in vs)) for vs in map(frozenset, raw)]
+    bridges = {e for vs, es in blocks if len(vs) == 2 for e in es}
+    large = {frozenset(vs): inner for inner, vs in large_blocks(raw, cuts)}
+    return blocks, cuts, bridges, large
+
+
+def _walked_spines(g):
+    """(path, base) of each run from a vertex of degree 3 or more through
+    one of its neighbours that ends at a pendant, the spine rule theorem 2's
+    block step reads, by base and then first path vertex."""
+    adj = g.adjacency
+    runs = (_run(adj, a, y) for a in g.sorted_vertices if len(adj[a]) >= 3 for y in g.neighbors(a))
+    return tuple((tuple(run[1:]), run[0]) for run in runs if len(adj[run[-1]]) == 1)
+
+
 def test_requires_connected():
     with pytest.raises(NotConnectedError):
-        decompose_blocks(Graph.build([(0, 1), (2, 3)]))
+        lowpoint_blocks(Graph.build([(0, 1), (2, 3)]).adjacency)
 
 
 def test_single_vertex_block():
-    d = decompose_blocks(Graph.path(1))
-    assert len(d.blocks) == 1
-    assert d.blocks[0].interior == frozenset({0})
-    assert not d.cutpoints and not d.bridges
+    blocks, cuts, bridges, large = _packed(Graph.path(1))
+    assert blocks == [(frozenset({0}), frozenset())]
+    assert not cuts and not bridges
+    assert large == {frozenset({0}): 1}  # interior 1, no cutpoint
 
 
 def test_known_shapes():
-    d = decompose_blocks(Graph.complete(4))
-    assert len(d.blocks) == 1 and not d.cutpoints and not d.bridges
-    assert d.blocks[0].is_large  # interior 4, boundary 0
+    blocks, cuts, bridges, large = _packed(Graph.complete(4))
+    assert len(blocks) == 1 and not cuts and not bridges
+    assert large == {frozenset(range(4)): 4}  # interior 4, no cutpoint
 
-    d = decompose_blocks(Graph.path(4))
-    assert len(d.blocks) == 3
-    assert d.cutpoints == frozenset({1, 2})
-    assert d.bridges == frozenset({(0, 1), (1, 2), (2, 3)})
+    blocks, cuts, bridges, large = _packed(Graph.path(4))
+    assert len(blocks) == 3
+    assert cuts == {1, 2}
+    assert bridges == {(0, 1), (1, 2), (2, 3)}
+    assert not large
 
-    d = decompose_blocks(Graph.cycle(5))
-    assert len(d.blocks) == 1 and not d.cutpoints and not d.bridges
+    blocks, cuts, bridges, _ = _packed(Graph.cycle(5))
+    assert len(blocks) == 1 and not cuts and not bridges
 
-    d = decompose_blocks(Graph.star(4))
-    assert len(d.blocks) == 4
-    assert d.cutpoints == frozenset({0})
-    assert len(d.bridges) == 4
+    blocks, cuts, bridges, _ = _packed(Graph.star(4))
+    assert len(blocks) == 4
+    assert cuts == {0}
+    assert len(bridges) == 4
 
 
 def test_barbell_blocks():
     # two triangles joined by a path
     g = Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
-    d = decompose_blocks(g)
-    assert d.cutpoints == frozenset({2, 3, 4})
-    assert d.bridges == frozenset({(2, 3), (3, 4)})
-    tri = [b for b in d.blocks if len(b.edges) == 3]
+    blocks, cuts, bridges, large = _packed(g)
+    assert cuts == {2, 3, 4}
+    assert bridges == {(2, 3), (3, 4)}
+    tri = [vs for vs, es in blocks if len(es) == 3]
     assert len(tri) == 2
-    for b in tri:
-        assert len(b.boundary) == 1 and len(b.interior) == 2
-        assert b.is_large and not b.is_empty
-    link = [b for b in d.blocks if len(b.edges) == 1]
-    assert all(b.is_empty for b in link)
+    for vs in tri:
+        assert len(vs & cuts) == 1 and len(vs - cuts) == 2
+        assert large[vs] == 2
+    link = [vs for vs, es in blocks if len(es) == 1]
+    assert all(vs <= cuts and vs not in large for vs in link)
 
 
 def test_partition_properties_exhaustive():
     for g in connected_graphs(5):
-        d = decompose_blocks(g)
-        seen = []
-        for b in d.blocks:
-            seen.extend(b.edges)
+        blocks, cuts, _, _ = _packed(g)
+        seen = [e for _, es in blocks for e in es]
         assert sorted(seen) == sorted(g.edges)
-        for i, b1 in enumerate(d.blocks):
-            for b2 in d.blocks[i + 1 :]:
-                shared = b1.vertices & b2.vertices
+        for i, (vs1, _) in enumerate(blocks):
+            for vs2, _ in blocks[i + 1 :]:
+                shared = vs1 & vs2
                 assert len(shared) <= 1
-                assert shared <= d.cutpoints
+                assert shared <= cuts
 
 
 def test_cutpoints_and_bridges_against_brute_force():
     rng = random.Random(42)
     for _ in range(200):
         g = random_connected(rng, rng.randint(2, 9))
-        d = decompose_blocks(g)
-        assert set(d.cutpoints) == brute_cutpoints(g), g.sorted_edges
-        assert set(d.bridges) == brute_bridges(g), g.sorted_edges
+        _, cuts, bridges, _ = _packed(g)
+        assert cuts == brute_cutpoints(g), g.sorted_edges
+        assert bridges == brute_bridges(g), g.sorted_edges
+
+
+def test_large_blocks_match_the_rule_on_reference_blocks():
+    # large_blocks against interior > boundary on the reference pass's
+    # blocks, for every connected atlas graph
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)]
+    with_large = 0
+    for g in atlas:
+        want = sorted((len(inner), sorted(vs)) for inner, vs, _ in large_blocks_reference(g))
+        assert sorted((inner, sorted(vs)) for vs, inner in _packed(g)[3].items()) == want, g.sorted_edges
+        with_large += bool(want)
+    assert 0 < with_large < len(atlas)
 
 
 def _same_blocks_as_reference(g, adj):
     # the reference runs on g relabelled to 0..n-1; its blocks and cut are
     # read back to g's ids.  Every block and every cut is compared; their
     # order is not, as no caller reads it
-    verts = g.sorted_vertices
-    ref_blocks, ref_cut = lowpoint_blocks_reference(index_adjacency(g))
+    ref_blocks, ref_cuts = blocks_reference(g)
     blocks, cuts = lowpoint_blocks(adj)
-    assert sorted(map(sorted, blocks)) == sorted(sorted(verts[i] for i in vs) for vs, _ in ref_blocks), g.sorted_edges
-    assert cuts == {x for x, c in zip(verts, ref_cut) if c}, g.sorted_edges
+    assert sorted(map(sorted, blocks)) == sorted(sorted(vs) for vs, _ in ref_blocks), g.sorted_edges
+    assert cuts == ref_cuts, g.sorted_edges
 
 
 def test_pendant_shortcut_keeps_the_lowpoint_pass_output():
@@ -155,11 +178,11 @@ def test_pass_reads_neighbour_sets_and_edge_id_maps_alike():
 
 def _against_networkx(nx, g):
     h = nx.Graph(list(g.edges))
-    d = decompose_blocks(g)
+    blocks, cuts, bridges, _ = _packed(g)
     want = {frozenset(tuple(sorted(e)) for e in comp) for comp in nx.biconnected_component_edges(h)}
-    assert {b.edges for b in d.blocks} == want, g.sorted_edges
-    assert d.cutpoints == set(nx.articulation_points(h)), g.sorted_edges
-    assert d.bridges == {tuple(sorted(e)) for e in nx.bridges(h)}, g.sorted_edges
+    assert {es for _, es in blocks} == want, g.sorted_edges
+    assert cuts == set(nx.articulation_points(h)), g.sorted_edges
+    assert bridges == {tuple(sorted(e)) for e in nx.bridges(h)}, g.sorted_edges
 
 
 def test_decompose_blocks_against_networkx():
@@ -174,18 +197,12 @@ def test_decompose_blocks_against_networkx():
 
 def test_find_spines_triangle_tail():
     g = Graph.build([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    (sp,) = find_spines(g)
-    assert sp.base == 0
-    assert sp.path == (3, 4)
-    assert sp.pendant == 4
-    assert sp.size == 2
+    assert _walked_spines(g) == (((3, 4), 0),)
 
 
 def test_find_spines_path_and_star():
-    assert find_spines(Graph.path(6)) == ()
-    spines = find_spines(Graph.star(3))
-    assert len(spines) == 3
-    assert all(s.base == 0 and s.size == 1 for s in spines)
+    assert _walked_spines(Graph.path(6)) == ()
+    assert _walked_spines(Graph.star(3)) == (((1,), 0), ((2,), 0), ((3,), 0))
 
 
 def test_spines_match_the_walk_from_each_pendant():
@@ -195,8 +212,8 @@ def test_spines_match_the_walk_from_each_pendant():
     graphs = atlas + walk_test_graphs()
     spined = 0
     for g in graphs:
-        spines = find_spines(g)
-        assert tuple((s.path, s.base) for s in spines) == find_spines_reference(g)
+        spines = _walked_spines(g)
+        assert spines == find_spines_reference(g)
         spined += bool(spines)
     assert spined > len(graphs) // 4
 
@@ -205,56 +222,13 @@ def test_spines_disjoint_random():
     rng = random.Random(7)
     for _ in range(100):
         g = random_connected(rng, rng.randint(2, 10))
-        spines = find_spines(g)
         used = set()
-        for s in spines:
-            vs = set(s.path)
+        for path, base in _walked_spines(g):
+            vs = set(path)
             assert not (vs & used)
             used |= vs
-            assert g.degree(s.pendant) == 1
-            assert g.has_edge(s.base, s.path[0])
-            assert g.degree(s.base) >= 3
-            for inner in s.path[:-1]:
+            assert g.degree(path[-1]) == 1
+            assert g.has_edge(base, path[0])
+            assert g.degree(base) >= 3
+            for inner in path[:-1]:
                 assert g.degree(inner) == 2
-
-
-def _spider(legs):
-    edges, nxt = [], 1
-    for n in legs:
-        prev = 0
-        for _ in range(n):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    return Graph.build(edges)
-
-
-def _cut_cases():
-    """Graphs whose cutpoints take many roles: every connected graph on five
-    vertices, paths, spiders, spine bases, chained blocks, random graphs."""
-    yield from connected_graphs(5)
-    for n in range(1, 9):
-        yield Graph.path(n)
-    for legs in [(1, 1, 1), (1, 2), (2, 3), (1, 1, 4), (3, 3, 3), (2, 2, 2, 2)]:
-        yield _spider(legs)
-    # two cycles joined through a degree-2 cutpoint, and straight at a vertex
-    yield Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
-    yield Graph.build([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    # spine bases in two blocks and in three or more
-    tri_tail = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
-    yield Graph.build(tri_tail)
-    yield Graph.build(tri_tail + [(0, 5)])
-    yield Graph.build(tri_tail + [(0, 5), (5, 6), (6, 0)])
-    yield Graph.build(tri_tail + [(1, 7), (7, 8), (8, 1), (1, 9)])
-    for n in range(1, 7):
-        yield gen_triangle_tree(n)
-    for spec in (
-        FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1),
-        FamilySpec(kind=CYCLE_SPINE_DENSE, g=5, k=3),
-        FamilySpec(kind=CYCLE_SPINE_SPARSE, g=7, k=2),
-    ):
-        for copies in (1, 2, 3):
-            yield glue_extremal_chain(spec, copies)
-    rng = random.Random(99)
-    for _ in range(300):
-        yield random_connected(rng, rng.randint(2, 30))
-

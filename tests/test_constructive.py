@@ -27,7 +27,6 @@ from leafspan import (
     chain_metric,
     construct_theorem1,
     construct_theorem2,
-    decompose_blocks,
     exact_mlst,
     gen_cycle_spine,
     gen_triangle_tree,
@@ -54,6 +53,7 @@ from leafspan.trees import _pack, spanning_tree, validate
 from conftest import (
     _chain_condition_holds,
     connected_graphs,
+    large_blocks_reference,
     random_connected,
     random_cubic,
     random_cubic_plus,
@@ -438,17 +438,15 @@ def test_descent_depth_does_not_use_the_call_stack():
 
 def test_girth_chain_step_reads_one_decomposition(monkeypatch):
     # one lowpoint pass answers a node's split, removal and base questions,
-    # spines included, so no spine search runs; the removal search runs at
-    # 1.2 steps of construction only, and one more lowpoint pass checks its
-    # result.  Replay checks the recorded set with that pass instead of
-    # searching.
-    import leafspan.blocks as blocks
+    # spines included; the removal search runs at 1.2 steps of construction
+    # only, and one more lowpoint pass checks its result.  Replay checks the
+    # recorded set with that pass instead of searching.
     import leafspan.constructive as constructive
 
     calls = Counter()
-    for module, name in ((constructive, "lowpoint_blocks"), (blocks, "find_spines"), (constructive, "remove_large_blocks")):
+    for name in ("lowpoint_blocks", "remove_large_blocks"):
 
-        def counted(g, name=name, real=getattr(module, name)):
+        def counted(g, name=name, real=getattr(constructive, name)):
             calls[name] += 1
             before = calls["lowpoint_blocks"]
             out = real(g)
@@ -456,7 +454,7 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
                 calls["lowpoint_blocks"] = before  # the search's own passes are its nodes
             return out
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(constructive, name, counted)
     # the triangle tree and the Petersen graph take the greedy base, which
     # reads no pass; the chain splits, and its five pieces take the greedy
     # base too, as the count greedy's proof gives covers their need; the
@@ -475,11 +473,11 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
             lowpoint_blocks=blocked + cases["1.2"],
             remove_large_blocks=cases["1.2"],
         )
-        assert calls == expected and calls["find_spines"] == 0
+        assert calls == expected
         calls.clear()
         assert replay_trace(g, tr, theorem=2, k=k) == t
         assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
-        assert calls["remove_large_blocks"] == 0 and calls["find_spines"] == 0
+        assert calls["remove_large_blocks"] == 0
     assert seen["base-greedy"] == 7 and seen["1.1"] > 0 and seen["1.2"] > 0
 
 
@@ -830,7 +828,7 @@ def test_replay_rejects_swapped_tree():
 def _check_lemma4_post(g, f):
     reduced = g.without_edges(f)
     assert reduced.is_connected
-    assert all(not b.is_large for b in decompose_blocks(reduced).blocks)
+    assert not large_blocks_reference(reduced)
     for u, v in reduced.sorted_edges:
         if reduced.degree(u) == 2 and reduced.degree(v) == 2:
             assert g.degree(u) == 2 and g.degree(v) == 2

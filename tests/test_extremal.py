@@ -10,7 +10,6 @@ from leafspan import (
     bound_theorem1,
     bound_theorem2,
     chain_metric,
-    decompose_blocks,
     exact_mlst,
     from_spec,
     gen_cycle_spine,
@@ -19,7 +18,7 @@ from leafspan import (
     glue_extremal_chain,
     s_count,
 )
-from conftest import gen_triangle_tree_reference, glue_extremal_chain_reference
+from conftest import brute_cutpoints, gen_triangle_tree_reference, glue_extremal_chain_reference
 
 
 def test_triangle_tree_shape():
@@ -33,8 +32,7 @@ def test_triangle_tree_shape():
         assert s_count(g) == g.v
         assert girth(g) == 3
         # every non-pendant vertex separates the graph
-        cuts = decompose_blocks(g).cutpoints
-        assert cuts == frozenset(x for x in g.vertices if g.degree(x) > 1)
+        assert brute_cutpoints(g) == {x for x in g.vertices if g.degree(x) > 1}
 
 
 def test_triangle_tree_matches_its_case_by_case_build():

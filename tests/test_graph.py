@@ -2,17 +2,13 @@ import pytest
 import random
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
-
 from leafspan import (
     Graph,
     InvalidGraphError,
     InvalidParamsError,
     EdgeNotFoundError,
     chain_metric,
-    contract_edge,
     girth,
-    glue,
     s_count,
 )
 from leafspan.graph import _reach
@@ -250,70 +246,6 @@ def test_s_count():
 def test_metrics_bundle():
     g = Graph.petersen()
     assert (girth(g), chain_metric(g), s_count(g), g.min_degree) == (5, 0, 10, 3)
-
-
-def test_glue_disjoint_keeps_ids():
-    g1 = Graph.path(3)  # 0-1-2
-    g2 = Graph.build([(10, 11), (11, 12)])
-    res = glue(g1, 2, g2, 10)
-    assert res.merged == 2
-    assert res.graph.v == 5
-    assert res.graph.has_edge(2, 11)
-    assert res.map1[2] == 2 and res.map2[10] == 2
-    assert res.map2[11] == 11
-
-
-def test_glue_shifts_on_collision():
-    g1 = Graph.path(3)
-    g2 = Graph.path(3)
-    res = glue(g1, 2, g2, 0)
-    assert res.graph.v == 5
-    # g1 side untouched
-    assert res.graph.has_edge(0, 1) and res.graph.has_edge(1, 2)
-    assert res.merged == 2
-
-
-def test_contract_edge():
-    g = Graph.build([(0, 1), (1, 2), (2, 3)])
-    res = contract_edge(g, 1, 2)
-    assert res.merged == 1
-    assert res.graph.v == 3
-    assert res.graph.has_edge(0, 1) and res.graph.has_edge(1, 3)
-    assert res.vertex_map[2] == 1 and res.vertex_map[3] == 3
-    with pytest.raises(EdgeNotFoundError):
-        contract_edge(g, 0, 3)
-
-
-def test_contract_merges_parallel_edges():
-    g = Graph.cycle(3)
-    res = contract_edge(g, 0, 1)
-    assert res.graph.v == 2 and res.graph.e == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 9))
-def test_contract_shrinks(seed, v):
-    rng = random.Random(seed)
-    g = random_connected(rng, v)
-    u, w = sorted(g.edges)[0]
-    res = contract_edge(g, u, w)
-    assert res.graph.v == g.v - 1
-    assert res.graph.e <= g.e - 1
-    assert res.graph.is_connected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(2, 7))
-def test_glue_counts(seed, v1, v2):
-    rng = random.Random(seed)
-    g1 = random_connected(rng, v1)
-    g2 = random_connected(rng, v2)
-    x1 = max(g1.vertices)
-    x2 = min(g2.vertices)
-    res = glue(g1, x1, g2, x2)
-    assert res.graph.v == v1 + v2 - 1
-    assert res.graph.e == g1.e + g2.e
-    assert res.graph.is_connected
 
 
 def test_one_flood_fill_matches_the_walks_it_replaced():
