@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import InvalidParamsError
@@ -68,8 +69,14 @@ def alpha(g: int, k: int) -> Fraction:
     the coefficient is n / (n(k+3) + 1), which equals beta_prime at the
     rounded-up even girth and undercuts beta there.
     """
-    _check_int("g", g, 3)
-    _check_int("k", k, 1)
+    return _alpha(_check_int("g", g, 3), _check_int("k", k, 1))
+
+
+@cache
+def _alpha(g: int, k: int) -> Fraction:
+    """alpha for checked g and k, computed and self-checked once per pair.  The
+    check stays in alpha: a cache keyed by value would answer alpha(3, True)
+    or alpha(3.0, 1) from alpha(3, 1), as True == 1 == 1.0 hash alike."""
     if k >= g - 2:
         return beta(g, k)
     n = (g + 1) // 2 - 1

@@ -67,22 +67,24 @@ def greedy_leafy(g: Graph) -> SpanningTree:
     count, id) picks the vertex: counts only fall, so a current key is best.
     """
     require_connected(g, "greedy_leafy")
-    if g.v == 1:
+    n = g.v
+    if n == 1:
         return _pack(g, ())
     adj = g.adjacency
-    start = max(adj, key=lambda x: (len(adj[x]), -x))
     outside = {x: len(nbs) for x, nbs in adj.items()}
+    d = max(outside.values())
+    start = min(x for x, deg in outside.items() if deg == d)
     in_tree, edges = {start}, []
     for nb in adj[start]:
         outside[nb] -= 1
     heap = [(-outside[start], start)]
-    while len(in_tree) < g.v:
+    while len(in_tree) < n:
         key, x = heapq.heappop(heap)
         if -key != outside[x]:
             heapq.heappush(heap, (-outside[x], x))
             continue
         for nb in adj[x] - in_tree:
-            edges.append(_edge(x, nb))
+            edges.append((x, nb) if x < nb else (nb, x))
             in_tree.add(nb)
             for w in adj[nb]:
                 outside[w] -= 1

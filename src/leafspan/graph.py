@@ -203,22 +203,29 @@ class Graph:
         """Length of a shortest cycle, or None when the graph is acyclic.
 
         Every cycle lies in the 2-core, the graph left after repeatedly
-        deleting vertices of degree at most 1.  A component of the core whose
-        vertices all have degree 2 is a single cycle.  Any other cycle passes
-        through a core vertex of degree at least 3, so a breadth-first search
-        runs from each of those only: a non-tree edge seen at depth d closes a
-        walk of length at most 2d + 1 that contains a cycle, and for roots on a
-        shortest cycle the detection is exact.
+        deleting vertices of degree at most 1; the adjacency is copied only
+        when some vertex peels.  A component of the core whose vertices all
+        have degree 2 is a single cycle.  Deleting a vertex of degree at most
+        1 never disconnects a graph, so the core of a connected graph is one
+        component, and the core is flooded for its components only when the
+        graph is disconnected.  Any other cycle passes through a core vertex
+        of degree at least 3, so a breadth-first search runs from each of
+        those only: a non-tree edge seen at depth d closes a walk of length at
+        most 2d + 1 that contains a cycle, and for roots on a shortest cycle
+        the detection is exact.
         """
-        core = {x: set(nbrs) for x, nbrs in self.adjacency.items()}
+        core = self.adjacency
         peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
+        if peel:
+            core = {x: set(nbrs) for x, nbrs in core.items()}
         while peel:
             x = peel.pop()
             for nb in core.pop(x):
                 core[nb].discard(x)
                 if len(core[nb]) == 1:
                     peel.append(nb)
-        best = min((len(c) for c in _parts(core, core) if all(len(core[x]) == 2 for x in c)), default=None)
+        parts = ([core] if core else []) if self.is_connected else _parts(core, core)
+        best = min((len(c) for c in parts if all(len(core[x]) == 2 for x in c)), default=None)
         for root in [x for x, nbrs in core.items() if len(nbrs) >= 3]:
             dist = {root: 0}
             parent = {root: None}
@@ -275,15 +282,15 @@ class Graph:
         """Edges of a breadth-first spanning tree of root's component; deterministic."""
         if root not in self.vertices:
             raise InvalidParamsError(f"vertex {root} not in graph")
+        adj = self.adjacency
         seen = {root}
         out = []
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nb in self.neighbors(cur):
+        queue = [root]
+        for cur in queue:
+            for nb in sorted(adj[cur]):
                 if nb not in seen:
                     seen.add(nb)
-                    out.append(_edge(cur, nb))
+                    out.append((cur, nb) if cur < nb else (nb, cur))
                     queue.append(nb)
         return frozenset(out)
 

@@ -138,6 +138,11 @@ def test_alpha_branch_values():
         alpha(3, 0)
     with pytest.raises(InvalidParamsError):
         alpha(2, 1)
+    # alpha(3, 1) is cached by now, and True == 1 == 1.0 hash alike, so
+    # these must be rejected before any cached value is read
+    for g, k in ((3, True), (True, 3), (3.0, 1)):
+        with pytest.raises(InvalidParamsError):
+            alpha(g, k)
 
 
 def test_alpha_dense_equals_beta():

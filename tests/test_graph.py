@@ -13,6 +13,7 @@ from leafspan import (
 )
 from leafspan.graph import _reach
 from conftest import (
+    bfs_tree_reference,
     brute_girth,
     chain_metric_reference,
     components_reference,
@@ -118,6 +119,23 @@ def test_bfs_tree_and_distance():
     assert g.distance(0, 0) == 0
     h = Graph.build([(0, 1), (2, 3)])
     assert h.distance(0, 3) is None
+
+
+def test_bfs_tree_matches_the_reference_walk():
+    # every root of every atlas graph, the disconnected ones included, then
+    # the lowest root of random connected graphs of up to 300 vertices
+    import networkx as nx
+
+    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g() if len(a)]
+    assert sum(not g.is_connected for g in atlas) > 200
+    for g in atlas:
+        for root in g.vertices:
+            assert g.bfs_tree(root) == bfs_tree_reference(g, root), (g.sorted_edges, root)
+    rng = random.Random(2801)
+    for _ in range(200):
+        g = random_connected(rng, rng.randint(2, 300))
+        root = min(g.vertices)
+        assert g.bfs_tree(root) == bfs_tree_reference(g, root), g.sorted_edges
 
 
 def test_distance_rejects_missing_endpoints():
