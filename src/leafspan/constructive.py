@@ -419,13 +419,6 @@ def _block_arms(g: Graph, blocks: list, cuts: set):
     the total block size."""
     adj, at = g.adjacency, {a: [] for a in cuts}
     for vs in blocks:
-        if len(vs) == 2:  # a bridge: each end's one arm is the other end
-            x, y = vs
-            if x in cuts:
-                at[x].append((y, [y]))
-            if y in cuts:
-                at[y].append((x, [x]))
-            continue
         low, members = min(vs), set(vs)
         for a in members.intersection(cuts):
             key = low if a != low else min(members - {a})
@@ -537,17 +530,13 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
 
     rep = bound_theorem2(g.v, gg, k)
     rate, tree_rate = rep.params["alpha"], alpha(3, k)
-    values: dict = {}  # (is a tree, v) -> need, so the gate and the check share one Fraction
 
     def need(h: Graph):
         # the request measured the root's chains.  Trees meet the girth-3 rate;
         # larger declared girths need not hold on bare trees.  A node is a tree
         # exactly when _base_tree, first in the table, takes it
         assert h is g or chain_metric(h) <= k, "descent produced an overlong chain"
-        key = (h.e == h.v - 1, h.v)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = (tree_rate if key[0] else rate) * (h.v - k - 2) + 2
+        value = (tree_rate if h.e == h.v - 1 else rate) * (h.v - k - 2) + 2
         assert h is not g or value == rep.value, "root need differs from the request's bound"
         return value
 

@@ -566,9 +566,8 @@ def find_spines_reference(g: Graph) -> tuple:
     return tuple(spines)
 
 
-# The breadth-first tree and the block arms of theorem 2's split step as they
-# stood before the list queue and the bridge shortcut, kept verbatim as
-# functions of the graph: the library's must give equal output.
+# The breadth-first tree as it stood before the list queue, kept verbatim as
+# a function of the graph: the library's must give equal output.
 
 
 def bfs_tree_reference(g: Graph, root: int) -> frozenset:
@@ -586,23 +585,6 @@ def bfs_tree_reference(g: Graph, root: int) -> frozenset:
                 out.append(_edge(cur, nb))
                 queue.append(nb)
     return frozenset(out)
-
-
-def block_arms_reference(g: Graph, blocks: list, cuts: set):
-    """For each cutpoint a of g, ascending, from a lowpoint pass of g: a and
-    the sorted lists of its neighbours in each of its blocks, ordered by the
-    block's lowest vertex other than a.  Two blocks at a share only a, so
-    the order is total; the lowest vertex of a block is taken once, and the
-    next one only for the cut that is the lowest, so the cost is linear in
-    the total block size."""
-    adj, at = g.adjacency, {a: [] for a in cuts}
-    for vs in blocks:
-        low, members = min(vs), set(vs)
-        for a in members.intersection(cuts):
-            key = low if a != low else min(members - {a})
-            at[a].append((key, sorted(adj[a] & members)))
-    for a in sorted(at):
-        yield a, [arms for _, arms in sorted(at[a])]
 
 
 def identify(g: Graph, x: int, y: int, h: Graph = None) -> Graph:

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from leafspan import Graph, NotConnectedError
 from leafspan.blocks import _run, large_blocks, lowpoint_blocks
-from leafspan.constructive import _block_arms
 from conftest import (
-    block_arms_reference,
     blocks_reference,
     brute_bridges,
     brute_cutpoints,
@@ -218,22 +216,6 @@ def test_spines_match_the_walk_from_each_pendant():
         assert spines == find_spines_reference(g)
         spined += bool(spines)
     assert spined > len(graphs) // 4
-
-
-def test_block_arms_match_the_reference():
-    # theorem 2's split step reads each cut's arms through _block_arms, whose
-    # bridges take a shortcut: the arms must be the reference's, in order
-    import networkx as nx
-
-    atlas = [Graph.build(a.edges(), isolated=a.nodes()) for a in nx.graph_atlas_g()[1:] if nx.is_connected(a)]
-    graphs = atlas + walk_test_graphs()
-    bridged = 0
-    for g in graphs:
-        blocks, cuts = lowpoint_blocks(g.adjacency)
-        arms = list(_block_arms(g, blocks, cuts))
-        assert arms == list(block_arms_reference(g, blocks, cuts)), g.sorted_edges
-        bridged += any(len(vs) == 2 for vs in blocks) and bool(cuts)
-    assert bridged > len(graphs) // 3
 
 
 def test_spines_disjoint_random():
