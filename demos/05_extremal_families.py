@@ -11,7 +11,6 @@ from leafspan import (
     bound_theorem2,
     chain_metric,
     exact_mlst,
-    from_spec,
     gen_cycle_spine,
     gen_triangle_tree,
     girth,
@@ -37,8 +36,7 @@ print(f"sparse g=6 k=2: v={g.v} girth={girth(g)} ell={chain_metric(g)} "
       f"u={exact_mlst(g).u_value} bound={bound_theorem2(g.v, 6, 2).value}")
 
 # gluing copies pendant-to-pendant scales tight instances arbitrarily
-spec = FamilySpec(kind=TRIANGLE_TREE, n=1, chain_count=3)
-g = from_spec(spec)
+g = glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=1), 3)
 print(f"chain of 3 triangle trees: v={g.v} u={exact_mlst(g).u_value} "
       f"bound={bound_theorem1(s_count(g)).value}")
 

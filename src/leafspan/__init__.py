@@ -58,7 +58,6 @@ from .extremal import (
     CYCLE_SPINE_SPARSE,
     TRIANGLE_TREE,
     FamilySpec,
-    from_spec,
     gen_cycle_spine,
     gen_triangle_tree,
     glue_extremal_chain,
@@ -120,7 +119,6 @@ __all__ = [
     "construct_theorem2",
     "exact_mlst",
     "export_dot",
-    "from_spec",
     "gamma",
     "gen_cycle_spine",
     "gen_triangle_tree",

@@ -25,7 +25,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import exact_mlst
-from .extremal import FamilySpec, TRIANGLE_TREE, CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, from_spec
+from .extremal import FamilySpec, TRIANGLE_TREE, CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, glue_extremal_chain
 from .graph import Graph, chain_metric
 from .graph_io import export_dot, parse_graph, serialize_graph, serialize_tree
 
@@ -116,13 +116,13 @@ def _cmd_gen(args) -> int:
     if args.family == "triangle-tree":
         if args.n is None:
             raise InvalidParamsError("gen --family triangle-tree needs --n")
-        spec = FamilySpec(kind=TRIANGLE_TREE, n=args.n, g=args.g, k=args.k, chain_count=args.copies)
+        spec = FamilySpec(kind=TRIANGLE_TREE, n=args.n, g=args.g, k=args.k)
     else:
         if args.g is None or args.k is None:
             raise InvalidParamsError("gen --family cycle-spine needs --g and --k")
         kind = CYCLE_SPINE_DENSE if args.k >= args.g - 2 else CYCLE_SPINE_SPARSE
-        spec = FamilySpec(kind=kind, n=args.n, g=args.g, k=args.k, chain_count=args.copies)
-    _emit(args, serialize_graph(from_spec(spec)))
+        spec = FamilySpec(kind=kind, n=args.n, g=args.g, k=args.k)
+    _emit(args, serialize_graph(glue_extremal_chain(spec, args.copies)))
     return 0
 
 

@@ -396,6 +396,10 @@ def _removal(g: Graph, rec: Optional[TraceNode]) -> tuple:
 
 
 def _t2_base_short(g: Graph, rec, k: int):
+    # kept for speed, not proof: need <= 2 here, so _t2_greedy's gate would
+    # accept too, but a cycle (the ladder workload's main instance) is faster
+    # through bfs_tree; without this case ladder instance_ms.p90 rose 0.91 ->
+    # 1.15 ms, worse in 8 of 8 pairs on 2 CPUs (BENCH_29.json)
     if g.v - k - 2 <= 0:
         return _base("base-short", _pack(g, g.bfs_tree(min(g.vertices))))
 

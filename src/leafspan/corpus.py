@@ -2,10 +2,10 @@
 
 Generation is rejection sampling on top of a random recursive tree: extra
 edges are only ever added between vertices far enough apart to respect the
-girth floor, then the finished graph is re-measured against every
-constraint.  Verification runs a corpus of such instances and checks each
-one against the requested bound, either with the exact solver or with the
-constructive procedure.
+girth floor, all on one adjacency; the graph is then built once and
+re-measured against every constraint.  Verification runs a corpus of such
+instances and checks each one against the requested bound, either with
+the exact solver or with the constructive procedure.
 """
 
 from __future__ import annotations
@@ -25,15 +25,18 @@ SEED_STRIDE = 7919
 ATTEMPTS = 400
 
 
-def _tree_skeleton(v, rng):
-    return [(rng.randrange(i), i) for i in range(1, v)]
+def _link(adj, x, y):
+    adj[x].add(y)
+    adj[y].add(x)
 
 
-def _far_enough(g: Graph, x, y, floor):
-    if g.has_edge(x, y):
-        return False
-    d = g.distance(x, y)
-    return d is not None and d >= floor - 1
+def _ball(adj, x, radius):
+    """x and the vertices within radius hops of it in adjacency adj."""
+    ball, ring = {x}, {x}
+    for _ in range(radius):
+        ring = {nb for y in ring for nb in adj[y]} - ball
+        ball |= ring
+    return ball
 
 
 def random_constrained_graph(
@@ -45,11 +48,13 @@ def random_constrained_graph(
 ) -> Graph:
     """Connected graph on v vertices meeting the requested floors.
 
-    Chords are only added between vertices at distance >= girth floor - 1,
-    which keeps every cycle long enough by construction.  Degree deficits
-    are repaired by targeted chords when possible; the chain constraint is
-    handled by rejection.  Raises Infeasible once the attempt budget runs
-    out, which is the expected outcome for contradictory parameters.
+    Each attempt grows one adjacency: a random recursive tree, then random
+    chords, then chords that repair degree deficits.  A chord xy is added
+    only when y lies outside the ball of radius girth floor - 2 around x:
+    the graph is connected, so y is at distance >= floor - 1, and every
+    cycle the chord closes is long enough.  The chain constraint is handled
+    by rejection.  Raises Infeasible once the attempt budget runs out,
+    which is the expected outcome for contradictory parameters.
     """
     _check_int("v", v, 1)
     if _check_int("min_degree", min_degree, 0) > max(v - 1, 0):
@@ -61,27 +66,29 @@ def random_constrained_graph(
         return Graph.build([], isolated=[0])
 
     rng = random.Random(seed)
+    radius = girth_at_least - 2
     for _ in range(ATTEMPTS):
-        g = Graph.build(_tree_skeleton(v, rng))
-        # sprinkle chords, then chase remaining degree deficits directly
+        adj = {x: set() for x in range(v)}
+        for y in range(1, v):
+            _link(adj, rng.randrange(y), y)
         for _ in range(rng.randint(0, v)):
             x, y = rng.sample(range(v), 2)
-            if _far_enough(g, x, y, girth_at_least):
-                g = g.with_edge(x, y)
-        ok = True
+            if y not in _ball(adj, x, radius):
+                _link(adj, x, y)
         for _ in range(v * max(min_degree, 1)):
-            needy = [x for x in g.sorted_vertices if g.degree(x) < min_degree]
+            needy = [x for x in range(v) if len(adj[x]) < min_degree]
             if not needy:
                 break
             x = rng.choice(needy)
-            cands = [y for y in g.sorted_vertices if y != x and _far_enough(g, x, y, girth_at_least)]
+            near = _ball(adj, x, radius)
+            cands = [y for y in range(v) if y not in near]
             if not cands:
-                ok = False
-                break
-            far_needy = [y for y in cands if g.degree(y) < min_degree]
-            g = g.with_edge(x, rng.choice(far_needy or cands))
-        if not ok or any(g.degree(x) < min_degree for x in g.vertices):
+                break  # x stays needy, so the degree test rejects the attempt
+            far_needy = [y for y in cands if len(adj[y]) < min_degree]
+            _link(adj, x, rng.choice(far_needy or cands))
+        if any(len(nbrs) < min_degree for nbrs in adj.values()):
             continue
+        g = Graph.build((x, y) for x, nbrs in adj.items() for y in nbrs if x < y)
         gv = girth(g)
         if gv is not None and gv < girth_at_least:
             continue

@@ -2,7 +2,9 @@
 
 Three families: trees of triangles (tight for the s-count bound), and
 cycle-with-pendant-path graphs in two regimes (tight for the girth/chain
-bound).  A gluing operator chains copies while preserving tightness.
+bound).  A FamilySpec names one family instance; glue_extremal_chain(spec,
+copies) builds it, chaining copies while preserving tightness.  Every graph
+here is built once, by Graph.build on one edge list.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ class FamilySpec:
     n: Optional[int] = None
     g: Optional[int] = None
     k: Optional[int] = None
-    chain_count: int = 1
 
     def __post_init__(self):
-        _check_int("chain_count", self.chain_count, 1)
         for name, least in (("n", 1), ("g", 3), ("k", 1)):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), least)
@@ -161,9 +161,3 @@ def _gen_base(spec: FamilySpec) -> Graph:
         return gen_triangle_tree(spec.n)
     return gen_cycle_spine(spec.g, spec.k)
 
-
-def from_spec(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes, chained copies included."""
-    if spec.chain_count == 1:
-        return _gen_base(spec)
-    return glue_extremal_chain(spec, spec.chain_count)

@@ -2,8 +2,8 @@
 
 Graphs are value objects: every operation returns a new graph and leaves its
 inputs untouched.  Vertex ids are plain ints and survive operations unchanged:
-a derived graph, an induced subgraph or one with edges removed or added,
-keeps the ids of the graph it came from.
+a derived graph, an induced subgraph or one with edges removed, keeps the
+ids of the graph it came from.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from .errors import (
 )
 
 
-def _require_int(x) -> None:
+def _require_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise InvalidGraphError(f"vertex id {x!r} is not an int")
+    return x
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -99,31 +100,35 @@ class Graph:
             vars(g)["adjacency"] = adjacency
         return g
 
-    def _derive(self, gone=frozenset(), drop=(), add=()) -> "Graph":
-        """This graph less the vertices in gone and the edges in drop, plus the
-        edges in add, unchecked.  drop holds every edge at a vertex of gone, and
-        both hold edges in (low, high) form.  The adjacency is this graph's, with
-        new sets only at the ends of dropped and added edges."""
+    def _derive(self, gone=frozenset(), drop=()) -> "Graph":
+        """This graph less the vertices in gone and the edges in drop, unchecked.
+        drop holds every edge at a vertex of gone, in (low, high) form.  The
+        adjacency is this graph's, with new sets only at the surviving ends of
+        dropped edges."""
         nbrs = dict(self.adjacency)
         for x in gone:
             del nbrs[x]
         new: dict = {}
-        for es, put in ((drop, set.discard), (add, set.add)):
-            for u, v in es:
-                for x, y in ((u, v), (v, u)):
-                    if x in nbrs or put is set.add:
-                        if x not in new:
-                            new[x] = set(nbrs.get(x, ()))
-                        put(new[x], y)
+        for u, v in drop:
+            for x, y in ((u, v), (v, u)):
+                if x in nbrs:
+                    if x not in new:
+                        new[x] = set(nbrs[x])
+                    new[x].discard(y)
         nbrs.update((x, frozenset(s)) for x, s in new.items())
-        return Graph._derived(frozenset(nbrs), self.edges.difference(drop).union(add), nbrs)
+        return Graph._derived(frozenset(nbrs), self.edges.difference(drop), nbrs)
 
     @classmethod
     def build(cls, edges: Iterable[tuple[int, int]], isolated: Iterable[int] = ()) -> "Graph":
-        """Build a graph from an edge iterable; duplicates collapse silently."""
+        """Build a graph from an edge iterable; duplicates collapse silently.
+
+        Each edge is checked once by norm_edge and each isolated id once, so
+        the fields are valid and __post_init__'s second pass is skipped."""
         es = frozenset(norm_edge(u, v) for u, v in edges)
-        vs = frozenset(x for e in es for x in e) | frozenset(isolated)
-        return cls(vs, es)
+        vs = frozenset(x for e in es for x in e) | frozenset(map(_require_int, isolated))
+        if not vs:
+            raise InvalidGraphError("a graph needs at least one vertex")
+        return cls._derived(vs, es)
 
     @classmethod
     def path(cls, n: int) -> "Graph":
@@ -294,25 +299,6 @@ class Graph:
                     queue.append(nb)
         return frozenset(out)
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        """Hop distance, or None when u and v are in different components."""
-        for x in (u, v):
-            if x not in self.vertices:
-                raise InvalidParamsError(f"vertex {x} not in graph")
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            for nb in self.adjacency[cur]:
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    if nb == v:
-                        return dist[nb]
-                    queue.append(nb)
-        return None
-
     # -- derived graphs ---------------------------------------------------
 
     def induced(self, vs: Iterable[int]) -> "Graph":
@@ -344,10 +330,6 @@ class Graph:
                 raise EdgeNotFoundError(f"edge {e} not in graph")
             drop.add(e)
         return self._derive(drop=drop)
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        e = norm_edge(u, v)
-        return self._derive(add=(e,))
 
 
 # -- metrics ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import hashlib
 from typing import Optional
 
 from .errors import DuplicateEdgeError, ParseError, SelfLoopError
-from .graph import Graph, norm_edge
+from .graph import Graph, _edge
 from .trees import SpanningTree
 
 
@@ -41,7 +41,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"bad endpoint in {line!r}", line=lineno)
         if u == v:
             raise SelfLoopError(f"self loop at {u}", line=lineno)
-        e = norm_edge(u, v)
+        e = _edge(u, v)
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e[0]} {e[1]}", line=lineno)
         seen.add(e)

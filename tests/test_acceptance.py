@@ -89,7 +89,7 @@ def test_c04_glue_additivity():
         for _ in range(2):
             core = random_connected(rng, rng.randint(2, 6))
             p = max(core.vertices) + 1  # fresh pendant, the glue point
-            parts.append((core.with_edge(rng.choice(core.sorted_vertices), p), p))
+            parts.append((Graph.build([*core.edges, (rng.choice(core.sorted_vertices), p)]), p))
         (g1, p1), (g2, p2) = parts
         u1 = exact_mlst(g1).u_value
         u2 = exact_mlst(g2).u_value

@@ -575,7 +575,8 @@ def test_tree_base_builds_no_graph(monkeypatch):
     path = Graph.path(400)
     cyclic = (_k4_chain(20), _ladder(30))
     built, _ = _count_builds(monkeypatch)
-    assert Graph.path(2).with_edge(1, 2) and len(built) == 2  # both kinds are counted
+    assert Graph(frozenset({0, 1}), frozenset({(0, 1)})) and Graph.build([(1, 2)])
+    assert len(built) == 2  # both kinds, checked and built, are counted
     built.clear()
     for g in (star, double, path):
         t, tr = construct_theorem1(g)

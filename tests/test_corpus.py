@@ -1,3 +1,4 @@
+import hashlib
 import re
 from collections import Counter
 from functools import cached_property
@@ -11,6 +12,7 @@ from leafspan import (
     chain_metric,
     girth,
     random_constrained_graph,
+    serialize_graph,
     verify_corpus,
 )
 
@@ -47,6 +49,27 @@ def test_deterministic_per_seed():
     assert a == b
     c = random_constrained_graph(9, min_degree=2, seed=43)
     assert a != c  # not guaranteed in general, but stable for these seeds
+
+
+# sha256 over every outcome below, graph or error, pinned from a generator
+# that derived a new Graph per chord: the same seed must draw the same rng
+# calls in the same order and give the same graph or the same error
+OUTCOMES_DIGEST = "54dd2737040f73407ba00ef7a0362aaf87a3a26c0b48478dc7d7ff294a6648a5"
+
+
+def test_outcomes_match_the_pinned_digest():
+    # (min_degree, girth floor, chain cap)
+    params = [(1, 3, None), (2, 3, None), (3, 3, None), (2, 4, None), (2, 5, None), (1, 6, None), (2, 3, 2)]
+    h = hashlib.sha256()
+    for md, floor, ell in params:
+        for v in range(1, 21):
+            for seed in range(10):
+                try:
+                    out = serialize_graph(random_constrained_graph(v, md, floor, ell, seed))
+                except (InfeasibleError, InvalidParamsError) as exc:
+                    out = f"{type(exc).__name__}: {exc}\n"
+                h.update(out.encode())
+    assert h.hexdigest() == OUTCOMES_DIGEST
 
 
 def test_single_vertex():

@@ -11,7 +11,6 @@ from leafspan import (
     bound_theorem2,
     chain_metric,
     exact_mlst,
-    from_spec,
     gen_cycle_spine,
     gen_triangle_tree,
     girth,
@@ -100,28 +99,27 @@ def test_family_spec_validation():
         FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=5)  # n is forced by g
     with pytest.raises(InvalidParamsError):
         FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1, n=1)  # g and k fix the dense size
-    with pytest.raises(InvalidParamsError):
-        FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=0)
+    with pytest.raises(TypeError):
+        FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=2)  # copies are glue_extremal_chain's alone
+    with pytest.raises(InvalidParamsError, match="copies must be >= 1"):
+        glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=2), 0)
     ok = FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=2)
-    assert from_spec(ok).v == 15
+    assert glue_extremal_chain(ok, 1).v == 15
 
 
 @pytest.mark.parametrize("kw", [dict(k=1), dict(k=2), dict(g=3), dict(g=4, k=1)])
 def test_triangle_tree_rejects_g_and_k(kw):
     # n alone fixes a triangle tree; a k would change how many bridges each
     # junction of a chain folds, and build another graph than the spec names
-    for copies in (1, 2):
-        with pytest.raises(InvalidParamsError, match="takes no g or k"):
-            FamilySpec(kind=TRIANGLE_TREE, n=3, chain_count=copies, **kw)
-    assert from_spec(FamilySpec(kind=TRIANGLE_TREE, n=3, chain_count=2)).v == 26
+    with pytest.raises(InvalidParamsError, match="takes no g or k"):
+        FamilySpec(kind=TRIANGLE_TREE, n=3, **kw)
+    assert glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=3), 2).v == 26
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.5, True, "2", None])
 def test_chain_counts_must_be_ints(bad):
     base = FamilySpec(kind=TRIANGLE_TREE, n=2)
-    with pytest.raises(InvalidParamsError, match="must be an integer"):
-        FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=bad)
-    with pytest.raises(InvalidParamsError, match="must be an integer"):
+    with pytest.raises(InvalidParamsError, match="copies must be an integer"):
         glue_extremal_chain(base, bad)
 
 
@@ -140,11 +138,6 @@ def test_family_params_must_be_ints(kw):
         FamilySpec(**kw)
 
 
-def test_from_spec_single():
-    assert from_spec(FamilySpec(kind=TRIANGLE_TREE, n=3)).v == 14
-    assert from_spec(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)).v == 9
-
-
 def test_chain_counts_and_tightness_triangle():
     base = FamilySpec(kind=TRIANGLE_TREE, n=1)
     for copies in (2, 3):
@@ -157,12 +150,13 @@ def test_chain_counts_and_tightness_triangle():
 
 def test_chain_counts_and_tightness_dense():
     base = FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)
-    g = glue_extremal_chain(base, 2)
-    assert g.v == 9 + 9 - 1 - 2
-    assert chain_metric(g) == 1
-    u = exact_mlst(g).u_value
-    assert u == 4
-    assert bound_theorem2(g.v, 3, 1).value == u
+    for copies in (2, 3):
+        g = glue_extremal_chain(base, copies)
+        assert g.v == 9 + (copies - 1) * (9 - 1 - 2)
+        assert chain_metric(g) == 1
+        u = exact_mlst(g).u_value
+        assert u == copies + 2
+        assert bound_theorem2(g.v, 3, 1).value == u
 
 
 def test_chain_counts_and_tightness_sparse():
@@ -176,16 +170,13 @@ def test_chain_counts_and_tightness_sparse():
     assert bound_theorem2(g.v, 6, 2).value == u
 
 
-def test_chain_via_from_spec():
-    spec = FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1, chain_count=3)
-    g = from_spec(spec)
-    assert g.v == 9 + 2 * (9 - 3)
-    assert exact_mlst(g).u_value == bound_theorem2(g.v, 3, 1).value == 5
-
-
 def test_chain_of_one_is_base():
     base = FamilySpec(kind=TRIANGLE_TREE, n=2)
     assert glue_extremal_chain(base, 1) == gen_triangle_tree(2)
+    g = glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=3), 1)
+    assert g == gen_triangle_tree(3) and g.v == 14
+    g = glue_extremal_chain(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1), 1)
+    assert g == gen_cycle_spine(3, 1) and g.v == 9
 
 
 def test_chain_matches_its_glue_and_contract_build():
