@@ -138,6 +138,14 @@ def test_family_params_must_be_ints(kw):
         FamilySpec(**kw)
 
 
+def test_from_spec_single():
+    # one copy of a spec is its base family graph
+    g = glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=3), 1)
+    assert g == gen_triangle_tree(3) and g.v == 14
+    g = glue_extremal_chain(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1), 1)
+    assert g == gen_cycle_spine(3, 1) and g.v == 9
+
+
 def test_chain_counts_and_tightness_triangle():
     base = FamilySpec(kind=TRIANGLE_TREE, n=1)
     for copies in (2, 3):
@@ -150,13 +158,12 @@ def test_chain_counts_and_tightness_triangle():
 
 def test_chain_counts_and_tightness_dense():
     base = FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)
-    for copies in (2, 3):
-        g = glue_extremal_chain(base, copies)
-        assert g.v == 9 + (copies - 1) * (9 - 1 - 2)
-        assert chain_metric(g) == 1
-        u = exact_mlst(g).u_value
-        assert u == copies + 2
-        assert bound_theorem2(g.v, 3, 1).value == u
+    g = glue_extremal_chain(base, 2)
+    assert g.v == 9 + 9 - 1 - 2
+    assert chain_metric(g) == 1
+    u = exact_mlst(g).u_value
+    assert u == 4
+    assert bound_theorem2(g.v, 3, 1).value == u
 
 
 def test_chain_counts_and_tightness_sparse():
@@ -170,13 +177,16 @@ def test_chain_counts_and_tightness_sparse():
     assert bound_theorem2(g.v, 6, 2).value == u
 
 
+def test_chain_via_from_spec():
+    spec = FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1)
+    g = glue_extremal_chain(spec, 3)
+    assert g.v == 9 + 2 * (9 - 3)
+    assert exact_mlst(g).u_value == bound_theorem2(g.v, 3, 1).value == 5
+
+
 def test_chain_of_one_is_base():
     base = FamilySpec(kind=TRIANGLE_TREE, n=2)
     assert glue_extremal_chain(base, 1) == gen_triangle_tree(2)
-    g = glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=3), 1)
-    assert g == gen_triangle_tree(3) and g.v == 14
-    g = glue_extremal_chain(FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1), 1)
-    assert g == gen_cycle_spine(3, 1) and g.v == 9
 
 
 def test_chain_matches_its_glue_and_contract_build():
