@@ -29,24 +29,27 @@ for line in trace.lines():
 again = replay_trace(g, trace, theorem=1)
 print("replay identical:", again.tree_edges == tree.tree_edges)
 
-# the girth-aware construction needs the chain cap k.  On the Petersen
-# graph greedy's proved leaf count, ceil((s + 2d - 1)/4) for maximum
-# degree d, already covers it, so the greedy tree certifies
+# the girth-aware construction needs the chain cap k.  It takes greedy's
+# tree wherever its leaves reach the bound, as on the Petersen graph
 k = max(chain_metric(g), 1)
 tree2, trace2 = construct_theorem2(g, k)
 b2 = bound_theorem2(g.v, 5, k).value
 print("girth/chain construction:", tree2.leaf_count, "leaves, bound", b2)
 print("base cases used:", trace2.base_kinds)
 
-# with every edge subdivided it does not, and the girth/chain descent
-# removes large blocks first (case 1.2); subdividing doubles the girth to 10
-n = max(g.vertices) + 1
-sub = Graph.build([e for i, (u, v) in enumerate(g.sorted_edges) for e in ((u, n + i), (n + i, v))])
-tree3, trace3 = construct_theorem2(sub, 1)
-print("subdivided Petersen:", tree3.leaf_count, "leaves, bound", bound_theorem2(sub.v, 10, 1).value)
+# K4 with its edges subdivided into runs of 3, 3, 3, 1, 3 and 1 vertices has
+# girth 8 and chains of 3.  Greedy's tree has 4 leaves, short of the bound
+# 77/19, so the girth/chain descent runs: it removes large blocks first
+# (case 1.2), and the tree left has 6 leaves
+sub = Graph.build(
+    [(0, 4), (0, 7), (0, 10), (1, 6), (1, 13), (1, 14), (2, 9), (2, 13), (2, 17), (3, 12)]
+    + [(3, 16), (3, 17), (4, 5), (5, 6), (7, 8), (8, 9), (10, 11), (11, 12), (14, 15), (15, 16)]
+)
+tree3, trace3 = construct_theorem2(sub, 3)
+print("subdivided K4:", tree3.leaf_count, "leaves, bound", bound_theorem2(sub.v, 8, 3).value)
 for line in trace3.lines():
     print("  ", line)
-print("replay identical:", replay_trace(sub, trace3, theorem=2, k=1) == tree3)
+print("replay identical:", replay_trace(sub, trace3, theorem=2, k=3) == tree3)
 
 # block removal: an edge set, not always the smallest, leaving no block
 # with more interior vertices than boundary cutpoints, connectivity preserved

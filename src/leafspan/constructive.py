@@ -3,9 +3,8 @@
 One iterative descent engine runs two case tables.  The first certifies
 the degree-structure bound (the s-count form) with one base step, a greedy
 tree proved to meet it; the second certifies the girth/chain bound, with
-that same greedy base at every node where the leaf count its proof gives,
-ceil((s + 2d - 1)/4) for maximum degree d, covers the node's need, and
-descends elsewhere.  Both record every step in a
+that same greedy tree as the base at every node where it has the leaves
+the node needs, and descends elsewhere.  Both record every step in a
 ConstructionTrace that can be replayed and audited, and the engine does
 not use the Python call stack for the descent itself.
 
@@ -396,8 +395,8 @@ def _removal(g: Graph, rec: Optional[TraceNode]) -> tuple:
 
 
 def _t2_base_short(g: Graph, rec, k: int):
-    # kept for speed, not proof: need <= 2 here, so _t2_greedy's gate would
-    # accept too, but a cycle (the ladder workload's main instance) is faster
+    # kept for speed, not proof: need <= 2 here, which greedy's tree always
+    # meets, but a cycle (the ladder workload's main instance) is faster
     # through bfs_tree; without this case ladder instance_ms.p90 rose 0.91 ->
     # 1.15 ms, worse in 8 of 8 pairs on 2 CPUs (BENCH_29.json)
     if g.v - k - 2 <= 0:
@@ -405,13 +404,11 @@ def _t2_base_short(g: Graph, rec, k: int):
 
 
 def _t2_greedy(g: Graph, rec, need: Callable):
-    # the proof beside _t1_greedy ends at 4L - s >= 2d - 1, d the maximum
-    # degree, and L is an integer, so greedy has at least
-    # ceil((s + 2d - 1)/4) = (s + 2d + 2) // 4 leaves; with d <= 2, g is K2,
-    # a path or a cycle, with L = 2.  Where that covers need, greedy meets it
-    d = max(map(len, g.adjacency.values()))
-    if (2 if d <= 2 else (s_count(g) + 2 * d + 2) // 4) >= need(g):
-        return _t1_greedy(g, rec)
+    # greedy's own tree, where it meets need; the engine checks need again and
+    # replay rebuilds the tree, so this only decides whether to descend
+    t = greedy_leafy(g)
+    if t.leaf_count >= need(g):
+        return _base("base-greedy", t)
 
 
 def _block_arms(g: Graph, blocks: list, cuts: set):

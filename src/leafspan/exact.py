@@ -57,9 +57,9 @@ def greedy_leafy(g: Graph) -> SpanningTree:
     least ceil((s + 2d - 1)/4) leaves, s the vertices of degree other than
     2 and d >= 3 the maximum degree (2 leaves on K2, paths and cycles).
     That is at least (s - 2)/4 + 2, which is how construct_theorem1
-    certifies that bound, and construct_theorem2 takes this tree wherever
-    the count covers a node's need (the proof sits beside
-    constructive._t1_greedy).
+    certifies that bound (the proof sits beside constructive._t1_greedy);
+    construct_theorem2 takes this tree wherever its leaves reach a node's
+    need.
 
     Starts from a maximum-degree vertex and repeatedly expands the tree
     vertex with the most neighbors outside the tree, claiming all of them at

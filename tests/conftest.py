@@ -194,6 +194,18 @@ def walk_test_graphs() -> list:
     return out
 
 
+def replace_greedy(request, *cases):
+    """A theorem-2 request with its greedy case, found by identity, replaced
+    by cases; with none it is dropped, so the girth/chain descent runs at
+    every node whose greedy tree would have been taken."""
+    from leafspan.constructive import _t2_greedy
+
+    at = [getattr(case, "func", None) is _t2_greedy for case in request.cases]
+    assert at.count(True) == 1, "not a theorem-2 request"
+    i = at.index(True)
+    return request._replace(cases=request.cases[:i] + cases + request.cases[i + 1 :])
+
+
 def brute_girth(g: Graph):
     """Shortest cycle length: for each edge uv, the shortest u-v path without uv, plus 1."""
     adj = {x: set() for x in g.vertices}

@@ -48,6 +48,7 @@ from leafspan.constructive import (
     _t2_greedy,
     _theorem,
 )
+from leafspan.exact import greedy_leafy
 from leafspan.graph import _edge
 from leafspan.trees import _pack, spanning_tree, validate
 from conftest import (
@@ -59,6 +60,7 @@ from conftest import (
     random_cubic_plus,
     random_sparse,
     remove_large_blocks_reference,
+    replace_greedy,
     subdivided,
 )
 from test_trace_golden import _golden_graphs
@@ -85,6 +87,14 @@ def _descent_graphs(g, request, record=None):
 
     t, root = _descend(g, request._replace(cases=(spy,) + request.cases), record)
     return t, root, graphs
+
+
+def _t2_descent(g, k):
+    """(request, tree, trace) of theorem 2's girth/chain descent from g with
+    its greedy case dropped; _descend(g, request, trace.root) replays it."""
+    request = replace_greedy(_theorem(g, 2, k))
+    t, root = _descend(g, request)
+    return request, t, ConstructionTrace(root, t)
 
 
 def _depths(root):
@@ -231,9 +241,9 @@ def test_trace_preorder_matches_children():
 
 
 def test_theorem2_measure_strictly_decreases():
-    # most random graphs take the greedy base at the root; subdividing every
-    # edge often leaves greedy's proved leaf count short of need, so those
-    # descend, and subdivided cubic graphs always do
+    # the greedy case is dropped, so every input that is neither a tree nor
+    # short for its chain cap descends, on random graphs, subdivided ones
+    # and subdivided cubic ones
     rng = random.Random(6001)
     inputs = [random_connected(rng, rng.randint(3, 10)) for _ in range(40)]
     rng = random.Random(6002)
@@ -242,19 +252,17 @@ def test_theorem2_measure_strictly_decreases():
     descended = 0
     for g in inputs:
         k, _ = _t2_params(g)
-        t, tr = construct_theorem2(g, k)
-        again, _, graphs = _descent_graphs(g, _theorem(g, 2, k), tr.root)
+        request, t, tr = _t2_descent(g, k)
+        again, _, graphs = _descent_graphs(g, request, tr.root)
         assert again == t
         descended += len(graphs) > 1
-        stack = {}
+        stack = {}  # depth -> (u, e) of the last node seen there, each solved once
         for depth, sub in zip(_depths(tr.root), graphs, strict=True):
             assert chain_metric(sub) <= k
-            if depth > 0:
-                parent = stack[depth - 1]
-                mu_p = exact_mlst(parent).u_value
-                mu_c = exact_mlst(sub).u_value
-                assert (mu_c, sub.e) < (mu_p, parent.e), g.sorted_edges
-            stack[depth] = sub
+            if len(graphs) > 1:
+                stack[depth] = (exact_mlst(sub).u_value, sub.e)
+                if depth > 0:
+                    assert stack[depth] < stack[depth - 1], g.sorted_edges
     assert descended >= 32
 
 
@@ -418,6 +426,9 @@ def test_descent_depth_does_not_use_the_call_stack():
         g = glue_extremal_chain(_LADDER_SPECS[0], 80)
         t, tr = construct_theorem2(g, 2)
         assert _descend(g, _theorem(g, 2, 2), tr.root)[0] == t
+        assert tr.lines() == ["case=base-greedy op=base args="]
+        request, t, tr = _t2_descent(g, 2)
+        assert _descend(g, request, tr.root)[0] == t
         assert max(_depths(tr.root)) == 1
         for g in (_ladder(150), _fan(200), gen_triangle_tree(80)):
             t, tr = construct_theorem1(g)
@@ -455,30 +466,32 @@ def test_girth_chain_step_reads_one_decomposition(monkeypatch):
             return out
 
         monkeypatch.setattr(constructive, name, counted)
-    # the triangle tree and the Petersen graph take the greedy base, which
-    # reads no pass; the chain splits, and its five pieces take the greedy
-    # base too, as the count greedy's proof gives covers their need; the
-    # subdivided graphs remove
+    # every graph here takes the greedy base, which reads no pass.  With the
+    # greedy case dropped, the triangle tree and the chain split into pieces
+    # that take the spine base, and the Petersen graph and the subdivided
+    # graphs remove
     chain = glue_extremal_chain(FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), 5)
     subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
-    seen = Counter()
+    seen, greedy = Counter(), Counter()
     for g in (gen_triangle_tree(10), Graph.petersen(), chain, subdivided(Graph.petersen()), subdivided_cubic):
         k, _ = _t2_params(g)
-        calls.clear()
-        t, tr = construct_theorem2(g, k)
-        cases = Counter(n.case for n in tr.preorder())
-        seen += cases
-        blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"] - cases["base-greedy"]
-        expected = Counter(
-            lowpoint_blocks=blocked + cases["1.2"],
-            remove_large_blocks=cases["1.2"],
-        )
-        assert calls == expected
-        calls.clear()
-        assert replay_trace(g, tr, theorem=2, k=k) == t
-        assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
-        assert calls["remove_large_blocks"] == 0
-    assert seen["base-greedy"] == 7 and seen["1.1"] > 0 and seen["1.2"] > 0
+        full = _theorem(g, 2, k)
+        for request in (full, replace_greedy(full)):
+            calls.clear()
+            t, root = _descend(g, request)
+            cases = Counter(n.case for n in ConstructionTrace(root, t).preorder())
+            (greedy if request is full else seen).update(cases)
+            blocked = sum(cases.values()) - cases["base-tree"] - cases["base-short"] - cases["base-greedy"]
+            expected = Counter(
+                lowpoint_blocks=blocked + cases["1.2"],
+                remove_large_blocks=cases["1.2"],
+            )
+            assert calls == expected
+            calls.clear()
+            assert _descend(g, request, root)[0] == t
+            assert calls == expected - Counter(remove_large_blocks=cases["1.2"])
+            assert calls["remove_large_blocks"] == 0
+    assert greedy == Counter({"base-greedy": 5}) and seen["1.1"] > 0 and seen["1.2"] > 0
 
 
 # the chained specs of the benchmark's ladder
@@ -495,14 +508,17 @@ _LADDER_SPECS = (
     + [glue_extremal_chain(spec, copies) for spec in _LADDER_SPECS for copies in (5, 20)],
 )
 def test_girth_chain_descent_splits_at_every_cut_in_one_step(g):
-    # one split line, its cuts ascending, and every piece it hands out is a base
+    # greedy takes every chain whole; without it, one split line, its cuts
+    # ascending, and every piece it hands out is a base
     k, _ = _t2_params(g)
     t, tr = construct_theorem2(g, k)
+    assert tr.lines() == ["case=base-greedy op=base args="] and replay_trace(g, tr, theorem=2, k=k) == t
+    request, t, tr = _t2_descent(g, k)
     (split,) = [n for n in tr.preorder() if n.case == "1.1"]
     assert split.op == "split" and list(split.args) == sorted(split.args)
     assert len(split.children) == len(split.args) + 1 >= 2
     assert all(child.op == "base" for child in split.children)
-    assert replay_trace(g, tr, theorem=2, k=k) == t
+    assert _descend(g, request, tr.root)[0] == t
 
 
 def test_chain_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
@@ -517,7 +533,7 @@ def test_chain_split_reads_one_lowpoint_pass_per_piece(monkeypatch):
 
     monkeypatch.setattr(blocks, "lowpoint_blocks", counted)
     monkeypatch.setattr(constructive, "lowpoint_blocks", counted)
-    _, tr = construct_theorem2(glue_extremal_chain(_LADDER_SPECS[0], 70), 2)
+    _, _, tr = _t2_descent(glue_extremal_chain(_LADDER_SPECS[0], 70), 2)
     assert tr.root.op == "split" and len(tr.root.children) == 70
     assert len(calls) <= len(tr.root.children) + 2
 
@@ -526,18 +542,18 @@ def test_replay_rejects_altered_split():
     import dataclasses
 
     g = glue_extremal_chain(_LADDER_SPECS[0], 5)
-    _, tr = construct_theorem2(g, 2)
+    request, _, tr = _t2_descent(g, 2)
     root, a = tr.root, tr.root.args
     assert root.case == "1.1" and len(a) >= 3
     # a dropped, a swapped and a repeated cut
     for args in (a[1:], (a[1], a[0]) + a[2:], a[:1] + a):
-        bad = dataclasses.replace(tr, root=dataclasses.replace(root, args=args))
+        bad = dataclasses.replace(root, args=args)
         with pytest.raises(InvalidParamsError, match="trace mismatch: recorded case=1.1"):
-            replay_trace(g, bad, theorem=2, k=2)
+            _descend(g, request, bad)
     for children, why in ((root.children[1:], "missing"), (root.children + root.children[:1], "extra")):
-        bad = dataclasses.replace(tr, root=dataclasses.replace(root, children=children))
+        bad = dataclasses.replace(root, children=children)
         with pytest.raises(InvalidParamsError, match=f"{why} child step"):
-            replay_trace(g, bad, theorem=2, k=2)
+            _descend(g, request, bad)
 
 
 def _count_builds(monkeypatch):
@@ -592,8 +608,8 @@ def test_tree_base_builds_no_graph(monkeypatch):
 def test_descent_builds_one_graph_per_step(monkeypatch):
     # each non-base step builds only the graphs it hands to its children,
     # and derives their adjacency from its own, in construction and on
-    # replay; one step splits the chain of 26 copies into 26 pieces.  The
-    # ladder, the K4 chain and the triangle tree take the greedy base
+    # replay; one step splits the chain of 26 copies into 26 pieces.  Every
+    # graph here takes the greedy base, so the greedy case is dropped
     graphs = [_ladder(30), _k4_chain(8), gen_triangle_tree(20), glue_extremal_chain(_LADDER_SPECS[1], 5)]
     graphs += [glue_extremal_chain(_LADDER_SPECS[0], 26), subdivided(Graph.petersen())]
     graphs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(6)]
@@ -612,7 +628,7 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
         return run
 
     for g in graphs:
-        request = _theorem(g, 2, max(chain_metric(g), 1))
+        request = replace_greedy(_theorem(g, 2, max(chain_metric(g), 1)))
         request = request._replace(cases=tuple(map(counted, request.cases)))
         t, root = _descend(g, request)
         assert _descend(g, request, root)[0] == t
@@ -753,8 +769,9 @@ def test_every_case_runs():
     assert seen1 == {"base-greedy"}
 
     # the cubic graph stays out: its removal search is the known slow case.
-    # The Petersen graph and the triangle tree take the greedy base, and the
-    # subdivided cubic graph removes, splits and reaches both block bases
+    # The Petersen graph, the triangle tree and the subdivided cubic graph
+    # take the greedy base; without it the subdivided cubic graph removes,
+    # splits and reaches both block bases
     seen2 = set()
     subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
     for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2), subdivided_cubic]:
@@ -763,6 +780,11 @@ def test_every_case_runs():
         assert validate(t) is None and t.leaf_count >= bound_theorem2(g.v, gg, k).value
         assert replay_trace(g, tr, theorem=2, k=k) == t
         seen2 |= {n.case for n in tr.preorder()}
+    assert seen2 == {"base-tree", "base-short", "base-greedy"}
+    request, t, tr = _t2_descent(subdivided_cubic, 1)
+    assert validate(t) is None and t.leaf_count >= bound_theorem2(subdivided_cubic.v, girth(subdivided_cubic), 1).value
+    assert _descend(subdivided_cubic, request, tr.root)[0] == t
+    seen2 |= {n.case for n in tr.preorder()}
     assert seen2 == {"base-tree", "base-short", "base-greedy", "base-spines", "1.1", "1.2"}
 
 
@@ -796,11 +818,11 @@ def test_replay_checks_recorded_removal_set(alter, why):
     import dataclasses
 
     g = subdivided(Graph.petersen())
-    _, tr = construct_theorem2(g, 1)
+    request, _, tr = _t2_descent(g, 1)
     assert tr.root.case == "1.2" and tr.root.args == (0, 10, 0, 11, 2, 13, 2, 15, 8, 18, 8, 21)
-    bad = dataclasses.replace(tr, root=dataclasses.replace(tr.root, args=alter(tr.root.args)))
+    bad = dataclasses.replace(tr.root, args=alter(tr.root.args))
     with pytest.raises(InvalidParamsError, match=f"trace mismatch.*{why}") as info:
-        replay_trace(g, bad, theorem=2, k=1)
+        _descend(g, request, bad)
     assert type(info.value) is InvalidParamsError
 
 
@@ -963,30 +985,73 @@ def test_all_trees_small_meet_triangle_rate():
         assert t.leaf_count >= bound_theorem2(g.v, 3, k).value
 
 
+# K4 with its six edges subdivided into runs of 3, 3, 3, 1, 3 and 1
+# vertices: 18 vertices, girth 8 and chains of 3
+_UNEVEN_K4 = Graph.build(
+    [(0, 4), (0, 7), (0, 10), (1, 6), (1, 13), (1, 14), (2, 9), (2, 13), (2, 17), (3, 12)]
+    + [(3, 16), (3, 17), (4, 5), (5, 6), (7, 8), (8, 9), (10, 11), (11, 12), (14, 15), (15, 16)]
+)
+
+
 def test_greedy_base_needs_its_gate():
     # greedy meets the s-count bound, not the girth/chain bound: a theorem-2
     # table whose greedy case skips the gate hands out trees that the
-    # engine's need check refuses on some subdivided cubic graphs, and on
-    # each of those the gate declines the root.  The gated table certifies
-    # every graph of up to 10 cubic vertices and every refused one of up to
-    # 14, and each tree replays; larger ones wait on the removal search
+    # engine's need check refuses, on the uneven K4 and on some subdivided
+    # cubic graphs, and on each of those the gate declines the root.  The
+    # gated table certifies every graph it takes at the root and every
+    # refused one of up to 14 cubic vertices, and each tree replays; larger
+    # refused ones wait on the removal search
+    request = _theorem(_UNEVEN_K4, 2, 3)
+    with pytest.raises(BoundNotMetError):
+        _descend(_UNEVEN_K4, replace_greedy(request, _t1_greedy))
+    assert _t2_greedy(_UNEVEN_K4, None, need=request.need) is None
     graphs = [(n, subdivided(random_cubic(random.Random(seed), n))) for n in range(8, 31, 2) for seed in range(25)]
-    refused = []
+    taken, refused = [], []
     for n, g in graphs:
         request = _theorem(g, 2, 1)
-        gated = request.cases[2]
-        assert gated.func is _t2_greedy
-        ungated = request._replace(cases=request.cases[:2] + (_t1_greedy,) + request.cases[3:])
         try:
-            _descend(g, ungated)
+            _descend(g, replace_greedy(request, _t1_greedy))
         except BoundNotMetError:
             refused.append((n, g))
-            assert gated(g, None) is None
+            assert _t2_greedy(g, None, need=request.need) is None
+        else:
+            taken.append(g)
     assert refused
-    for n, g in [(n, g) for n, g in graphs if n <= 10] + [(n, g) for n, g in refused if n <= 14]:
+    for g in taken + [g for n, g in refused if n <= 14]:
         t, tr = construct_theorem2(g, 1)
         assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
         assert replay_trace(g, tr, theorem=2, k=1) == t
+
+
+def test_greedy_base_takes_the_subdivided_stalls():
+    # the removal search ran for seconds to minutes on these roots while the
+    # gate read a leaf count proved for greedy; greedy's own tree meets
+    # their need, so each certifies as one greedy line and replays
+    graphs = [subdivided(random_connected(random.Random(442621), 13))]
+    for n, seeds in ((16, (0, 2)), (24, (1, 2)), (30, (0, 1, 2))):
+        graphs += [subdivided(random_cubic(random.Random(seed), n)) for seed in seeds]
+    for g in graphs:
+        k = max(chain_metric(g), 1)
+        request = _theorem(g, 2, k)
+        assert _t2_greedy(g, None, need=request.need) is not None, g.sorted_edges
+        t, tr = construct_theorem2(g, k)
+        assert tr.lines() == ["case=base-greedy op=base args="]
+        assert t.leaf_count >= request.need(g) == bound_theorem2(g.v, girth(g), k).value
+        assert replay_trace(g, tr, theorem=2, k=k) == t
+
+
+def test_descent_certifies_where_greedy_falls_short():
+    # greedy's tree on the uneven K4 has 4 leaves, short of need 77/19; the
+    # descent removes three edges and the tree left has the optimum's 6
+    g = _UNEVEN_K4
+    assert (g.v, girth(g), chain_metric(g)) == (18, 8, 3)
+    need = _theorem(g, 2, 3).need(g)
+    assert need == bound_theorem2(18, 8, 3).value == Fraction(77, 19)
+    assert greedy_leafy(g).leaf_count == 4 < need
+    t, tr = construct_theorem2(g, 3)
+    assert tr.lines() == ["case=1.2 op=delete args=4,5,7,8,14,15", "case=base-tree op=base args="]
+    assert t.leaf_count == 6 == exact_mlst(g).u_value
+    assert replay_trace(g, tr, theorem=2, k=3) == t
 
 
 def _s_count_gate(need):
@@ -1006,14 +1071,14 @@ def _check_gate_widens(g):
     # the wider table's tree meets need everywhere and replays
     k = max(chain_metric(g), 1)
     request = _theorem(g, 2, k)
-    narrow = request._replace(cases=request.cases[:2] + (_s_count_gate(request.need),) + request.cases[3:])
+    narrow_gate = _s_count_gate(request.need)
     t, tr = construct_theorem2(g, k)
     again, _, graphs = _descent_graphs(g, request, tr.root)
     assert again == t
-    graphs += _descent_graphs(g, narrow)[2]
+    graphs += _descent_graphs(g, replace_greedy(request, narrow_gate))[2]
     for h in graphs:
-        if narrow.cases[2](h, None) is not None:
-            assert request.cases[2](h, None) is not None, h.sorted_edges
+        if narrow_gate(h, None) is not None:
+            assert _t2_greedy(h, None, need=request.need) is not None, h.sorted_edges
 
 
 def test_greedy_gate_accepts_wherever_the_s_count_gate_did():
@@ -1036,8 +1101,9 @@ def test_greedy_gate_accepts_wherever_the_s_count_gate_did_hypothesis(seed, v):
 
 def test_greedy_gate_takes_the_proved_count_with_max_degree():
     # s = 3 gives (s - 2)/4 + 2 = 9/4, short of need 7/3, so the s-count gate
-    # declines this root; maximum degree 4 gives ceil((3 + 8 - 1)/4) = 3, so
-    # greedy is proved enough, and it finds 4 leaves
+    # declines this root; the gate reads greedy's tree, whose 4 leaves cover
+    # need (the potential beside _t1_greedy, 4L - s >= 2d - 1 with maximum
+    # degree d = 4, proves 3)
     g = Graph.build([(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
     request = _theorem(g, 2, 1)
     need = request.need(g)

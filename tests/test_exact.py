@@ -196,7 +196,7 @@ def test_greedy_meets_the_s_count_proof():
 def test_greedy_meets_its_proved_count_exactly_on_some_graphs():
     # ceil((s + 2d - 1)/4) is tight: greedy has exactly that many leaves on
     # 30 atlas graphs of maximum degree 3 and 61 of maximum degree 4, so the
-    # proof gives no gate for theorem 2's greedy base wider than this one
+    # proof gives no wider count; theorem 2's gate reads greedy's tree instead
     nx = pytest.importorskip("networkx")
     tight = Counter()
     for g in _atlas(nx):

@@ -28,7 +28,7 @@ from leafspan import (
 )
 from conftest import random_connected
 
-DIGEST = "c20e50d4b1ca1475f4a3f0fbff822d32532cd374ed4d4419bef8cf3d01b683bb"
+DIGEST = "eb5d671d6ee3ffb8603b8729beccf37e899b55ea70d44138a58efe19cf793c45"
 
 
 def _golden_graphs():
