@@ -204,21 +204,28 @@ class Graph:
         return min(map(len, self.adjacency.values()))
 
     @cached_property
+    def _is_cycle(self) -> bool:
+        """Connected, with e == v and no degree below 2: every degree is 2."""
+        return self.e == self.v and self.min_degree == 2 and self.is_connected
+
+    @cached_property
     def _girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None when the graph is acyclic.
 
-        Every cycle lies in the 2-core, the graph left after repeatedly
-        deleting vertices of degree at most 1; the adjacency is copied only
-        when some vertex peels.  A component of the core whose vertices all
-        have degree 2 is a single cycle.  Deleting a vertex of degree at most
-        1 never disconnects a graph, so the core of a connected graph is one
-        component, and the core is flooded for its components only when the
-        graph is disconnected.  Any other cycle passes through a core vertex
-        of degree at least 3, so a breadth-first search runs from each of
-        those only: a non-tree edge seen at depth d closes a walk of length at
-        most 2d + 1 that contains a cycle, and for roots on a shortest cycle
-        the detection is exact.
+        A cycle is its own shortest one, read off the connectivity flood with
+        no scan.  Otherwise every cycle lies in the 2-core, the graph left
+        after repeatedly deleting vertices of degree at most 1; the adjacency
+        is copied only when some vertex peels.  A component of the core whose
+        vertices all have degree 2 is a single cycle.  Peeling never
+        disconnects a graph, so the core is flooded for its components only
+        when the graph is disconnected.  Any other cycle passes through a core
+        vertex of degree at least 3, so a breadth-first search runs from each
+        of those only: a non-tree edge seen at depth d closes a walk of length
+        at most 2d + 1 that contains a cycle, and for roots on a shortest
+        cycle the detection is exact.
         """
+        if self._is_cycle:
+            return self.v
         core = self.adjacency
         peel = [x for x, nbrs in core.items() if len(nbrs) <= 1]
         if peel:
@@ -256,9 +263,11 @@ class Graph:
     def _chain_metric(self) -> int:
         """Most vertices in a maximal run of successively adjacent degree-2 vertices.
 
-        A graph that is itself a cycle is one single run, so the metric equals the
-        vertex count there.  Graphs with no degree-2 vertex score 0.
+        A cycle is one single run, so the metric is its vertex count, read off the
+        connectivity flood with no second one.  No degree-2 vertex scores 0.
         """
+        if self._is_cycle:
+            return self.v
         deg2 = {x for x, nbrs in self.adjacency.items() if len(nbrs) == 2}
         return max(map(len, _parts(self.adjacency, deg2, deg2)), default=0)
 
@@ -284,19 +293,20 @@ class Graph:
         return self.is_connected and self.e == self.v - 1
 
     def bfs_tree(self, root: int) -> frozenset:
-        """Edges of a breadth-first spanning tree of root's component; deterministic."""
-        if root not in self.vertices:
+        """Edges of a breadth-first spanning tree of the int root's component; each
+        vertex queues its unseen neighbours in ascending order, sorting two or more."""
+        if _require_int(root) not in self.vertices:
             raise InvalidParamsError(f"vertex {root} not in graph")
         adj = self.adjacency
         seen = {root}
         out = []
         queue = [root]
         for cur in queue:
-            for nb in sorted(adj[cur]):
-                if nb not in seen:
-                    seen.add(nb)
-                    out.append((cur, nb) if cur < nb else (nb, cur))
-                    queue.append(nb)
+            new = adj[cur] - seen
+            seen |= new
+            for nb in sorted(new) if len(new) > 1 else new:
+                out.append((cur, nb) if cur < nb else (nb, cur))
+                queue.append(nb)
         return frozenset(out)
 
     # -- derived graphs ---------------------------------------------------

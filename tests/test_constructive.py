@@ -605,6 +605,30 @@ def test_tree_base_builds_no_graph(monkeypatch):
     assert built == []
 
 
+def test_cycle_request_floods_once(monkeypatch):
+    # a cycle is connected with every degree 2, so the request's connectivity
+    # flood answers its chain metric and girth as well, and construct and
+    # replay each take base-short through bfs_tree, which floods nothing
+    import leafspan.graph as graph
+
+    calls = Counter()
+    for name in ("_reach", "_parts"):
+
+        def counted(*args, name=name, real=getattr(graph, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graph, name, counted)
+    rng = random.Random(3201)
+    ids = rng.sample(range(10**6), 200)
+    for g in (Graph.cycle(200), Graph.build((ids[i], ids[i - 1]) for i in range(200))):
+        calls.clear()
+        t, tr = construct_theorem2(g, 200)
+        assert tr.lines() == ["case=base-short op=base args="] and t.leaf_count == 2
+        assert replay_trace(g, tr, theorem=2, k=200) == t
+        assert calls == Counter(_reach=1)
+
+
 def test_descent_builds_one_graph_per_step(monkeypatch):
     # each non-base step builds only the graphs it hands to its children,
     # and derives their adjacency from its own, in construction and on

@@ -3,12 +3,17 @@ import random
 from itertools import combinations
 
 from leafspan import (
+    CYCLE_SPINE_DENSE,
+    CYCLE_SPINE_SPARSE,
+    FamilySpec,
     Graph,
     InvalidGraphError,
     InvalidParamsError,
     EdgeNotFoundError,
     chain_metric,
+    gen_triangle_tree,
     girth,
+    glue_extremal_chain,
     s_count,
 )
 from leafspan.graph import _reach, _require_int
@@ -137,6 +142,12 @@ def test_bfs_tree():
     assert len(t) == 5
 
 
+def _relabelled(rng, g: Graph) -> Graph:
+    ids = rng.sample(range(10 * g.v), g.v)
+    to = dict(zip(g.sorted_vertices, ids))
+    return Graph.build((to[u], to[v]) for u, v in g.edges)
+
+
 def test_bfs_tree_matches_the_reference_walk():
     # every root of every atlas graph, the disconnected ones included, then
     # the lowest root of random connected graphs of up to 300 vertices
@@ -152,6 +163,28 @@ def test_bfs_tree_matches_the_reference_walk():
         g = random_connected(rng, rng.randint(2, 300))
         root = min(g.vertices)
         assert g.bfs_tree(root) == bfs_tree_reference(g, root), g.sorted_edges
+    # the ladder's shapes, where most vertices discover one new neighbour or
+    # none: relabelled cycles, the dense and sparse extremal chains, triangle
+    # trees, and the complete graphs, where the root discovers all of them
+    shapes = [_relabelled(rng, Graph.cycle(n)) for n in range(3, 601)]
+    for spec in (FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2)):
+        shapes += [glue_extremal_chain(spec, copies) for copies in range(1, 21)]
+    shapes += [gen_triangle_tree(n) for n in range(1, 51)]
+    shapes += [Graph.complete(n) for n in range(1, 13)]
+    for g in shapes:
+        for root in (min(g.vertices), rng.choice(g.sorted_vertices)):
+            assert g.bfs_tree(root) == bfs_tree_reference(g, root), (g.sorted_edges, root)
+
+
+def test_bfs_tree_rejects_roots_that_are_not_ints():
+    # True and 1.0 hash and compare equal to the ids 1, so without the id
+    # check they would pass the membership test and enter the tree
+    g = Graph.cycle(4)
+    for root in (True, 1.0, "a", None):
+        with pytest.raises(InvalidGraphError, match="is not an int"):
+            g.bfs_tree(root)
+    with pytest.raises(InvalidParamsError, match="not in graph"):
+        g.bfs_tree(9)
 
 
 def test_surgery_ops():
@@ -286,3 +319,47 @@ def test_one_flood_fill_matches_the_walks_it_replaced():
         assert girth(g) == girth_reference(g)
         for x in g.vertices:
             assert _reach(g.adjacency, x) == side_reference(g.adjacency, x)
+
+
+def test_cycle_shortcut_needs_connectivity():
+    # girth and the chain metric answer a cycle, connected with every degree
+    # 2, off the connectivity flood.  Unions of cycles have every degree 2
+    # and e == v too; a chord, a pendant or an isolated vertex breaks the
+    # degrees.  Each metric is asked first on its own fresh graph, so no
+    # cached answer decides another's
+    import networkx as nx
+
+    def union(*ns):
+        edges, base = [], 0
+        for n in ns:
+            edges += [(base + i, base + (i + 1) % n) for i in range(n)]
+            base += n
+        return edges
+
+    cases = [
+        (union(3, 5), ()),
+        (union(4, 4, 7), ()),
+        (union(6, 6), ()),
+        (union(8) + [(0, 4)], ()),
+        (union(8) + [(0, 8)], ()),
+        (union(8), (8,)),
+        (union(200), ()),
+    ]
+    for edges, isolated in cases:
+        h = nx.Graph(edges)
+        h.add_nodes_from(isolated)
+        nx_girth = nx.girth(h)
+        deg2 = [x for x in h if h.degree(x) == 2]
+        want = (
+            None if nx_girth == float("inf") else nx_girth,
+            max(map(len, nx.connected_components(h.subgraph(deg2))), default=0),
+            nx.is_connected(h),
+        )
+        ask = (girth, chain_metric, lambda g: g.is_connected)
+        for first in range(3):
+            g = Graph.build(edges, isolated=isolated)
+            got = [None] * 3
+            for i in (first, (first + 1) % 3, (first + 2) % 3):
+                got[i] = ask[i](g)
+            assert tuple(got) == want, (edges, isolated, first)
+            assert (girth_reference(g), chain_metric_reference(g)) == want[:2]
