@@ -42,7 +42,6 @@ from .errors import (
     InvalidGraphError,
     InvalidParamsError,
     LeafspanError,
-    NotALeafError,
     NotConnectedError,
     ParseError,
     SearchExhaustedError,
@@ -100,7 +99,6 @@ __all__ = [
     "InvalidGraphError",
     "InvalidParamsError",
     "LeafspanError",
-    "NotALeafError",
     "NotConnectedError",
     "ParseError",
     "SearchExhaustedError",

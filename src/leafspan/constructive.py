@@ -15,7 +15,6 @@ means the implementation (not the input) is wrong.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count
@@ -27,7 +26,6 @@ from .errors import (
     BoundNotMetError,
     ChainTooLongError,
     InvalidParamsError,
-    NotALeafError,
     NotConnectedError,
     SearchExhaustedError,
 )
@@ -175,8 +173,8 @@ def _split(g: Graph, groups: dict, k: int) -> tuple:
     tip is its last probe vertex, or the copy itself.  Fresh ids come per cut,
     copies then probes.  The pieces, the components of what is left in the
     order of their first group, are built each from its own vertices.  build
-    folds every fresh id back onto its cut: the tips must be leaves, and the
-    probe edges collapse.
+    folds every fresh id back onto its cut, and the probe edges collapse.
+    Every tip is a leaf of its piece's tree, as it has one neighbour there.
     """
     adj, fresh = g.adjacency, count(max(g.vertices) + 1)
     side, paths = {}, []  # (cut, arm): the cut's id on the arm's side; (cut, arms, probe path)
@@ -191,18 +189,15 @@ def _split(g: Graph, groups: dict, k: int) -> tuple:
         nbrs.update((x, frozenset(path[i : i + 3 : 2])) for i, x in enumerate(path[1:]))
         nbrs.update((y, frozenset(side.get((z, y), z) for z in adj[y])) for y in arms if y not in groups)
     onto = {x: a for a, _, path in paths for x in path if x != a}  # fresh id -> its cut
-    piece_of, pieces = {}, []
+    pieces = []
     for vs in _parts(nbrs, [path[0] for _, _, path in paths]):
-        piece_of.update(dict.fromkeys(vs, len(pieces)))
         es = frozenset((x, y) for x in vs for y in nbrs[x] if x < y)
         pieces.append(Graph._derived(vs, es, {x: nbrs[x] for x in vs}))
     assert len(pieces) == 1 + sum(len(s) - 1 for s in groups.values()), "a group is not a union of components"
 
     def build(*trees: SpanningTree) -> SpanningTree:
-        degree = [Counter(chain.from_iterable(t.tree_edges)) for t in trees]
-        for _, _, path in paths:
-            if degree[piece_of[path[0]]][path[-1]] != 1:
-                raise NotALeafError(f"probe tip {path[-1]} is not a leaf of its piece's tree")
+        # each tip has one neighbour in its piece, so it is a leaf of any tree of it: a group
+        # without a probe joins its copy (or the cut) to its one arm, a probe's end to the one before
         edges, rest = set(), set()
         for t in trees:
             for e in t.host.edges:
@@ -342,16 +337,16 @@ def remove_large_blocks(g: Graph) -> frozenset:
         large = large_blocks(blocks, cuts)
         if not large and chain_ok:
             return True
-        if budget == 0:
-            return None
+        # no second budget test: the search removes no bridge, so at budget 0 the
+        # graph is a spanning tree, with no large block, and a return above ran
         large.sort(key=lambda b: (-b[0], sorted(b[1])))
         order = [eid for _, vs in large for eid in sorted(block_edges(vs), key=rank)]
         big = {id(vs) for _, vs in large}
         order += sorted((eid for vs in blocks if len(vs) > 2 and id(vs) not in big for eid in block_edges(vs)), key=rank)
         return iter(order)
 
-    # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic
-    # number; a set's budget left is that less its size, however it is reached.
+    # a connected g - F keeps a spanning tree, so |F| is at most the cyclomatic number, and g - F
+    # is that tree at equality; a set's budget left is that less its size, however it is reached.
     # The search runs on an explicit stack: path holds, for each node above
     # the current one, its removed set, its untried edges and the edge taken
     budget = g.e - g.v + 1

@@ -2,10 +2,10 @@
 
 Generation is rejection sampling on top of a random recursive tree: extra
 edges are only ever added between vertices far enough apart to respect the
-girth floor, all on one adjacency; the graph is then built once and
-re-measured against every constraint.  Verification runs a corpus of such
-instances and checks each one against the requested bound, either with
-the exact solver or with the constructive procedure.
+girth floor, all on one adjacency, so the floor holds by construction; an
+attempt is rejected when a degree or the chain metric misses its limit.
+Verification runs a corpus of such instances and checks each one against
+the requested bound, with the exact solver or the constructive procedure.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ def random_constrained_graph(
     chords, then chords that repair degree deficits.  A chord xy is added
     only when y lies outside the ball of radius girth floor - 2 around x:
     the graph is connected, so y is at distance >= floor - 1, and every
-    cycle the chord closes is long enough.  The chain constraint is handled
-    by rejection.  Raises Infeasible once the attempt budget runs out,
-    which is the expected outcome for contradictory parameters.
+    cycle the chord closes has floor edges or more: the girth needs no test.
+    Degree and chain constraints are handled by rejection.  Raises
+    Infeasible once the attempt budget runs out, which is the expected
+    outcome for contradictory parameters.
     """
     _check_int("v", v, 1)
     if _check_int("min_degree", min_degree, 0) > max(v - 1, 0):
@@ -88,10 +89,8 @@ def random_constrained_graph(
             _link(adj, x, rng.choice(far_needy or cands))
         if any(len(nbrs) < min_degree for nbrs in adj.values()):
             continue
+        # no girth test: the tree is acyclic, and each chord closes only cycles of floor edges or more
         g = Graph.build((x, y) for x, nbrs in adj.items() for y in nbrs if x < y)
-        gv = girth(g)
-        if gv is not None and gv < girth_at_least:
-            continue
         if ell_at_most is not None and chain_metric(g) > ell_at_most:
             continue
         assert g.is_connected

@@ -21,10 +21,6 @@ class EdgeNotFoundError(LeafspanError, ValueError):
     """The named edge is not present in the graph."""
 
 
-class NotALeafError(LeafspanError, ValueError):
-    """A tree vertex expected to be a leaf is internal."""
-
-
 class ChainTooLongError(LeafspanError, ValueError):
     """The graph's longest degree-2 chain exceeds the declared limit."""
 

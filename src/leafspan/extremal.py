@@ -77,7 +77,7 @@ def gen_triangle_tree(n: int) -> Graph:
     free = [x for x in range(3 * n) if x not in hooked]
     g = Graph.build(edges + hooks + [(x, 3 * n + j) for j, x in enumerate(free)])
     assert g.v == 4 * n + 2
-    assert sum(1 for x in g.vertices if g.degree(x) == 1) == n + 2
+    assert sum(len(nbrs) == 1 for nbrs in g.adjacency.values()) == n + 2
     return g
 
 

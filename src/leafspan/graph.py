@@ -27,6 +27,10 @@ def _require_int(x) -> int:
     return x
 
 
+class _NotAnInt(InvalidGraphError, InvalidParamsError):
+    """A vertex argument that is not an int: a bad id, and so no vertex of the graph."""
+
+
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     """Return the canonical (low, high) form of an edge, rejecting loops."""
     _require_int(u)
@@ -192,12 +196,20 @@ class Graph:
             adj[v].add(u)
         return {x: frozenset(nbrs) for x, nbrs in adj.items()}
 
+    def _vertex(self, x) -> int:
+        """x, checked to be an int and a vertex of this graph."""
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise _NotAnInt(f"vertex id {x!r} is not an int, so not in graph")
+        if x not in self.vertices:
+            raise InvalidParamsError(f"vertex {x} not in graph")
+        return x
+
     def neighbors(self, x: int) -> tuple:
         """Neighbors of x in ascending order."""
-        return tuple(sorted(self.adjacency[x]))
+        return tuple(sorted(self.adjacency[self._vertex(x)]))
 
     def degree(self, x: int) -> int:
-        return len(self.adjacency[x])
+        return len(self.adjacency[self._vertex(x)])
 
     @cached_property
     def min_degree(self) -> int:
@@ -295,10 +307,8 @@ class Graph:
     def bfs_tree(self, root: int) -> frozenset:
         """Edges of a breadth-first spanning tree of the int root's component; each
         vertex queues its unseen neighbours in ascending order, sorting two or more."""
-        if _require_int(root) not in self.vertices:
-            raise InvalidParamsError(f"vertex {root} not in graph")
         adj = self.adjacency
-        seen = {root}
+        seen = {self._vertex(root)}
         out = []
         queue = [root]
         for cur in queue:
@@ -312,19 +322,14 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def induced(self, vs: Iterable[int]) -> "Graph":
-        keep = frozenset(vs)
-        extra = keep - self.vertices
-        if extra:
-            raise InvalidParamsError(f"vertices {sorted(extra)} not in graph")
+        keep = frozenset(map(self._vertex, vs))
         if not keep:
             raise InvalidGraphError("a graph needs at least one vertex")
         gone = self.vertices - keep
         return self._derive(gone, {_edge(x, y) for x in gone for y in self.adjacency[x]})
 
     def without_vertex(self, x: int) -> "Graph":
-        if x not in self.vertices:
-            raise InvalidParamsError(f"vertex {x} not in graph")
-        return self.induced(self.vertices - {x})
+        return self.induced(self.vertices - {self._vertex(x)})
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = norm_edge(u, v)

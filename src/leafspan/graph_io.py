@@ -17,9 +17,7 @@ from .trees import SpanningTree
 
 
 def parse_graph(text: str) -> Graph:
-    edges = []
-    seen = set()
-    isolated = []
+    edges, isolated = set(), []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -42,19 +40,19 @@ def parse_graph(text: str) -> Graph:
         if u == v:
             raise SelfLoopError(f"self loop at {u}", line=lineno)
         e = _edge(u, v)
-        if e in seen:
+        if e in edges:
             raise DuplicateEdgeError(f"duplicate edge {e[0]} {e[1]}", line=lineno)
-        seen.add(e)
-        edges.append(e)
+        edges.add(e)
     if not edges and not isolated:
         raise ParseError("no vertices")
-    return Graph.build(edges, isolated=isolated)
+    # every id is an int and every edge distinct in (low, high) form: build once
+    return Graph._derived(frozenset(isolated).union(*edges), frozenset(edges))
 
 
 def serialize_graph(g: Graph) -> str:
     lines = []
     for x in g.sorted_vertices:
-        if g.degree(x) == 0:
+        if not g.adjacency[x]:
             lines.append(f"v {x}")
     for u, v in g.sorted_edges:
         lines.append(f"{u} {v}")

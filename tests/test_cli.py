@@ -47,6 +47,10 @@ def test_budget_validation(monkeypatch, capsys):
     monkeypatch.setenv("LEAFSPAN_BUDGET", "soon")
     assert main(["exact"]) == 2
     assert "LEAFSPAN_BUDGET" in capsys.readouterr().err
+    feed(monkeypatch, TRIANGLE)
+    monkeypatch.setenv("LEAFSPAN_BUDGET", "0")
+    assert main(["exact"]) == 2
+    assert "LEAFSPAN_BUDGET must be >= 1" in capsys.readouterr().err
 
 
 def test_bound_theorem1(monkeypatch, capsys):

@@ -165,6 +165,11 @@ def test_exhaustive_small_theorem2():
         assert validate(t) is None
         assert t.leaf_count >= bound_theorem2(g.v, gg, k).value
         assert replay_trace(g, tr, theorem=2, k=k).tree_edges == t.tree_edges
+        # and the girth/chain descent where greedy's tree would be taken
+        request, t, tr = _t2_descent(g, k)
+        assert validate(t) is None
+        assert t.leaf_count >= bound_theorem2(g.v, gg, k).value
+        assert _descend(g, request, tr.root)[0] == t
 
 
 def test_random_batch_both_theorems():
@@ -834,6 +839,7 @@ def test_need_holds_trees_to_the_girth_3_rate():
         (lambda a: a[:2] + (0, 2) + a[2:], "edge list"),  # (0, 2) is no edge
         (lambda a: a[:-1], "edge list"),  # odd arity
         (lambda a: sum(reversed(list(zip(a[::2], a[1::2]))), ()), "edge list"),  # reordered
+        (lambda a: a[:4] + (1, 10) + a[4:], "disconnects the graph"),  # 10 keeps no edge
     ],
 )
 def test_replay_checks_recorded_removal_set(alter, why):

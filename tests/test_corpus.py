@@ -15,6 +15,7 @@ from leafspan import (
     serialize_graph,
     verify_corpus,
 )
+from conftest import brute_girth
 
 
 def test_constraints_honoured():
@@ -65,7 +66,11 @@ def test_outcomes_match_the_pinned_digest():
         for v in range(1, 21):
             for seed in range(10):
                 try:
-                    out = serialize_graph(random_constrained_graph(v, md, floor, ell, seed))
+                    g = random_constrained_graph(v, md, floor, ell, seed)
+                    # the generator never measures girth; the floor holds by its
+                    # ball rule, checked here by an oracle apart from girth()
+                    assert (brute_girth(g) or floor) >= floor, (v, md, floor, seed)
+                    out = serialize_graph(g)
                 except (InfeasibleError, InvalidParamsError) as exc:
                     out = f"{type(exc).__name__}: {exc}\n"
                 h.update(out.encode())

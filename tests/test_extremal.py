@@ -99,6 +99,10 @@ def test_family_spec_validation():
         FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=5)  # n is forced by g
     with pytest.raises(InvalidParamsError):
         FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1, n=1)  # g and k fix the dense size
+    with pytest.raises(InvalidParamsError, match="needs g"):
+        FamilySpec(kind=CYCLE_SPINE_SPARSE, k=2)
+    with pytest.raises(InvalidParamsError, match="needs k"):
+        FamilySpec(kind=CYCLE_SPINE_DENSE, g=4)
     with pytest.raises(TypeError):
         FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=2)  # copies are glue_extremal_chain's alone
     with pytest.raises(InvalidParamsError, match="copies must be >= 1"):

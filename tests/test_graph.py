@@ -80,6 +80,8 @@ def test_edge_outside_vertex_set():
         (frozenset({0, 1, 2}), frozenset({(0, 1, 2)})),
         (frozenset({0, 1}), frozenset({(0, "a")})),
         (frozenset({0, 1}), frozenset({5})),
+        (frozenset(), frozenset()),  # no vertex
+        (frozenset({0, 1}), frozenset({(1, 0)})),  # not in (low, high) form
     ],
 )
 def test_constructor_rejects_malformed_fields(vertices, edges):
@@ -102,6 +104,9 @@ def test_factories():
     assert all(pet.degree(x) == 3 for x in pet.vertices)
     with pytest.raises(InvalidParamsError):
         Graph.cycle(2)
+    for factory in (Graph.path, Graph.complete, Graph.star):
+        with pytest.raises(InvalidParamsError):
+            factory(0)
 
 
 def test_single_vertex():
@@ -185,6 +190,20 @@ def test_bfs_tree_rejects_roots_that_are_not_ints():
             g.bfs_tree(root)
     with pytest.raises(InvalidParamsError, match="not in graph"):
         g.bfs_tree(9)
+
+
+def test_vertex_arguments_are_checked_alike():
+    # every method that takes a vertex checks it as bfs_tree does: True and
+    # 1.0 equal the id 1 but are no ints, and 9 is no vertex, not a KeyError
+    g = Graph.cycle(4)
+    takes_a_vertex = [g.bfs_tree, g.neighbors, g.degree, g.without_vertex, lambda x: g.induced([x, 2])]
+    for method in takes_a_vertex:
+        for x in (True, 1.0, "a", None):
+            with pytest.raises(InvalidGraphError, match="is not an int"):
+                method(x)
+        with pytest.raises(InvalidParamsError, match="vertex 9 not in graph"):
+            method(9)
+    assert g.neighbors(1) == (0, 2) and g.degree(1) == 2 and g.without_vertex(1).v == 3
 
 
 def test_surgery_ops():

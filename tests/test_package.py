@@ -11,7 +11,7 @@ PUBLIC = [
     "BoundNotMetError", "BoundReport", "CYCLE_SPINE_DENSE", "CYCLE_SPINE_SPARSE", "ChainTooLongError",
     "ConstructionTrace", "CorpusReport", "DuplicateEdgeError", "EdgeNotFoundError", "ExactResult",
     "FamilySpec", "Graph", "InfeasibleError", "InstanceRecord", "InvalidGraphError", "InvalidParamsError",
-    "LeafspanError", "NotALeafError", "NotConnectedError", "ParseError", "SearchExhaustedError",
+    "LeafspanError", "NotConnectedError", "ParseError", "SearchExhaustedError",
     "SelfLoopError", "SpanningTree", "TRIANGLE_TREE", "TraceNode", "alpha", "beta", "beta_prime",
     "bound_kw", "bound_theorem1", "bound_theorem2", "chain_metric", "construct_theorem1",
     "construct_theorem2", "exact_mlst", "export_dot", "gamma", "gen_cycle_spine",
@@ -22,7 +22,7 @@ PUBLIC = [
 
 
 def test_public_surface_matches_all():
-    assert leafspan.__all__ == PUBLIC and len(set(PUBLIC)) == len(PUBLIC) == 52
+    assert leafspan.__all__ == PUBLIC and len(set(PUBLIC)) == len(PUBLIC) == 51
     for name in leafspan.__all__:
         assert hasattr(leafspan, name), name
     public = {

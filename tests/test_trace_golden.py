@@ -3,11 +3,13 @@
 One sha256 pins every trace line and every certified tree on a fixed,
 seeded set of graphs, so any change to a derivation shows up here.  A
 change that alters a trace or a tree on purpose updates DIGEST and says so
-in CHANGES.md.
+in CHANGES.md.  Theorem 2 takes one base step on every golden graph, so a
+second digest pins its girth/chain descent with the greedy case dropped.
 """
 
 import hashlib
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,9 +28,11 @@ from leafspan import (
     replay_trace,
     serialize_tree,
 )
-from conftest import random_connected
+from leafspan.constructive import ConstructionTrace, _descend, _theorem
+from conftest import random_connected, replace_greedy
 
 DIGEST = "eb5d671d6ee3ffb8603b8729beccf37e899b55ea70d44138a58efe19cf793c45"
+DESCENT_DIGEST = "c0f12dfc0a79ed49cb1dad6c17ee88e162d67ff4d4f5b3324d6340852d488146"
 
 
 def _golden_graphs():
@@ -106,13 +110,43 @@ def _runs(g):
     return out
 
 
-def _check_build_order(g, rng):
+def _descent_runs(g):
+    """Trace lines and tree of theorem 2's descent from g without its greedy
+    case, replayed through _descend under the same request."""
+    request = replace_greedy(_theorem(g, 2, max(chain_metric(g), 1)))
+    tree, root = _descend(g, request)
+    assert _descend(g, request, root)[0] == tree
+    return [(ConstructionTrace(root, tree).lines(), serialize_tree(tree))]
+
+
+def _check_build_order(g, rng, runs=_runs):
     base, others = _same_graph_other_ways(g, rng)
-    want = _runs(base)
+    want = runs(base)
     for h in others:
         assert h == base
-        assert _runs(h) == want, g.sorted_edges
+        assert runs(h) == want, g.sorted_edges
     return any(_order(h) != _order(base) for h in others)
+
+
+def test_descent_digest():
+    h = hashlib.sha256()
+    graphs, roots = Counter(), Counter()
+    for g in _golden_graphs():
+        [(lines, tree)] = _descent_runs(g)
+        h.update("\n".join(lines).encode())
+        h.update(tree.encode())
+        graphs.update({line.split()[0] for line in lines})
+        roots[lines[0].split()[0]] += 1
+    assert h.hexdigest() == DESCENT_DIGEST
+    # the 122 graphs that take greedy at the root descend instead, through
+    # every step of the table
+    assert sum(roots[c] for c in ("case=1.1", "case=1.2", "case=base-spines")) == 122
+    assert (graphs["case=1.1"], graphs["case=1.2"], graphs["case=base-spines"]) == (63, 108, 82)
+
+
+def test_build_order_changes_no_descent_tree_or_trace():
+    rng = random.Random(2718)
+    assert sum(_check_build_order(g, rng, _descent_runs) for g in _golden_graphs()) > 150
 
 
 def test_build_order_changes_no_tree_or_trace():
