@@ -29,10 +29,11 @@ for line in trace.lines():
 again = replay_trace(g, trace, theorem=1)
 print("replay identical:", again.tree_edges == tree.tree_edges)
 
-# the girth-aware construction needs the chain cap k.  It takes greedy's
-# tree wherever its leaves reach the bound, as on the Petersen graph
+# the girth-aware construction takes a chain cap k, by default the longest
+# chain of degree-2 vertices, at least 1.  It takes greedy's tree wherever
+# its leaves reach the bound, as on the Petersen graph
 k = max(chain_metric(g), 1)
-tree2, trace2 = construct_theorem2(g, k)
+tree2, trace2 = construct_theorem2(g)
 b2 = bound_theorem2(g.v, 5, k).value
 print("girth/chain construction:", tree2.leaf_count, "leaves, bound", b2)
 print("base cases used:", trace2.base_kinds)

@@ -13,10 +13,9 @@ All values are fractions.Fraction; nothing here ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Optional
 
 from .errors import InvalidParamsError
 
@@ -92,30 +91,15 @@ class BoundReport:
     kind: str  # "Theorem1" | "Theorem2" | "KleitmanWest"
     value: Fraction
     params: dict = field(default_factory=dict)
-    satisfied_by: Optional[int] = None
-
-    @property
-    def holds(self) -> Optional[bool]:
-        if self.satisfied_by is None:
-            return None
-        return self.satisfied_by >= self.value
-
-    def check(self, leaf_count: int) -> "BoundReport":
-        """Same report with an achieved leaf count filled in."""
-        return replace(self, satisfied_by=leaf_count)
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "kind": self.kind,
             "numerator": self.value.numerator,
             "denominator": self.value.denominator,
             "decimal": float(self.value),
             "params": dict(self.params),
         }
-        if self.satisfied_by is not None:
-            d["satisfied_by"] = self.satisfied_by
-            d["holds"] = self.holds
-        return d
 
 
 def bound_theorem1(s: int) -> BoundReport:

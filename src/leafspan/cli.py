@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: exact, bound, construct, gen, random, verify, export-dot.
-Graphs come from --input or stdin as edge lists and leave on --output or
-stdout.  Exit status: 0 success, 1 a claimed bound failed to hold or a
-search that cannot fail came up empty, 2 bad input or parameters.
+The commands that read a graph, exact, bound, construct and export-dot,
+take it from --input or stdin as an edge list; every command writes to
+--output or stdout.  Exit status: 0 success, 1 a claimed bound failed to
+hold or a search that cannot fail came up empty, 2 bad input or parameters.
 LEAFSPAN_BUDGET caps the exact solver's node count.
 """
 
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .exact import exact_mlst
 from .extremal import FamilySpec, TRIANGLE_TREE, CYCLE_SPINE_DENSE, CYCLE_SPINE_SPARSE, glue_extremal_chain
-from .graph import Graph, chain_metric
+from .graph import Graph
 from .graph_io import export_dot, parse_graph, serialize_graph, serialize_tree
 
 
@@ -80,8 +81,6 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args)
-    if args.theorem == "2" and args.k is None:
-        raise InvalidParamsError("bound --theorem 2 needs --k")
     # the v/4 rate takes the graphs a theorem-1 request takes, of minimum degree 3
     rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound
     if args.theorem == "kw":
@@ -94,10 +93,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
-    theorem, k = int(args.theorem), args.k
-    if theorem == 2 and k is None:
-        k = max(chain_metric(g), 1)
-    request = _theorem(g, theorem, k, args.g)
+    request = _theorem(g, int(args.theorem), args.k, args.g)
     tree, trace = _certify(g, request)
     rep = request.bound
     ok = tree.leaf_count >= rep.value
@@ -160,8 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="leafspan", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def io(p):
-        p.add_argument("--input", help="edge list file; stdin when omitted")
+    def io(p, reads=True):
+        if reads:
+            p.add_argument("--input", help="edge list file; stdin when omitted")
         p.add_argument("--output", help="output file; stdout when omitted")
 
     p = sub.add_parser("exact", help="optimal leaf count via branch and bound")
@@ -172,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     io(p)
     p.add_argument("--theorem", choices=["1", "2", "kw"], required=True)
     p.add_argument("--g", type=int, help="girth floor for theorem 2")
-    p.add_argument("--k", type=int, help="chain cap for theorem 2")
+    p.add_argument("--k", type=int, help="chain cap; defaults to max(measured, 1)")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("construct", help="build a certified leafy spanning tree")
@@ -184,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("gen", help="emit an extremal family instance")
-    io(p)
+    io(p, reads=False)
     p.add_argument("--family", choices=["triangle-tree", "cycle-spine"], required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--g", type=int)
@@ -193,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("random", help="seeded constrained random graph")
-    io(p)
+    io(p, reads=False)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--girth", type=int, default=3)
@@ -202,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("verify", help="batch-check a bound over a random corpus")
-    io(p)
+    io(p, reads=False)
     p.add_argument("--theorem", choices=["1", "2"], required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-v", type=int, default=10)

@@ -500,8 +500,9 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
 
     theorem is 1, the s-count bound, or 2, the girth/chain bound; g must be
     connected with at least two vertices.  Theorem 1 ignores k and
-    girth_floor.  Under theorem 2, k caps the chains of degree-2 vertices
-    and must be an integer of at least 1 that no chain of g exceeds; a
+    girth_floor.  Under theorem 2, k caps the chains of degree-2 vertices:
+    when declared it must be an integer of at least 1 that no chain of g
+    exceeds, and it defaults to the longest chain, at least 1.  A
     girth_floor, when declared, must be an integer of at least 3 and at
     most the measured girth, and replaces it as the girth parameter.
     Acyclic graphs use 3, the only rate that holds for all trees.
@@ -513,10 +514,10 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
         raise InvalidParamsError("need at least two vertices")
     if theorem == 1:
         return _Theorem((_t1_greedy,), lambda h: bound_theorem1(s_count(h)).value, bound_theorem1(s_count(g)))
-    _check_int("k", k, 1)
+    ell = chain_metric(g)
+    k = max(ell, 1) if k is None else _check_int("k", k, 1)
     if girth_floor is not None:
         _check_int("girth_floor", girth_floor, 3)
-    ell = chain_metric(g)
     if ell > k:
         raise ChainTooLongError(f"chain of {ell} degree-2 vertices exceeds k={k}")
     measured = girth(g)
@@ -546,12 +547,12 @@ def _certify(g: Graph, request: _Theorem):
     return t, ConstructionTrace(root=root, tree=t)
 
 
-def construct_theorem2(g: Graph, k: int, girth_floor: Optional[int] = None):
+def construct_theorem2(g: Graph, k: Optional[int] = None, girth_floor: Optional[int] = None):
     """Spanning tree certified against the girth/chain bound, with trace.
 
-    k caps the chains of degree-2 vertices; girth_floor, when declared,
-    replaces the measured girth.  Tree inputs certify against the girth-3
-    rate.
+    k caps the chains of degree-2 vertices and defaults to the longest
+    chain, at least 1; girth_floor, when declared, replaces the measured
+    girth.  Tree inputs certify against the girth-3 rate.
     """
     return _certify(g, _theorem(g, 2, k, girth_floor))
 
@@ -565,7 +566,8 @@ def replay_trace(
 ) -> SpanningTree:
     """Re-run a recorded descent, checking every step against the record.
 
-    The inputs are checked exactly as construction checks them.  A recorded
+    The inputs are checked exactly as construction checks them, and a
+    theorem-2 k defaults as it does there, to the longest chain.  A recorded
     large-block removal (case 1.2) is checked against the postconditions of
     remove_large_blocks, not searched for again.  Returns the reproduced
     tree; raises InvalidParams on the first step that disagrees with the

@@ -184,15 +184,14 @@ def verify_corpus(
         v = rng.randint(2, max_v)
         g = random_constrained_graph(v, min_degree=1, seed=si)
         ell = chain_metric(g)
-        k = max(ell, 1) if theorem == 2 else None
-        request = _theorem(g, theorem, k)
+        request = _theorem(g, theorem)
         rep = request.bound
         gv = girth(g)
         if mode == "exact":
             achieved = exact_mlst(g).u_value
         else:
             _, trace = _certify(g, request)
-            achieved = replay_trace(g, trace, theorem, k).leaf_count
+            achieved = replay_trace(g, trace, theorem).leaf_count
         records.append(
             InstanceRecord(
                 index=i,

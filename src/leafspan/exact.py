@@ -68,8 +68,6 @@ def greedy_leafy(g: Graph) -> SpanningTree:
     """
     require_connected(g, "greedy_leafy")
     n = g.v
-    if n == 1:
-        return _pack(g, ())
     adj = g.adjacency
     outside = {x: len(nbs) for x, nbs in adj.items()}
     d = max(outside.values())

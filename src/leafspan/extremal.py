@@ -40,6 +40,8 @@ class FamilySpec:
             if self.g is not None or self.k is not None:
                 raise InvalidParamsError("triangle tree takes no g or k; n fixes its size")
         elif self.kind in (CYCLE_SPINE_SPARSE, CYCLE_SPINE_DENSE):
+            if self.n is not None:
+                raise InvalidParamsError("cycle spine takes no n; g and k fix its size")
             if self.g is None:
                 raise InvalidParamsError("cycle spine needs g >= 3")
             if self.k is None:
@@ -49,13 +51,6 @@ class FamilySpec:
                 raise InvalidParamsError("dense regime needs k >= g-2")
             if not sparse and self.kind == CYCLE_SPINE_SPARSE:
                 raise InvalidParamsError("sparse regime needs k < g-2")
-            want_n = (self.g + 1) // 2 - 1
-            if self.kind == CYCLE_SPINE_SPARSE and self.n not in (None, want_n):
-                raise InvalidParamsError(
-                    f"sparse cycle spine at g={self.g} forces n={want_n}"
-                )
-            if self.kind == CYCLE_SPINE_DENSE and self.n is not None:
-                raise InvalidParamsError("dense cycle spine takes no n; g and k fix its size")
         else:
             raise InvalidParamsError(f"unknown family kind {self.kind!r}")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .bounds import _check_int
 from .errors import (
     EdgeNotFoundError,
     InvalidGraphError,
@@ -136,31 +137,23 @@ class Graph:
 
     @classmethod
     def path(cls, n: int) -> "Graph":
-        if n < 1:
-            raise InvalidParamsError("path needs n >= 1")
-        if n == 1:
-            return cls.build((), isolated=(0,))
-        return cls.build((i, i + 1) for i in range(n - 1))
+        _check_int("n", n, 1)
+        return cls.build(((i, i + 1) for i in range(n - 1)), isolated=(0,))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise InvalidParamsError("cycle needs n >= 3")
+        _check_int("n", n, 3)
         return cls.build([(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        if n < 1:
-            raise InvalidParamsError("complete graph needs n >= 1")
-        if n == 1:
-            return cls.build((), isolated=(0,))
-        return cls.build((i, j) for i in range(n) for j in range(i + 1, n))
+        _check_int("n", n, 1)
+        return cls.build(((i, j) for i in range(n) for j in range(i + 1, n)), isolated=(0,))
 
     @classmethod
     def star(cls, leaves: int) -> "Graph":
         """Star with center 0 and the given number of leaves."""
-        if leaves < 1:
-            raise InvalidParamsError("star needs at least one leaf")
+        _check_int("leaves", leaves, 1)
         return cls.build((0, i) for i in range(1, leaves + 1))
 
     @classmethod

@@ -80,10 +80,32 @@ def test_bound_theorem2(monkeypatch, capsys):
     assert "kind=Theorem2" in out and "g=5" in out
 
 
-def test_bound_theorem2_needs_k(monkeypatch, capsys):
+def test_bound_theorem2_defaults_k_like_construct(monkeypatch, capsys):
+    # the triangle is one chain of 3 degree-2 vertices, so k defaults to 3
     feed(monkeypatch, TRIANGLE)
-    assert main(["bound", "--theorem", "2"]) == 2
-    assert "--k" in capsys.readouterr().err
+    assert main(["bound", "--theorem", "2"]) == 0
+    out = capsys.readouterr().out
+    assert " bound=9/5 " in out and " k=3 " in out
+    feed(monkeypatch, TRIANGLE)
+    assert main(["construct", "--theorem", "2"]) == 0
+    assert " bound=9/5 " in capsys.readouterr().out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "triangle-tree", "--n", "1"],
+        ["random", "--v", "4"],
+        ["verify", "--theorem", "1", "--count", "1"],
+    ],
+)
+def test_only_graph_reading_commands_take_input(argv, tmp_path, capsys):
+    # gen, random and verify read no graph, so an --input is refused, not ignored
+    assert main([*argv, "--output", str(tmp_path / "out.txt")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(tmp_path / "missing.txt")])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
 
 
 def test_bound_theorem2_checks_params_like_construct(monkeypatch, capsys):

@@ -295,11 +295,11 @@ def test_replay_rejects_extra_child_steps():
         replay_trace(g, bad, theorem=2, k=5)
 
 
-def test_replay_needs_k_for_theorem2():
+def test_replay_defaults_k_for_theorem2():
+    # with no k, replay takes the longest chain, as construct does
     g = Graph.cycle(5)
     t, tr = construct_theorem2(g, 5)
-    with pytest.raises(InvalidParamsError):
-        replay_trace(g, tr, theorem=2)
+    assert replay_trace(g, tr, theorem=2) == t
 
 
 def test_replay_checks_theorem2_params_like_construct():
@@ -324,7 +324,6 @@ _BAD_REQUESTS = [
     (Graph.cycle(5), True, 5, None, InvalidParamsError),
     (Graph.cycle(5), 1.0, 5, None, InvalidParamsError),
     (Graph.cycle(5), 3, 5, None, InvalidParamsError),
-    (Graph.cycle(5), 2, None, None, InvalidParamsError),
     (Graph.cycle(5), 2, 0, None, InvalidParamsError),
     (Graph.cycle(5), 2, True, None, InvalidParamsError),
     (Graph.cycle(5), 2, 5, 2, InvalidParamsError),
@@ -359,12 +358,11 @@ def test_requests_are_checked_alike_at_every_entry_point(monkeypatch, capsys):
         flags = ["--theorem", str(theorem)]
         flags += ["--k", str(k)] * (k is not None) + ["--g", str(floor)] * (floor is not None)
         assert cli(["bound", *flags], g)[0] == 2
-        if k is not None or theorem != 2:  # construct defaults k to the longest chain
-            assert cli(["construct", *flags], g)[0] == 2
+        assert cli(["construct", *flags], g)[0] == 2
     # bound prints the fraction construct certifies against
     for g in _golden_graphs():
         k = str(max(chain_metric(g), 1))
-        for flags in (["--theorem", "1"], ["--theorem", "2", "--k", k]):
+        for flags in (["--theorem", "1"], ["--theorem", "2"], ["--theorem", "2", "--k", k]):
             bound = re.search(r"bound=(\S+)", cli(["bound", *flags], g)[1]).group(1)
             head = cli(["construct", *flags], g)[1].splitlines()[0]
             assert f" bound={bound} " in head, (g.sorted_edges, flags)

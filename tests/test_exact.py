@@ -236,7 +236,7 @@ def test_greedy_deterministic():
 
 def test_greedy_matches_quadratic_reference():
     rng = random.Random(4040)
-    graphs = [Graph.petersen()]
+    graphs = [Graph.petersen(), Graph.path(1)]
     graphs += [random_connected(rng, rng.randint(2, 40)) for _ in range(300)]
     for g in graphs:
         assert greedy_leafy(g).tree_edges == greedy_leafy_reference(g), g.sorted_edges

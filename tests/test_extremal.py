@@ -95,10 +95,11 @@ def test_family_spec_validation():
         FamilySpec(kind=CYCLE_SPINE_DENSE, g=6, k=2)  # k < g-2 is sparse
     with pytest.raises(InvalidParamsError):
         FamilySpec(kind=CYCLE_SPINE_SPARSE, g=3, k=1)  # k >= g-2 is dense
-    with pytest.raises(InvalidParamsError):
-        FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=5)  # n is forced by g
-    with pytest.raises(InvalidParamsError):
-        FamilySpec(kind=CYCLE_SPINE_DENSE, g=3, k=1, n=1)  # g and k fix the dense size
+    # g and k fix a cycle spine's size, so no n is taken, not even the one g forces
+    for kind, g, k in ((CYCLE_SPINE_SPARSE, 6, 2), (CYCLE_SPINE_DENSE, 3, 1)):
+        for n in (1, 2, 5):
+            with pytest.raises(InvalidParamsError, match="takes no n"):
+                FamilySpec(kind=kind, g=g, k=k, n=n)
     with pytest.raises(InvalidParamsError, match="needs g"):
         FamilySpec(kind=CYCLE_SPINE_SPARSE, k=2)
     with pytest.raises(InvalidParamsError, match="needs k"):
@@ -107,7 +108,7 @@ def test_family_spec_validation():
         FamilySpec(kind=TRIANGLE_TREE, n=2, chain_count=2)  # copies are glue_extremal_chain's alone
     with pytest.raises(InvalidParamsError, match="copies must be >= 1"):
         glue_extremal_chain(FamilySpec(kind=TRIANGLE_TREE, n=2), 0)
-    ok = FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2, n=2)
+    ok = FamilySpec(kind=CYCLE_SPINE_SPARSE, g=6, k=2)
     assert glue_extremal_chain(ok, 1).v == 15
 
 

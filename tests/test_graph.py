@@ -107,6 +107,11 @@ def test_factories():
     for factory in (Graph.path, Graph.complete, Graph.star):
         with pytest.raises(InvalidParamsError):
             factory(0)
+    # counts are ints, as everywhere else in the package: not bools, floats or strings
+    for factory in (Graph.path, Graph.cycle, Graph.complete, Graph.star):
+        for bad in (True, 1.5, "3"):
+            with pytest.raises(InvalidParamsError, match="must be an integer"):
+                factory(bad)
 
 
 def test_single_vertex():

@@ -76,6 +76,15 @@ def test_trace_and_tree_digest():
     assert h.hexdigest() == DIGEST
 
 
+def test_theorem2_k_defaults_to_longest_chain():
+    # construct and replay given no k take the longest chain, at least 1
+    for g in _golden_graphs():
+        tree, trace = construct_theorem2(g)
+        want_tree, want_trace = construct_theorem2(g, max(chain_metric(g), 1))
+        assert (tree, trace.lines()) == (want_tree, want_trace.lines()), g.sorted_edges
+        assert replay_trace(g, trace, 2) == tree
+
+
 def _same_graph_other_ways(g, rng):
     """g on ids spread 1024 apart, so that hashing collides and the order of
     its vertex and neighbour sets follows the order they were filled in,
