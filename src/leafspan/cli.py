@@ -81,7 +81,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args)
-    # the v/4 rate takes the graphs a theorem-1 request takes, of minimum degree 3
+    # the v/4 rate takes the requests theorem 1 takes, no --k or --g, on graphs of minimum degree 3
     rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound
     if args.theorem == "kw":
         if g.min_degree < 3:

@@ -499,12 +499,12 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     """Check a certification request and return its case table and bound.
 
     theorem is 1, the s-count bound, or 2, the girth/chain bound; g must be
-    connected with at least two vertices.  Theorem 1 ignores k and
-    girth_floor.  Under theorem 2, k caps the chains of degree-2 vertices:
-    when declared it must be an integer of at least 1 that no chain of g
-    exceeds, and it defaults to the longest chain, at least 1.  A
-    girth_floor, when declared, must be an integer of at least 3 and at
-    most the measured girth, and replaces it as the girth parameter.
+    connected with at least two vertices.  Theorem 1 reads neither k nor
+    girth_floor, so it refuses either.  Under theorem 2, k caps the chains
+    of degree-2 vertices: when declared it must be an integer of at least 1
+    that no chain of g exceeds, and it defaults to the longest chain, at
+    least 1.  A girth_floor, when declared, must be an integer of at least 3
+    and at most the measured girth, and replaces it as the girth parameter.
     Acyclic graphs use 3, the only rate that holds for all trees.
     """
     if type(theorem) is not int or theorem not in (1, 2):
@@ -513,6 +513,8 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     if g.v < 2:
         raise InvalidParamsError("need at least two vertices")
     if theorem == 1:
+        if k is not None or girth_floor is not None:
+            raise InvalidParamsError("k and girth_floor are theorem 2's parameters only")
         return _Theorem((_t1_greedy,), lambda h: bound_theorem1(s_count(h)).value, bound_theorem1(s_count(g)))
     ell = chain_metric(g)
     k = max(ell, 1) if k is None else _check_int("k", k, 1)

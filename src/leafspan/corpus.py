@@ -89,8 +89,10 @@ def random_constrained_graph(
             _link(adj, x, rng.choice(far_needy or cands))
         if any(len(nbrs) < min_degree for nbrs in adj.values()):
             continue
-        # no girth test: the tree is acyclic, and each chord closes only cycles of floor edges or more
-        g = Graph.build((x, y) for x, nbrs in adj.items() for y in nbrs if x < y)
+        # no girth test: the tree is acyclic, and each chord closes only cycles of floor edges or more.
+        # adj is a simple graph on range(v), so it is the graph's own adjacency and needs no check
+        edges = frozenset((x, y) for x, nbrs in adj.items() for y in nbrs if x < y)
+        g = Graph._derived(frozenset(adj), edges, {x: frozenset(nbrs) for x, nbrs in adj.items()})
         if ell_at_most is not None and chain_metric(g) > ell_at_most:
             continue
         assert g.is_connected

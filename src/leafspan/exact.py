@@ -16,7 +16,10 @@ the sorted vertices; an explicit stack replaces recursion.  Proved facts cut:
 - bound: a new internal x dominates at most gain(x) = |N(x) - T| new
   vertices, and at most deg x - 1 outside T, where its parent dominates it.
   With k the fewest gains covering V - T, and at least the cutpoints outside
-  I, no completion beats n - |I| - k leaves.
+  I, no completion beats n - |I| - k leaves;
+- stop: no tree has more leaves than the degree-sum ceiling (_leaf_ceiling),
+  so the search ends once a tree reaches it, and never starts when greedy's
+  tree already does.
 
 This is the package's only exact search; the tests check it against the
 brute-force oracles in tests/conftest.py.
@@ -27,7 +30,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Optional
 
 from .blocks import lowpoint_blocks
@@ -98,12 +100,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _leaf_ceiling(nbrs, cuts) -> int:
+    """The most leaves any spanning tree of the connected graph with
+    adjacency nbrs can have, n >= 2, given its cutpoints cuts."""
+    # Let T be a spanning tree with L leaves and internal set D.  Its degrees
+    # sum to 2(n - 1) and each leaf gives 1, so sum over D of (deg_T - 2) =
+    # L - 2 = n - |D| - 2, and deg_T x <= deg x.  So f(D) = sum over D of
+    # (deg x - 1) - n + 2 >= 0.  T less a leaf x still spans G - x, so a
+    # cutpoint is never a leaf and D holds cuts.  Each vertex adds deg - 1
+    # >= 0 to f, so among the sets of |D| vertices holding cuts, cuts plus
+    # the highest other degrees has the largest f.  With j the fewest such
+    # vertices that make f >= 0, |D| >= |cuts| + j and L <= n - |cuts| - j.
+    n = len(nbrs)
+    slack = 2 - n + sum(len(nbrs[x]) - 1 for x in cuts)
+    internal = len(cuts)
+    for d in sorted((len(s) for x, s in nbrs.items() if x not in cuts), reverse=True):
+        if slack >= 0:
+            break
+        slack += d - 1
+        internal += 1
+    return n - internal
+
+
 def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
     """Maximum leaf count over all spanning trees, with a witness tree.
 
     node_budget, None or an int >= 1, caps the number of search nodes
     expanded; on exhaustion the best tree found so far is returned flagged
-    non-optimal.
+    non-optimal.  nodes_explored is 0 when greedy's tree already has the
+    most leaves the degree-sum ceiling allows: no search is needed.
     """
     if node_budget is not None:
         _check_int("node_budget", node_budget, 1)
@@ -112,17 +137,20 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
         raise InvalidParamsError("exact_mlst requires at least two vertices")
     start_time = time.perf_counter()
     seed = greedy_leafy(g)
-    if g.v == 2:
-        return ExactResult(2, seed, 0, time.perf_counter() - start_time, True)
+    nbrs = g.adjacency
+    cuts = lowpoint_blocks(nbrs)[1]
+    ceiling = _leaf_ceiling(nbrs, cuts)
+    best = seed.leaf_count
+    if best == ceiling:
+        return ExactResult(best, seed, 0, time.perf_counter() - start_time, True)
 
     verts = g.sorted_vertices
     n = len(verts)
     full = (1 << n) - 1
-    nbrs = g.adjacency
     bit = {x: 1 << i for i, x in enumerate(verts)}  # vertex verts[i] is bit i
     adj = [sum(map(bit.__getitem__, nbrs[x])) for x in verts]
     deg = [len(nbrs[x]) for x in verts]
-    cut = sum(map(bit.__getitem__, lowpoint_blocks(nbrs)[1]))
+    cut = sum(map(bit.__getitem__, cuts))
     if cut:
         roots = [max(_bits(cut), key=lambda i: (deg[i], -i))]
     else:
@@ -132,8 +160,8 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
         (1 << r, adj[r] | 1 << r, sum(1 << q for q in roots[:j]))
         for j, r in reversed(list(enumerate(roots)))
     ]
-    best, best_set, nodes = seed.leaf_count, None, 0
-    while stack:
+    best_set, nodes = None, 0
+    while stack and best < ceiling:
         if nodes == node_budget:
             break
         nodes += 1
@@ -146,28 +174,41 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
             continue
         gains = []
         pick, pick_gain = -1, 0
-        for x in _bits(full & ~inner & ~leaf):
+        todo = full & ~inner & ~leaf
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
             gain = (adj[x] & out).bit_count()
-            if dom >> x & 1:
+            if dom & low:
                 if not gain:
-                    leaf |= 1 << x
+                    leaf |= low
                     continue
                 if gain > pick_gain:
                     pick, pick_gain = x, gain
             else:
                 gain = min(gain, deg[x] - 1)
             gains.append(gain)
-        reach, near = 0, inner
-        while frontier := near & ~leaf & ~reach:
-            reach |= frontier
-            for x in _bits(frontier):
-                near |= adj[x]
-        if out & ~near:
-            continue
-        need = out.bit_count()
-        covered = accumulate(sorted(gains, reverse=True))
-        k = next((j for j, c in enumerate(covered, 1) if c >= need), None)
-        if k is None or n - size - max(k, (cut & ~inner).bit_count()) <= best:
+        # with no leaf fixed, I's part of G - F is all of the connected G
+        if leaf:
+            reach, near = 0, inner
+            while frontier := near & ~leaf & ~reach:
+                reach |= frontier
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    near |= adj[low.bit_length() - 1]
+            if out & ~near:
+                continue
+        need, k = out.bit_count(), 0
+        for gain in sorted(gains, reverse=True):
+            k += 1
+            need -= gain
+            if need <= 0:
+                break
+        else:
+            continue  # the gains cannot cover V - T
+        if n - size - max(k, (cut & ~inner).bit_count()) <= best:
             continue
         bit = 1 << pick
         if not cut & bit:
@@ -187,5 +228,4 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
                     queue.append(y)
         witness = _pack(g, edges)
     elapsed = time.perf_counter() - start_time
-    return ExactResult(witness.leaf_count, witness, nodes, elapsed, not stack)
-
+    return ExactResult(witness.leaf_count, witness, nodes, elapsed, best == ceiling or not stack)

@@ -1,9 +1,11 @@
 import io
+import random
 
 import pytest
 
 from leafspan import Graph, parse_graph, serialize_graph
 from leafspan.cli import main
+from conftest import random_cubic
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 
@@ -29,7 +31,8 @@ def test_exact_files(tmp_path):
 
 
 def test_exact_budget(monkeypatch, capsys):
-    src = serialize_graph(Graph.petersen())
+    # greedy's tree falls short of u here, so the search runs
+    src = serialize_graph(random_cubic(random.Random(1), 14))
     feed(monkeypatch, src)
     monkeypatch.setenv("LEAFSPAN_BUDGET", "1")
     assert main(["exact"]) == 0

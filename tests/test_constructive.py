@@ -333,6 +333,10 @@ _BAD_REQUESTS = [
     (Graph.build([(0, 1), (2, 3)]), 2, 1, None, NotConnectedError),
     (Graph.path(1), 1, None, None, InvalidParamsError),
     (Graph.path(1), 2, 1, None, InvalidParamsError),
+    (Graph.cycle(5), 1, 0, None, InvalidParamsError),
+    (Graph.cycle(5), 1, 5, None, InvalidParamsError),
+    (Graph.cycle(5), 1, None, 5, InvalidParamsError),
+    (Graph.cycle(5), 1, 0, -5, InvalidParamsError),
 ]
 
 
@@ -347,7 +351,9 @@ def test_requests_are_checked_alike_at_every_entry_point(monkeypatch, capsys):
 
     _, trace = construct_theorem1(Graph.cycle(5))
     for g, theorem, k, floor, error in _BAD_REQUESTS:
-        if type(theorem) is int and theorem in (1, 2):
+        if theorem == 1 and (k, floor) != (None, None):
+            pass  # construct_theorem1 takes no k or girth floor to refuse
+        elif type(theorem) is int and theorem in (1, 2):
             with pytest.raises(error):
                 construct_theorem1(g) if theorem == 1 else construct_theorem2(g, k, floor)
         else:
@@ -359,6 +365,10 @@ def test_requests_are_checked_alike_at_every_entry_point(monkeypatch, capsys):
         flags += ["--k", str(k)] * (k is not None) + ["--g", str(floor)] * (floor is not None)
         assert cli(["bound", *flags], g)[0] == 2
         assert cli(["construct", *flags], g)[0] == 2
+    # the v/4 rate reads no k or girth floor either
+    assert cli(["bound", "--theorem", "kw"], Graph.complete(4))[0] == 0
+    for flags in (["--k", "1"], ["--g", "3"]):
+        assert cli(["bound", "--theorem", "kw", *flags], Graph.complete(4))[0] == 2
     # bound prints the fraction construct certifies against
     for g in _golden_graphs():
         k = str(max(chain_metric(g), 1))

@@ -15,6 +15,8 @@ from leafspan import (
     greedy_leafy,
     s_count,
 )
+from leafspan.blocks import lowpoint_blocks
+from leafspan.exact import _leaf_ceiling
 from leafspan.trees import spanning_tree, validate
 from conftest import (
     brute_u,
@@ -46,8 +48,13 @@ def test_rejects_single_vertex():
         exact_mlst(Graph.path(1))
 
 
+def _short_cubic():
+    # greedy's tree has 7 leaves here, short of u = 8, so the search runs
+    return random_cubic(random.Random(1), 14)
+
+
 def test_witness_is_valid_and_optimal_flag_set():
-    r = exact_mlst(Graph.petersen())
+    r = exact_mlst(_short_cubic())
     assert r.optimal
     assert validate(r.witness) is None
     assert r.witness.leaf_count == r.u_value
@@ -102,12 +109,12 @@ def test_budget_on_cubic_keeps_a_certified_witness():
 
 
 def test_budget_gives_honest_flag():
-    r = exact_mlst(Graph.petersen(), node_budget=1)
+    r = exact_mlst(_short_cubic(), node_budget=1)
     assert not r.optimal and r.nodes_explored == 1
     assert validate(r.witness) is None
-    assert 2 <= r.u_value <= 6
-    full = exact_mlst(Graph.petersen(), node_budget=10**7)
-    assert full.optimal and full.u_value == 6
+    assert 2 <= r.u_value <= 8
+    full = exact_mlst(_short_cubic(), node_budget=10**7)
+    assert full.optimal and full.u_value == 8
     # a budget the search exactly uses up still proves optimality
     g = random_cubic(random.Random(24), 16)
     n = exact_mlst(g).nodes_explored
@@ -120,6 +127,67 @@ def test_budget_gives_honest_flag():
             exact_mlst(Graph.petersen(), node_budget=bad)
 
 
+def test_leaf_ceiling_bounds_u_on_small_graphs():
+    # at least u on every connected atlas graph of 3-7 vertices, and equal to
+    # it on 899 of the 994
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in _atlas(nx) if g.v >= 3]
+    assert len(graphs) == 994
+    equal = 0
+    for g in graphs:
+        ceiling, u = _leaf_ceiling(g.adjacency, lowpoint_blocks(g.adjacency)[1]), brute_u(g)
+        assert ceiling >= u, g.sorted_edges
+        equal += ceiling == u
+    assert equal == 899
+
+
+def test_leaf_ceiling_on_cubic_graphs_and_trees():
+    # a cubic graph needs (v - 2)/2 internal vertices of degree 3, and more
+    # only when it has more cutpoints; a tree's cutpoints are its internal
+    # vertices
+    rng = random.Random(1616)
+    for v in range(4, 41, 2):
+        for _ in range(5):
+            g = random_cubic(rng, v)
+            cuts = lowpoint_blocks(g.adjacency)[1]
+            assert _leaf_ceiling(g.adjacency, cuts) == min(v // 2 + 1, v - len(cuts)), g.sorted_edges
+    for _ in range(100):
+        v = rng.randint(3, 40)
+        g = Graph.build([(rng.randrange(i), i) for i in range(1, v)])
+        leaves = sum(1 for x in g.vertices if g.degree(x) == 1)
+        assert _leaf_ceiling(g.adjacency, lowpoint_blocks(g.adjacency)[1]) == leaves, g.sorted_edges
+
+
+def test_greedy_at_the_ceiling_needs_no_search():
+    for g in (Graph.petersen(), Graph.star(5), Graph.path(3), Graph.complete(6)):
+        r = exact_mlst(g)
+        assert r.nodes_explored == 0 and r.optimal, g.sorted_edges
+        assert r.witness == greedy_leafy(g)
+        capped = exact_mlst(g, node_budget=1)
+        assert capped.optimal and capped.nodes_explored == 0 and capped.witness == r.witness
+
+
+def test_stop_at_the_ceiling_changes_only_the_node_count(monkeypatch):
+    # a ceiling of n leaves, which no tree on 3 or more vertices has, turns
+    # the stop off; the answer, the witness and the flag stay, and only the
+    # node count falls
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4242)
+    graphs = [g for g in _atlas(nx) if g.v >= 6] + [random_cubic(rng, v) for v in (12, 14, 14, 16)]
+    graphs.append(_short_cubic())
+    stopped = [exact_mlst(g) for g in graphs]
+    monkeypatch.setattr("leafspan.exact._leaf_ceiling", lambda nbrs, cuts: len(nbrs))
+    fewer = 0
+    for g, r in zip(graphs, stopped):
+        full = exact_mlst(g)
+        assert (r.u_value, r.witness, r.optimal) == (full.u_value, full.witness, full.optimal), g.sorted_edges
+        assert r.nodes_explored <= full.nodes_explored
+        fewer += r.nodes_explored < full.nodes_explored
+    assert fewer > len(graphs) // 2
+    # greedy falls short there, so the stop inside the search saves the nodes
+    assert stopped[-1].nodes_explored < exact_mlst(graphs[-1]).nodes_explored
+
+
 def test_tree_hosts_come_back_as_themselves():
     rng = random.Random(77)
     for _ in range(50):
@@ -128,6 +196,8 @@ def test_tree_hosts_come_back_as_themselves():
         r = exact_mlst(g)
         assert r.witness.tree_edges == g.edges
         assert r.u_value == sum(1 for x in g.vertices if g.degree(x) == 1)
+        # the ceiling is the tree's leaf count, so no search runs
+        assert r.nodes_explored == 0 and r.optimal
 
 
 def test_greedy_is_a_valid_lower_bound():
