@@ -96,16 +96,15 @@ def _cmd_construct(args) -> int:
     request = _theorem(g, int(args.theorem), args.k, args.g)
     tree, trace = _certify(g, request)
     rep = request.bound
-    ok = tree.leaf_count >= rep.value
-    out = [
-        f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} "
-        f"pass={int(ok)}"
-    ]
+    # pass=1 always: _certify returns only a tree whose leaves reach the
+    # root's need, which is rep.value (theorem 1 computes it the same way and
+    # theorem 2's need asserts it); otherwise it raises BoundNotMet, exit 1
+    out = [f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} pass=1"]
     if args.trace:
         out.extend(trace.lines())
     out.append(serialize_tree(tree).rstrip("\n"))
     _emit(args, "\n".join(out) + "\n")
-    return 0 if ok else 1
+    return 0
 
 
 def _cmd_gen(args) -> int:

@@ -70,6 +70,7 @@ def random_constrained_graph(
     radius = girth_at_least - 2
     for _ in range(ATTEMPTS):
         adj = {x: set() for x in range(v)}
+        # no connectivity test: before any chord, each y >= 1 links to a vertex below it
         for y in range(1, v):
             _link(adj, rng.randrange(y), y)
         for _ in range(rng.randint(0, v)):
@@ -95,7 +96,6 @@ def random_constrained_graph(
         g = Graph._derived(frozenset(adj), edges, {x: frozenset(nbrs) for x, nbrs in adj.items()})
         if ell_at_most is not None and chain_metric(g) > ell_at_most:
             continue
-        assert g.is_connected
         return g
     raise InfeasibleError(
         f"no graph found for v={v} min_degree={min_degree} "

@@ -15,8 +15,9 @@ the sorted vertices; an explicit stack replaces recursion.  Proved facts cut:
 - feasibility: each vertex outside T needs a neighbour in I's part of G - F;
 - bound: a new internal x dominates at most gain(x) = |N(x) - T| new
   vertices, and at most deg x - 1 outside T, where its parent dominates it.
-  With k the fewest gains covering V - T, and at least the cutpoints outside
-  I, no completion beats n - |I| - k leaves;
+  Once feasibility holds the gains always cover V - T.  With k the fewest
+  gains covering it, and at least the cutpoints outside I, no completion
+  beats n - |I| - k leaves;
 - stop: no tree has more leaves than the degree-sum ceiling (_leaf_ceiling),
   so the search ends once a tree reaches it, and never starts when greedy's
   tree already does.
@@ -200,14 +201,20 @@ def exact_mlst(g: Graph, node_budget: Optional[int] = None) -> ExactResult:
                     near |= adj[low.bit_length() - 1]
             if out & ~near:
                 continue
+        # The loop always breaks: the gains cover V - T.  Here the node passed
+        # the flood, or F is empty, so D, I's part of G - F, is connected,
+        # holds I, avoids F and dominates V.  Give each y outside T to a
+        # neighbour in D - I: its BFS parent in G[D] from I when y is in D,
+        # else any neighbour in D; never one in I, as y is not in N[I].  An
+        # open x is given at most gain(x) = |N(x) - T|; an outside x at most
+        # deg x - 1 as well, since its own parent is not given to it.  So the
+        # gains over D - I, within V - I - F, sum to at least |V - T|.
         need, k = out.bit_count(), 0
         for gain in sorted(gains, reverse=True):
             k += 1
             need -= gain
             if need <= 0:
                 break
-        else:
-            continue  # the gains cannot cover V - T
         if n - size - max(k, (cut & ~inner).bit_count()) <= best:
             continue
         bit = 1 << pick

@@ -105,24 +105,6 @@ class Graph:
             vars(g)["adjacency"] = adjacency
         return g
 
-    def _derive(self, gone=frozenset(), drop=()) -> "Graph":
-        """This graph less the vertices in gone and the edges in drop, unchecked.
-        drop holds every edge at a vertex of gone, in (low, high) form.  The
-        adjacency is this graph's, with new sets only at the surviving ends of
-        dropped edges."""
-        nbrs = dict(self.adjacency)
-        for x in gone:
-            del nbrs[x]
-        new: dict = {}
-        for u, v in drop:
-            for x, y in ((u, v), (v, u)):
-                if x in nbrs:
-                    if x not in new:
-                        new[x] = set(nbrs[x])
-                    new[x].discard(y)
-        nbrs.update((x, frozenset(s)) for x, s in new.items())
-        return Graph._derived(frozenset(nbrs), self.edges.difference(drop), nbrs)
-
     @classmethod
     def build(cls, edges: Iterable[tuple[int, int]], isolated: Iterable[int] = ()) -> "Graph":
         """Build a graph from an edge iterable; duplicates collapse silently.
@@ -315,29 +297,39 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def induced(self, vs: Iterable[int]) -> "Graph":
+        """The subgraph induced by the vertices vs, each checked to be an int
+        vertex of this graph; at least one is needed.  Ids are kept, and the
+        adjacency is built from the subgraph's own edges on first read."""
         keep = frozenset(map(self._vertex, vs))
         if not keep:
             raise InvalidGraphError("a graph needs at least one vertex")
-        gone = self.vertices - keep
-        return self._derive(gone, {_edge(x, y) for x in gone for y in self.adjacency[x]})
+        return Graph._derived(keep, frozenset(e for e in self.edges if keep.issuperset(e)))
 
     def without_vertex(self, x: int) -> "Graph":
+        """This graph less the vertex x, checked to be an int vertex of it, and
+        its edges; ids are kept, as in induced."""
         return self.induced(self.vertices - {self._vertex(x)})
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        """This graph less the edge uv, which must be one of its edges.  Every
+        vertex and id is kept, and the adjacency is built from the graph's own
+        edges on first read."""
         e = norm_edge(u, v)
         if e not in self.edges:
             raise EdgeNotFoundError(f"edge {e} not in graph")
-        return self._derive(drop=(e,))
+        return Graph._derived(self.vertices, self.edges - {e})
 
     def without_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
+        """This graph less the edges es, each of which must be one of its edges;
+        a repeat is dropped once.  Every vertex and id is kept, and the
+        adjacency is built from the graph's own edges on first read."""
         drop = set()
         for u, v in es:
             e = norm_edge(u, v)
             if e not in self.edges:
                 raise EdgeNotFoundError(f"edge {e} not in graph")
             drop.add(e)
-        return self._derive(drop=drop)
+        return Graph._derived(self.vertices, self.edges.difference(drop))
 
 
 # -- metrics ---------------------------------------------------------------

@@ -5,7 +5,6 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 
 import pytest
@@ -570,11 +569,10 @@ def test_replay_rejects_altered_split():
 
 
 def _count_builds(monkeypatch):
-    """Lists that record the vertex count of every graph built, checked or
-    derived, and of every graph whose adjacency is built from its edges."""
-    built, rebuilt = [], []
+    """A list that records the vertex count of every graph built, checked or
+    derived."""
+    built = []
     real_check, real_derived = Graph.__post_init__, Graph._derived
-    real_adjacency = Graph.__dict__["adjacency"].func
 
     def checked(self):
         built.append(self.v)
@@ -584,26 +582,23 @@ def _count_builds(monkeypatch):
         built.append(len(vertices))
         return real_derived(vertices, edges, adjacency)
 
-    def adjacency(self):
-        rebuilt.append(self.v)
-        return real_adjacency(self)
-
-    prop = cached_property(adjacency)
-    prop.__set_name__(Graph, "adjacency")
     monkeypatch.setattr(Graph, "__post_init__", checked)
     monkeypatch.setattr(Graph, "_derived", classmethod(derived))
-    monkeypatch.setattr(Graph, "adjacency", prop)
-    return built, rebuilt
+    return built
 
 
 def test_tree_base_builds_no_graph(monkeypatch):
     # a tree is its own spanning tree, found under either theorem without
-    # building a graph; greedy builds none on any input
+    # building a graph; greedy builds none on any input.  Theorem 2's other
+    # base roots, base-greedy and base-short, derive none either
     star = Graph.star(50)
     double = Graph.build([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
     path = Graph.path(400)
     cyclic = (_k4_chain(20), _ladder(30))
-    built, _ = _count_builds(monkeypatch)
+    based = [*cyclic, gen_triangle_tree(10), Graph.cycle(50), Graph.petersen()]
+    for spec in (FamilySpec(CYCLE_SPINE_DENSE, g=4, k=2), FamilySpec(CYCLE_SPINE_SPARSE, g=7, k=2)):
+        based.append(glue_extremal_chain(spec, 5))
+    built = _count_builds(monkeypatch)
     assert Graph(frozenset({0, 1}), frozenset({(0, 1)})) and Graph.build([(1, 2)])
     assert len(built) == 2  # both kinds, checked and built, are counted
     built.clear()
@@ -615,6 +610,11 @@ def test_tree_base_builds_no_graph(monkeypatch):
     for g in cyclic:
         t, tr = construct_theorem1(g)
         assert replay_trace(g, tr) == t
+    for g in based:
+        k = max(chain_metric(g), 1)
+        t, tr = construct_theorem2(g, k)
+        assert tr.lines() in (["case=base-greedy op=base args="], ["case=base-short op=base args="])
+        assert replay_trace(g, tr, theorem=2, k=k) == t
     assert built == []
 
 
@@ -643,15 +643,14 @@ def test_cycle_request_floods_once(monkeypatch):
 
 
 def test_descent_builds_one_graph_per_step(monkeypatch):
-    # each non-base step builds only the graphs it hands to its children,
-    # and derives their adjacency from its own, in construction and on
-    # replay; one step splits the chain of 26 copies into 26 pieces.  Every
-    # graph here takes the greedy base, so the greedy case is dropped
+    # each non-base step builds only the graphs it hands to its children, in
+    # construction and on replay; one step splits the chain of 26 copies
+    # into 26 pieces.  Every graph here takes the greedy base, so the greedy
+    # case is dropped
     graphs = [_ladder(30), _k4_chain(8), gen_triangle_tree(20), glue_extremal_chain(_LADDER_SPECS[1], 5)]
     graphs += [glue_extremal_chain(_LADDER_SPECS[0], 26), subdivided(Graph.petersen())]
     graphs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(6)]
-    assert all(g.adjacency for g in graphs)
-    built, rebuilt = _count_builds(monkeypatch)
+    built = _count_builds(monkeypatch)
     steps = []  # (graphs built, children) of each non-base step
 
     def counted(case):
@@ -669,7 +668,7 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
         request = request._replace(cases=tuple(map(counted, request.cases)))
         t, root = _descend(g, request)
         assert _descend(g, request, root)[0] == t
-    assert all(b == c for b, c in steps) and rebuilt == []
+    assert all(b == c for b, c in steps)
     assert len(steps) > 8 and max(c for _, c in steps) == 26
 
 
@@ -690,8 +689,9 @@ def _assert_checked(graphs):
 
 
 def test_descent_children_equal_their_checked_builds():
-    # descent children skip validation and derive their adjacency from the
-    # parent's, so each must equal the graph checked from its own fields
+    # descent children skip validation, and a split's pieces take their
+    # adjacency from the parent's, so each must equal the graph checked from
+    # its own fields
     rng = random.Random(2718)
     graphs = _golden_graphs() + [gen_triangle_tree(n) for n in (5, 30)]
     graphs += [random_sparse(rng, v, c) for v, c in ((100, 10), (200, 15), (400, 20))]
@@ -1059,6 +1059,21 @@ def test_greedy_base_needs_its_gate():
         t, tr = construct_theorem2(g, 1)
         assert t.leaf_count >= bound_theorem2(g.v, girth(g), 1).value
         assert replay_trace(g, tr, theorem=2, k=1) == t
+
+
+def test_construct_exits_1_on_a_refused_tree(monkeypatch, capsys):
+    # construct's pass=1 rests on the engine: a tree short of the root's need
+    # raises BoundNotMet, which main turns into exit 1 before any output.
+    # With theorem 2's greedy case ungated, the engine refuses greedy's tree
+    # on the uneven K4
+    import leafspan.constructive as constructive
+
+    monkeypatch.setattr(constructive, "_t2_greedy", lambda g, rec, need: _t1_greedy(g, rec))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(_UNEVEN_K4)))
+    assert main(["construct", "--theorem", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "pass=" not in out
+    assert err == "error: case base-greedy: 4 leaves < 77/19 at v=18\n"
 
 
 def test_greedy_base_takes_the_subdivided_stalls():

@@ -15,7 +15,7 @@ from leafspan import (
     serialize_graph,
     verify_corpus,
 )
-from conftest import brute_girth
+from conftest import brute_girth, components_reference
 
 
 def test_constraints_honoured():
@@ -68,8 +68,10 @@ def test_outcomes_match_the_pinned_digest():
                 try:
                     g = random_constrained_graph(v, md, floor, ell, seed)
                     # the generator never measures girth; the floor holds by its
-                    # ball rule, checked here by an oracle apart from girth()
+                    # ball rule, checked here by an oracle apart from girth().
+                    # Nor does it test connectivity, which its tree skeleton gives
                     assert (brute_girth(g) or floor) >= floor, (v, md, floor, seed)
+                    assert len(components_reference(g)) == 1, (v, md, floor, seed)
                     out = serialize_graph(g)
                 except (InfeasibleError, InvalidParamsError) as exc:
                     out = f"{type(exc).__name__}: {exc}\n"

@@ -258,8 +258,8 @@ def test_derivations_reject_what_they_rejected_before():
 
 
 def test_derived_graphs_equal_their_checked_builds():
-    # derivation skips validation and patches the parent's adjacency, so
-    # every result must equal the graph built and checked from its fields
+    # derivation skips validation, so every result must equal the graph
+    # built and checked from its fields, adjacency included
     rng = random.Random(1414)
     for _ in range(60):
         g = random_connected(rng, rng.randint(2, 12))
