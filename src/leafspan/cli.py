@@ -81,8 +81,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _read_graph(args)
-    # the v/4 rate takes the requests theorem 1 takes, no --k or --g, on graphs of minimum degree 3
-    rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k, args.g).bound
+    # the v/4 rate takes the requests theorem 1 takes, no --k, on graphs of minimum degree 3
+    rep = _theorem(g, 2 if args.theorem == "2" else 1, args.k).bound
     if args.theorem == "kw":
         if g.min_degree < 3:
             raise InvalidParamsError("the v/4 rate needs minimum degree 3")
@@ -93,7 +93,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
-    request = _theorem(g, int(args.theorem), args.k, args.g)
+    request = _theorem(g, int(args.theorem), args.k)
     tree, trace = _certify(g, request)
     rep = request.bound
     # pass=1 always: _certify returns only a tree whose leaves reach the
@@ -167,14 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate a lower bound for a graph")
     io(p)
     p.add_argument("--theorem", choices=["1", "2", "kw"], required=True)
-    p.add_argument("--g", type=int, help="girth floor for theorem 2")
     p.add_argument("--k", type=int, help="chain cap; defaults to max(measured, 1)")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("construct", help="build a certified leafy spanning tree")
     io(p)
     p.add_argument("--theorem", choices=["1", "2"], required=True)
-    p.add_argument("--g", type=int, help="girth floor for theorem 2")
     p.add_argument("--k", type=int, help="chain cap; defaults to max(measured, 1)")
     p.add_argument("--trace", action="store_true", help="include the descent trace")
     p.set_defaults(func=_cmd_construct)

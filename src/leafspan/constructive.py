@@ -495,17 +495,17 @@ def _t2_blocks(g: Graph, rec: Optional[TraceNode], k: int) -> _Step:
 # -- requests and replay ----------------------------------------------------
 
 
-def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
+def _theorem(g: Graph, theorem, k=None) -> _Theorem:
     """Check a certification request and return its case table and bound.
 
     theorem is 1, the s-count bound, or 2, the girth/chain bound; g must be
-    connected with at least two vertices.  Theorem 1 reads neither k nor
-    girth_floor, so it refuses either.  Under theorem 2, k caps the chains
-    of degree-2 vertices: when declared it must be an integer of at least 1
-    that no chain of g exceeds, and it defaults to the longest chain, at
-    least 1.  A girth_floor, when declared, must be an integer of at least 3
-    and at most the measured girth, and replaces it as the girth parameter.
-    Acyclic graphs use 3, the only rate that holds for all trees.
+    connected with at least two vertices.  Theorem 1 reads no k, so it
+    refuses one.  Under theorem 2, k caps the chains of degree-2 vertices:
+    when declared it must be an integer of at least 1 that no chain of g
+    exceeds, and it defaults to the longest chain, at least 1.  The girth
+    parameter is the measured girth: alpha never falls as the girth grows,
+    so no smaller girth gives a larger valid bound.  Acyclic graphs use 3,
+    the only rate that holds for all trees.
     """
     if type(theorem) is not int or theorem not in (1, 2):
         raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
@@ -513,26 +513,21 @@ def _theorem(g: Graph, theorem, k=None, girth_floor=None) -> _Theorem:
     if g.v < 2:
         raise InvalidParamsError("need at least two vertices")
     if theorem == 1:
-        if k is not None or girth_floor is not None:
-            raise InvalidParamsError("k and girth_floor are theorem 2's parameters only")
+        if k is not None:
+            raise InvalidParamsError("k is theorem 2's parameter only")
         return _Theorem((_t1_greedy,), lambda h: bound_theorem1(s_count(h)).value, bound_theorem1(s_count(g)))
     ell = chain_metric(g)
     k = max(ell, 1) if k is None else _check_int("k", k, 1)
-    if girth_floor is not None:
-        _check_int("girth_floor", girth_floor, 3)
     if ell > k:
         raise ChainTooLongError(f"chain of {ell} degree-2 vertices exceeds k={k}")
-    measured = girth(g)
-    gg = 3 if measured is None else girth_floor or measured
-    if measured is not None and gg > measured:
-        raise InvalidParamsError(f"girth_floor {girth_floor} not in [3, measured {measured}]")
+    gg = girth(g) or 3
 
     rep = bound_theorem2(g.v, gg, k)
     rate, tree_rate = rep.params["alpha"], alpha(3, k)
 
     def need(h: Graph):
         # the request measured the root's chains.  Trees meet the girth-3 rate;
-        # larger declared girths need not hold on bare trees.  A node is a tree
+        # the root's girth need not hold on a tree child.  A node is a tree
         # exactly when _base_tree, first in the table, takes it
         assert h is g or chain_metric(h) <= k, "descent produced an overlong chain"
         value = (tree_rate if h.e == h.v - 1 else rate) * (h.v - k - 2) + 2
@@ -549,14 +544,14 @@ def _certify(g: Graph, request: _Theorem):
     return t, ConstructionTrace(root=root, tree=t)
 
 
-def construct_theorem2(g: Graph, k: Optional[int] = None, girth_floor: Optional[int] = None):
+def construct_theorem2(g: Graph, k: Optional[int] = None):
     """Spanning tree certified against the girth/chain bound, with trace.
 
     k caps the chains of degree-2 vertices and defaults to the longest
-    chain, at least 1; girth_floor, when declared, replaces the measured
-    girth.  Tree inputs certify against the girth-3 rate.
+    chain, at least 1.  The bound is rated at the measured girth; tree
+    inputs certify against the girth-3 rate.
     """
-    return _certify(g, _theorem(g, 2, k, girth_floor))
+    return _certify(g, _theorem(g, 2, k))
 
 
 def replay_trace(
@@ -564,18 +559,18 @@ def replay_trace(
     trace: ConstructionTrace,
     theorem: int = 1,
     k: Optional[int] = None,
-    girth_floor: Optional[int] = None,
 ) -> SpanningTree:
     """Re-run a recorded descent, checking every step against the record.
 
-    The inputs are checked exactly as construction checks them, and a
-    theorem-2 k defaults as it does there, to the longest chain.  A recorded
-    large-block removal (case 1.2) is checked against the postconditions of
+    The inputs are checked exactly as construction checks them: a
+    theorem-2 k defaults as it does there, to the longest chain, and the
+    bound is rated at the measured girth.  A recorded large-block removal
+    (case 1.2) is checked against the postconditions of
     remove_large_blocks, not searched for again.  Returns the reproduced
     tree; raises InvalidParams on the first step that disagrees with the
     trace.
     """
-    t, _ = _descend(g, _theorem(g, theorem, k, girth_floor), trace.root)
+    t, _ = _descend(g, _theorem(g, theorem, k), trace.root)
     if t != trace.tree:
         raise InvalidParamsError("replay produced a different tree")
     return t

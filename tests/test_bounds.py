@@ -11,6 +11,8 @@ from leafspan import (
     bound_theorem1,
     bound_theorem2,
     gamma,
+    gen_cycle_spine,
+    girth,
 )
 
 
@@ -145,6 +147,22 @@ def test_alpha_dense_equals_beta():
     for g in range(3, 12):
         for k in range(max(g - 2, 1), g + 4):
             assert alpha(g, k) == beta(g, k)
+
+
+def test_alpha_never_falls_as_girth_grows():
+    # why theorem 2 is rated at the measured girth: no smaller girth gives
+    # a larger valid bound
+    for g in range(3, 61):
+        for k in range(1, 31):
+            assert alpha(g + 1, k) >= alpha(g, k)
+
+
+def test_extremal_chains_rate_alike_at_their_measured_girth():
+    # a sparse spine's cycle is even, one longer than an odd g, yet the
+    # rate is the same, so the extremal chains stay tight at the measured girth
+    for g in range(3, 14):
+        for k in range(1, 10):
+            assert alpha(girth(gen_cycle_spine(g, k)), k) == alpha(g, k)
 
 
 def test_theorem2_values():

@@ -115,9 +115,6 @@ def test_bound_theorem2_checks_params_like_construct(monkeypatch, capsys):
     feed(monkeypatch, serialize_graph(Graph.cycle(5)))  # u(C5) = 2, below 22/9
     assert main(["bound", "--theorem", "2", "--k", "1"]) == 2
     assert "exceeds k=1" in capsys.readouterr().err
-    feed(monkeypatch, TRIANGLE)
-    assert main(["bound", "--theorem", "2", "--k", "3", "--g", "50"]) == 2
-    assert "girth_floor" in capsys.readouterr().err
 
 
 def test_bad_input_exits_2(monkeypatch, capsys):
@@ -134,13 +131,6 @@ def test_bad_input_exits_2(monkeypatch, capsys):
             feed(monkeypatch, text)
             assert main(["bound", "--theorem", theorem]) == 2
             assert err in capsys.readouterr().err
-    # a girth floor below 3 is refused on trees as on cyclic graphs
-    for g in (Graph.star(3), Graph.cycle(5)):
-        for cmd in ("bound", "construct"):
-            for floor in ("0", "-5"):
-                feed(monkeypatch, serialize_graph(g))
-                assert main([cmd, "--theorem", "2", "--k", "5", "--g", floor]) == 2
-                assert "girth_floor" in capsys.readouterr().err
 
 
 def test_construct_with_trace(monkeypatch, capsys):

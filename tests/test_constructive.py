@@ -27,7 +27,6 @@ from leafspan import (
     construct_theorem1,
     construct_theorem2,
     exact_mlst,
-    gen_cycle_spine,
     gen_triangle_tree,
     girth,
     glue_extremal_chain,
@@ -209,23 +208,6 @@ def test_theorem2_validation():
         construct_theorem2(g, True)
     with pytest.raises(ChainTooLongError):
         construct_theorem2(g, 2)  # a 5-cycle is one chain of 5
-    with pytest.raises(InvalidParamsError):
-        construct_theorem2(Graph.complete(4), 1, girth_floor=7)
-    with pytest.raises(InvalidParamsError):
-        construct_theorem2(Graph.complete(4), 1, girth_floor=2)
-    # a bad floor is refused on trees too, although trees never use it
-    for floor in (-5, 0, 2, True, "4", 4.0):
-        for g in (Graph.star(3), Graph.complete(4)):
-            with pytest.raises(InvalidParamsError, match="girth_floor"):
-                construct_theorem2(g, 1, girth_floor=floor)
-    t, _ = construct_theorem2(Graph.star(3), 1, girth_floor=9)
-    assert t.leaf_count == 3
-
-
-def test_girth_floor_weakens_bound():
-    g = gen_cycle_spine(6, 2)
-    t, _ = construct_theorem2(g, 2, girth_floor=3)
-    assert t.leaf_count >= bound_theorem2(g.v, 3, 2).value
 
 
 def test_trace_line_format():
@@ -304,11 +286,6 @@ def test_replay_defaults_k_for_theorem2():
 def test_replay_checks_theorem2_params_like_construct():
     g = Graph.cycle(6)
     _, tr = construct_theorem2(g, 6)
-    # a girth floor above the measured girth is rejected, as construct does
-    with pytest.raises(InvalidParamsError):
-        construct_theorem2(g, 6, girth_floor=1000)
-    with pytest.raises(InvalidParamsError):
-        replay_trace(g, tr, theorem=2, k=6, girth_floor=1000)
     with pytest.raises(ChainTooLongError):
         replay_trace(g, tr, theorem=2, k=2)
     with pytest.raises(NotConnectedError):
@@ -317,25 +294,21 @@ def test_replay_checks_theorem2_params_like_construct():
         replay_trace(Graph.build([(0, 1), (2, 3)]), tr, theorem=1)
 
 
-# (graph, theorem, k, girth_floor, error): one bad part of a request each.
-# The 5-cycle has girth 5 and one chain of 5 degree-2 vertices.
+# (graph, theorem, k, error): one bad part of a request each.
+# The 5-cycle has one chain of 5 degree-2 vertices.
 _BAD_REQUESTS = [
-    (Graph.cycle(5), True, 5, None, InvalidParamsError),
-    (Graph.cycle(5), 1.0, 5, None, InvalidParamsError),
-    (Graph.cycle(5), 3, 5, None, InvalidParamsError),
-    (Graph.cycle(5), 2, 0, None, InvalidParamsError),
-    (Graph.cycle(5), 2, True, None, InvalidParamsError),
-    (Graph.cycle(5), 2, 5, 2, InvalidParamsError),
-    (Graph.cycle(5), 2, 5, 6, InvalidParamsError),
-    (Graph.cycle(5), 2, 4, None, ChainTooLongError),
-    (Graph.build([(0, 1), (2, 3)]), 1, None, None, NotConnectedError),
-    (Graph.build([(0, 1), (2, 3)]), 2, 1, None, NotConnectedError),
-    (Graph.path(1), 1, None, None, InvalidParamsError),
-    (Graph.path(1), 2, 1, None, InvalidParamsError),
-    (Graph.cycle(5), 1, 0, None, InvalidParamsError),
-    (Graph.cycle(5), 1, 5, None, InvalidParamsError),
-    (Graph.cycle(5), 1, None, 5, InvalidParamsError),
-    (Graph.cycle(5), 1, 0, -5, InvalidParamsError),
+    (Graph.cycle(5), True, 5, InvalidParamsError),
+    (Graph.cycle(5), 1.0, 5, InvalidParamsError),
+    (Graph.cycle(5), 3, 5, InvalidParamsError),
+    (Graph.cycle(5), 2, 0, InvalidParamsError),
+    (Graph.cycle(5), 2, True, InvalidParamsError),
+    (Graph.cycle(5), 2, 4, ChainTooLongError),
+    (Graph.build([(0, 1), (2, 3)]), 1, None, NotConnectedError),
+    (Graph.build([(0, 1), (2, 3)]), 2, 1, NotConnectedError),
+    (Graph.path(1), 1, None, InvalidParamsError),
+    (Graph.path(1), 2, 1, InvalidParamsError),
+    (Graph.cycle(5), 1, 0, InvalidParamsError),
+    (Graph.cycle(5), 1, 5, InvalidParamsError),
 ]
 
 
@@ -349,22 +322,24 @@ def test_requests_are_checked_alike_at_every_entry_point(monkeypatch, capsys):
         return code, capsys.readouterr().out
 
     _, trace = construct_theorem1(Graph.cycle(5))
-    for g, theorem, k, floor, error in _BAD_REQUESTS:
-        if theorem == 1 and (k, floor) != (None, None):
-            pass  # construct_theorem1 takes no k or girth floor to refuse
+    for g, theorem, k, error in _BAD_REQUESTS:
+        if theorem == 1 and k is not None:
+            pass  # construct_theorem1 takes no k to refuse
         elif type(theorem) is int and theorem in (1, 2):
             with pytest.raises(error):
-                construct_theorem1(g) if theorem == 1 else construct_theorem2(g, k, floor)
+                construct_theorem1(g) if theorem == 1 else construct_theorem2(g, k)
         else:
             with pytest.raises(error):
                 verify_corpus(theorem, 1, 5)
         with pytest.raises(error):
-            replay_trace(g, trace, theorem, k, floor)
-        flags = ["--theorem", str(theorem)]
-        flags += ["--k", str(k)] * (k is not None) + ["--g", str(floor)] * (floor is not None)
+            replay_trace(g, trace, theorem, k)
+        flags = ["--theorem", str(theorem)] + ["--k", str(k)] * (k is not None)
         assert cli(["bound", *flags], g)[0] == 2
         assert cli(["construct", *flags], g)[0] == 2
-    # the v/4 rate reads no k or girth floor either
+    # theorem 2 is rated at the measured girth, so neither command takes --g
+    for cmd in ("bound", "construct"):
+        assert cli([cmd, "--theorem", "2", "--g", "5"], Graph.cycle(5))[0] == 2
+    # the v/4 rate reads no k either, and takes no --g
     assert cli(["bound", "--theorem", "kw"], Graph.complete(4))[0] == 0
     for flags in (["--k", "1"], ["--g", "3"]):
         assert cli(["bound", "--theorem", "kw", *flags], Graph.complete(4))[0] == 2
@@ -674,11 +649,18 @@ def test_descent_builds_one_graph_per_step(monkeypatch):
 
 def _derived_descent_graphs(g):
     """Every graph a theorem-2 descent from g meets, in construction and on
-    replay; theorem 1 is one base step and derives no graph."""
+    replay; theorem 1 is one base step and derives no graph.  Each 1.2
+    step's one child, next in preorder, must be its parent less the
+    recorded edges."""
     request = _theorem(g, 2, max(chain_metric(g), 1))
     t, root, built = _descent_graphs(g, request)
     again, _, replayed = _descent_graphs(g, request, root)
     assert again == t and len(built) == len(replayed)
+    for graphs in (built, replayed):
+        for i, node in enumerate(ConstructionTrace(root, t).preorder()):
+            if node.case == "1.2":
+                f = set(zip(node.args[::2], node.args[1::2]))
+                assert graphs[i + 1] == Graph(graphs[i].vertices, graphs[i].edges - f)
     return built + replayed
 
 
@@ -701,6 +683,7 @@ def test_descent_children_equal_their_checked_builds():
         _k4_chain(8),
         _ladder(12),
         subdivided(Graph.petersen()),
+        _UNEVEN_K4,  # greedy falls short, so a 1.2 step runs
     ]
     graphs += [subdivided(random_cubic(random.Random(seed), 8)) for seed in range(6)]
     for g in graphs:

@@ -259,20 +259,26 @@ def test_derivations_reject_what_they_rejected_before():
 
 def test_derived_graphs_equal_their_checked_builds():
     # derivation skips validation, so every result must equal the graph
-    # built and checked from its fields, adjacency included
+    # built and checked from its fields, adjacency included, and the one
+    # built from the parent: its edges among the kept vertices, less the
+    # removed ones
     rng = random.Random(1414)
     for _ in range(60):
         g = random_connected(rng, rng.randint(2, 12))
         vs, es = sorted(g.vertices), sorted(g.edges)
+        keep = rng.sample(vs, rng.randint(1, g.v))
+        x, e = rng.choice(vs), rng.choice(es)
+        drop = rng.sample(es, rng.randint(0, len(es)))
         derived = [
-            g.induced(rng.sample(vs, rng.randint(1, g.v))),
-            g.without_vertex(rng.choice(vs)),
-            g.without_edge(*rng.choice(es)),
-            g.without_edges(rng.sample(es, rng.randint(0, len(es)))),
+            (g.induced(keep), frozenset(keep), ()),
+            (g.without_vertex(x), g.vertices - {x}, ()),
+            (g.without_edge(*e), g.vertices, (e,)),
+            (g.without_edges(drop), g.vertices, drop),
         ]
-        for h in derived:
+        for h, kept, removed in derived:
             checked = Graph(h.vertices, h.edges)
             assert h == checked and h.adjacency == checked.adjacency
+            assert h == Graph(kept, frozenset(d for d in es if kept.issuperset(d) and d not in removed))
 
 
 def test_girth_against_brute_force_small():
