@@ -109,7 +109,7 @@ def bound_theorem1(s: int) -> BoundReport:
     degenerate kinds; s = 0 still yields a (weak) valid report.
     """
     _check_int("s", s, 0)
-    value = Fraction(s - 2, 4) + 2
+    value = Fraction(s + 6, 4)
     return BoundReport(kind="Theorem1", value=value, params={"s": s})
 
 
@@ -129,8 +129,8 @@ def bound_theorem2(v: int, g: int, k: int) -> BoundReport:
     _check_int("v", v, 2)
     _check_int("g", g, 3)
     _check_int("k", k, 1)
-    a = alpha(g, k)
-    value = a * (v - k - 2) + 2
+    a = _alpha(g, k)
+    value = Fraction(a.numerator * (v - k - 2) + 2 * a.denominator, a.denominator)
     return BoundReport(
         kind="Theorem2",
         value=value,

@@ -97,8 +97,8 @@ def _cmd_construct(args) -> int:
     tree, trace = _certify(g, request)
     rep = request.bound
     # pass=1 always: _certify returns only a tree whose leaves reach the
-    # root's need, which is rep.value (theorem 1 computes it the same way and
-    # theorem 2's need asserts it); otherwise it raises BoundNotMet, exit 1
+    # root's need, the least whole number at or above rep.value (_theorem
+    # checks that once per request); otherwise it raises BoundNotMet, exit 1
     out = [f"leaves={tree.leaf_count} bound={rep.value.numerator}/{rep.value.denominator} pass=1"]
     if args.trace:
         out.extend(trace.lines())

@@ -15,13 +15,14 @@ means the implementation (not the input) is wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count
 from typing import Callable, NamedTuple, Optional
 
 from .blocks import _run, large_blocks, lowpoint_blocks
-from .bounds import BoundReport, _check_int, alpha, bound_theorem1, bound_theorem2
+from .bounds import BoundReport, _alpha, _check_int, bound_theorem1, bound_theorem2
 from .errors import (
     BoundNotMetError,
     ChainTooLongError,
@@ -506,6 +507,11 @@ def _theorem(g: Graph, theorem, k=None) -> _Theorem:
     parameter is the measured girth: alpha never falls as the girth grows,
     so no smaller girth gives a larger valid bound.  Acyclic graphs use 3,
     the only rate that holds for all trees.
+
+    need(h) counts whole leaves: the least integer at or above the bound h
+    is held to, worked out in integer arithmetic.  A leaf count L is an
+    integer, so L >= x exactly when L >= ceil(x), and every check against
+    need decides as a check against the rational bound would.
     """
     if type(theorem) is not int or theorem not in (1, 2):
         raise InvalidParamsError(f"theorem must be 1 or 2, got {theorem!r}")
@@ -515,7 +521,10 @@ def _theorem(g: Graph, theorem, k=None) -> _Theorem:
     if theorem == 1:
         if k is not None:
             raise InvalidParamsError("k is theorem 2's parameter only")
-        return _Theorem((_t1_greedy,), lambda h: bound_theorem1(s_count(h)).value, bound_theorem1(s_count(g)))
+        # the bound is (s + 6)/4, and 2 - (2 - s) // 4 is its ceiling
+        request = _Theorem((_t1_greedy,), lambda h: 2 - (2 - s_count(h)) // 4, bound_theorem1(s_count(g)))
+        assert request.need(g) == math.ceil(request.bound.value), "root need differs from the request's bound"
+        return request
     ell = chain_metric(g)
     k = max(ell, 1) if k is None else _check_int("k", k, 1)
     if ell > k:
@@ -523,16 +532,22 @@ def _theorem(g: Graph, theorem, k=None) -> _Theorem:
     gg = girth(g) or 3
 
     rep = bound_theorem2(g.v, gg, k)
-    rate, tree_rate = rep.params["alpha"], alpha(3, k)
+    num, den = rep.params["alpha"].as_integer_ratio()
+    tree_num, tree_den = _alpha(3, k).as_integer_ratio()
+    value = rep.value
+    assert (num * (g.v - k - 2) + 2 * den) * value.denominator == value.numerator * den, "rate does not give the request's bound"
 
-    def need(h: Graph):
+    def need(h: Graph) -> int:
         # the request measured the root's chains.  Trees meet the girth-3 rate;
         # the root's girth need not hold on a tree child.  A node is a tree
-        # exactly when _base_tree, first in the table, takes it
+        # exactly when _base_tree, first in the table, takes it.  The bound is
+        # 2 + rate * (v - k - 2), and 2 - (-n * x) // d is 2 + ceil(n * x / d)
+        # for any sign of x = v - k - 2, so need is the least whole leaf count
+        # that meets it
         assert h is g or chain_metric(h) <= k, "descent produced an overlong chain"
-        value = (tree_rate if h.e == h.v - 1 else rate) * (h.v - k - 2) + 2
-        assert h is not g or value == rep.value, "root need differs from the request's bound"
-        return value
+        if h.e == h.v - 1:
+            return 2 - (-tree_num * (h.v - k - 2)) // tree_den
+        return 2 - (-num * (h.v - k - 2)) // den
 
     cases = (_base_tree, partial(_t2_base_short, k=k), partial(_t2_greedy, need=need), partial(_t2_blocks, k=k))
     return _Theorem(cases, need, rep)

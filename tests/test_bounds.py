@@ -190,6 +190,28 @@ def test_theorem2_rejects_bad_params():
         bound_theorem2(9, 3, True)
 
 
+def test_bounds_equal_their_formulas():
+    # each bound is built as one fraction from its integer parts; it equals
+    # the paper's formula, and its report carries the same parameters
+    for s in range(201):
+        rep = bound_theorem1(s)
+        assert rep.value == Fraction(s - 2, 4) + 2 and rep.params == {"s": s}
+    for v in range(2, 81):
+        for g in range(3, 21):
+            for k in range(1, 13):
+                rep = bound_theorem2(v, g, k)
+                assert rep.value == alpha(g, k) * (v - k - 2) + 2
+                assert rep.params == {"v": v, "g": g, "k": k, "alpha": alpha(g, k)}
+
+
+def test_theorem2_checks_before_the_rate_cache():
+    # the cached rate answers by value, and True == 1 and 3.0 == 3 hash
+    # alike, so the bound must refuse them itself
+    for args in ((10, True, 1), (10, 3.0, 1), (10, 3, 1.0), (10.0, 3, 1)):
+        with pytest.raises(InvalidParamsError):
+            bound_theorem2(*args)
+
+
 def test_reports_are_exact_rationals():
     for rep in (bound_theorem1(7), bound_kw(11), bound_theorem2(13, 5, 2)):
         assert isinstance(rep.value, Fraction)

@@ -1,5 +1,6 @@
 import inspect
 import io
+import math
 import random
 import re
 import sys
@@ -811,7 +812,7 @@ def test_every_case_runs():
 def test_need_holds_trees_to_the_girth_3_rate():
     # need reads the girth-3 rate off a node with v - 1 edges, and those are
     # exactly the nodes base-tree takes; every other node needs the rate of
-    # the request's girth, on the inputs of test_every_case_runs
+    # the request's girth, in whole leaves, on the inputs of test_every_case_runs
     subdivided_cubic = subdivided(random_cubic(random.Random(0), 8))
     for g in [Graph.path(5), Graph.cycle(5), Graph.petersen(), gen_triangle_tree(2), subdivided_cubic]:
         k, gg = _t2_params(g)
@@ -820,7 +821,7 @@ def test_need_holds_trees_to_the_girth_3_rate():
         for h, node in zip(graphs, ConstructionTrace(root, t).preorder(), strict=True):
             tree = h.e == h.v - 1
             assert tree == (node.case == "base-tree")
-            assert request.need(h) == bound_theorem2(h.v, 3 if tree else gg, k).value
+            assert request.need(h) == math.ceil(bound_theorem2(h.v, 3 if tree else gg, k).value)
 
 
 @pytest.mark.parametrize(
@@ -1056,7 +1057,7 @@ def test_construct_exits_1_on_a_refused_tree(monkeypatch, capsys):
     assert main(["construct", "--theorem", "2"]) == 1
     out, err = capsys.readouterr()
     assert "pass=" not in out
-    assert err == "error: case base-greedy: 4 leaves < 77/19 at v=18\n"
+    assert err == "error: case base-greedy: 4 leaves < 5 at v=18\n"
 
 
 def test_greedy_base_takes_the_subdivided_stalls():
@@ -1072,17 +1073,19 @@ def test_greedy_base_takes_the_subdivided_stalls():
         assert _t2_greedy(g, None, need=request.need) is not None, g.sorted_edges
         t, tr = construct_theorem2(g, k)
         assert tr.lines() == ["case=base-greedy op=base args="]
-        assert t.leaf_count >= request.need(g) == bound_theorem2(g.v, girth(g), k).value
+        assert t.leaf_count >= request.need(g) == math.ceil(bound_theorem2(g.v, girth(g), k).value)
         assert replay_trace(g, tr, theorem=2, k=k) == t
 
 
 def test_descent_certifies_where_greedy_falls_short():
-    # greedy's tree on the uneven K4 has 4 leaves, short of need 77/19; the
-    # descent removes three edges and the tree left has the optimum's 6
+    # greedy's tree on the uneven K4 has 4 leaves, short of the bound 77/19,
+    # so of need 5 in whole leaves; the descent removes three edges and the
+    # tree left has the optimum's 6
     g = _UNEVEN_K4
     assert (g.v, girth(g), chain_metric(g)) == (18, 8, 3)
     need = _theorem(g, 2, 3).need(g)
-    assert need == bound_theorem2(18, 8, 3).value == Fraction(77, 19)
+    assert bound_theorem2(18, 8, 3).value == Fraction(77, 19)
+    assert need == 5 == math.ceil(Fraction(77, 19))
     assert greedy_leafy(g).leaf_count == 4 < need
     t, tr = construct_theorem2(g, 3)
     assert tr.lines() == ["case=1.2 op=delete args=4,5,7,8,14,15", "case=base-tree op=base args="]
@@ -1092,10 +1095,11 @@ def test_descent_certifies_where_greedy_falls_short():
 
 def _s_count_gate(need):
     """Theorem 2's greedy case gated by the s-count bound alone, which the
-    wider gate replaced: it takes greedy where (s - 2)/4 + 2 covers need."""
+    wider gate replaced: it takes greedy where (s - 2)/4 + 2 covers need.
+    need counts whole leaves, so the bound does where its ceiling does."""
 
     def case(h, rec):
-        if bound_theorem1(s_count(h)).value >= need(h):
+        if math.ceil(bound_theorem1(s_count(h)).value) >= need(h):
             return _t1_greedy(h, rec)
 
     return case
@@ -1135,20 +1139,62 @@ def test_greedy_gate_accepts_wherever_the_s_count_gate_did_hypothesis(seed, v):
         _check_gate_widens(subdivided(g))
 
 
+def _check_need_is_whole(g):
+    # at every node a descent from g enters, under both theorems and with
+    # theorem 2's greedy case dropped as well, need is the least whole leaf
+    # count that meets the node's rational bound: a tree node's at the
+    # girth-3 rate, any other node's at the root's girth
+    request = _theorem(g, 1)
+    nodes = [(request, h, bound_theorem1(s_count(h)).value) for h in _descent_graphs(g, request)[2]]
+    k, gg = _t2_params(g)
+    request = _theorem(g, 2, k)
+    for req in (request, replace_greedy(request)):
+        nodes += [(req, h, bound_theorem2(h.v, 3 if h.e == h.v - 1 else gg, k).value) for h in _descent_graphs(g, req)[2]]
+    for req, h, exact in nodes:
+        need = req.need(h)
+        assert type(need) is int and need - 1 < exact <= need, (h.sorted_edges, need, exact)
+
+
+def test_need_is_the_least_whole_leaf_count():
+    # subdivided, the atlas graphs of up to 5 vertices reach tree nodes whose
+    # root has girth above 3, where the two rates' ceilings differ
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.build(a.edges()) for a in nx.graph_atlas_g() if len(a) >= 2 and nx.is_connected(a)]
+    for g in atlas + [subdivided(g) for g in atlas if g.v <= 5] + [_UNEVEN_K4]:
+        _check_need_is_whole(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 14))
+def test_need_is_the_least_whole_leaf_count_hypothesis(seed, v):
+    # as in the gate tests, only subdivisions of small graphs, which keep
+    # the removal search fast
+    g = random_connected(random.Random(seed), v)
+    _check_need_is_whole(g)
+    if v <= 8:
+        _check_need_is_whole(subdivided(g))
+
+
 def test_greedy_gate_takes_the_proved_count_with_max_degree():
-    # s = 3 gives (s - 2)/4 + 2 = 9/4, short of need 7/3, so the s-count gate
-    # declines this root; the gate reads greedy's tree, whose 4 leaves cover
-    # need (the potential beside _t1_greedy, 4L - s >= 2d - 1 with maximum
-    # degree d = 4, proves 3)
-    g = Graph.build([(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    request = _theorem(g, 2, 1)
-    need = request.need(g)
-    assert need == bound_theorem2(g.v, girth(g), 1).value == Fraction(7, 3)
-    assert bound_theorem1(s_count(g)).value == Fraction(9, 4) < need
-    assert _s_count_gate(request.need)(g, None) is None
-    t, tr = construct_theorem2(g, 1)
-    assert tr.lines() == ["case=base-greedy op=base args="] and t.leaf_count == 4
-    assert replay_trace(g, tr, theorem=2, k=1) == t
+    # on both roots s = 2 gives (s - 2)/4 + 2 = 2 leaves, short of need 3, so
+    # the s-count gate declines them; the gate reads greedy's tree, which
+    # covers need.  On K_{1,1,3} (an edge 3-4 and three vertices joined to
+    # both ends) the potential beside _t1_greedy, 4L - s >= 2d - 1 with
+    # maximum degree d = 4, proves 3 leaves; on K4 less an edge (d = 3) it
+    # proves 2, and greedy's tree has 3 all the same
+    for edges, bound, leaves in (
+        ([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], Fraction(7, 3), 4),
+        ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], Fraction(13, 6), 3),
+    ):
+        g = Graph.build(edges)
+        request = _theorem(g, 2, 1)
+        need = request.need(g)
+        assert bound_theorem2(g.v, girth(g), 1).value == bound and need == 3 == math.ceil(bound)
+        assert bound_theorem1(s_count(g)).value == 2 < need
+        assert _s_count_gate(request.need)(g, None) is None
+        t, tr = construct_theorem2(g, 1)
+        assert tr.lines() == ["case=base-greedy op=base args="] and t.leaf_count == leaves
+        assert replay_trace(g, tr, theorem=2, k=1) == t
 
 
 def test_removal_search_does_not_use_the_call_stack():
